@@ -1,171 +1,20 @@
 """usiq: similarity metrics, synthetic speckle benchmarks, and landmark
 tracking with similarity-triggered reset for ultrasound-like grayscale
-imagery."""
+imagery.
+
+The package re-exports each layer's ``__all__``; those lists are the only
+record of the public names.
+"""
 
 __version__ = "0.1.0"
 
-from .image import (
-    FrameSequence,
-    GrayImage,
-    Landmark,
-    Roi,
-    SequenceManifest,
-    crop,
-    downsample2,
-    gaussian_window,
-    load_manifest,
-    load_pgm,
-    load_sequence,
-    save_manifest,
-    save_pgm,
-)
-from .metrics import (
-    METRICS,
-    CwSsimParams,
-    MsSsimParams,
-    SimilarityScore,
-    SsimParams,
-    VifParams,
-    compute_metric,
-    cw_ssim,
-    mse,
-    ms_ssim,
-    normalize_series,
-    psnr,
-    ssim,
-    vif,
-)
-from .pyramid import (
-    ComplexSubband,
-    Pyramid,
-    PyramidParams,
-    band_energy,
-    decompose,
-    min_dimension,
-    shift_magnitude_stability,
-)
+from . import harness, image, metrics, pyramid, synth, tracking
+from .harness import *
+from .image import *
+from .metrics import *
+from .pyramid import *
+from .synth import *
+from .tracking import *
 
-from .synth import (
-    Disc,
-    MotionSpec,
-    PhantomSpec,
-    SpeckleSpec,
-    apply_speckle,
-    benchmark_motion_spec,
-    benchmark_phantom_spec,
-    displacement,
-    make_phantom,
-    periodic_sequence,
-    write_sequence,
-)
-from .tracking import (
-    ErrorStats,
-    MeanShiftConfig,
-    NccConfig,
-    ResetConfig,
-    TrackResult,
-    calibrate_threshold,
-    mean_shift_track,
-    ncc_track,
-    track_with_reset,
-    tracking_error,
-)
-from .harness import (
-    CorrelationEntry,
-    CorrelationReport,
-    SweepResult,
-    SweepRow,
-    TraceReport,
-    TrackingArm,
-    TrackingComparison,
-    format_number,
-    pearson,
-    run_correlation_study,
-    run_noise_sweep,
-    run_trace,
-    run_tracking_experiment,
-    write_correlation_json,
-    write_sweep_csv,
-    write_trace_csv,
-    write_track_csv,
-    write_tracking_frames_csv,
-    write_tracking_summary_csv,
-)
-
-__all__ = [
-    "Disc",
-    "MotionSpec",
-    "PhantomSpec",
-    "SpeckleSpec",
-    "apply_speckle",
-    "benchmark_motion_spec",
-    "benchmark_phantom_spec",
-    "displacement",
-    "make_phantom",
-    "periodic_sequence",
-    "write_sequence",
-    "METRICS",
-    "CwSsimParams",
-    "MsSsimParams",
-    "SimilarityScore",
-    "SsimParams",
-    "VifParams",
-    "compute_metric",
-    "cw_ssim",
-    "mse",
-    "ms_ssim",
-    "normalize_series",
-    "psnr",
-    "ssim",
-    "vif",
-    "ComplexSubband",
-    "Pyramid",
-    "PyramidParams",
-    "band_energy",
-    "decompose",
-    "min_dimension",
-    "shift_magnitude_stability",
-    "FrameSequence",
-    "GrayImage",
-    "Landmark",
-    "Roi",
-    "SequenceManifest",
-    "crop",
-    "downsample2",
-    "gaussian_window",
-    "load_manifest",
-    "load_pgm",
-    "load_sequence",
-    "save_manifest",
-    "save_pgm",
-    "ErrorStats",
-    "MeanShiftConfig",
-    "NccConfig",
-    "ResetConfig",
-    "TrackResult",
-    "calibrate_threshold",
-    "mean_shift_track",
-    "ncc_track",
-    "track_with_reset",
-    "tracking_error",
-    "CorrelationEntry",
-    "CorrelationReport",
-    "SweepResult",
-    "SweepRow",
-    "TraceReport",
-    "TrackingArm",
-    "TrackingComparison",
-    "format_number",
-    "pearson",
-    "run_correlation_study",
-    "run_noise_sweep",
-    "run_trace",
-    "run_tracking_experiment",
-    "write_correlation_json",
-    "write_sweep_csv",
-    "write_trace_csv",
-    "write_track_csv",
-    "write_tracking_frames_csv",
-    "write_tracking_summary_csv",
-    "__version__",
-]
+__all__ = [name for layer in (image, pyramid, metrics, synth, tracking, harness)
+           for name in layer.__all__] + ["__version__"]

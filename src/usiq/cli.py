@@ -28,14 +28,7 @@ from .harness import (
     write_tracking_summary_csv,
 )
 from .image import Landmark, Roi, load_pgm, load_sequence, save_pgm
-from .metrics import (
-    METRICS,
-    CwSsimParams,
-    MsSsimParams,
-    SsimParams,
-    VifParams,
-    compute_metric,
-)
+from .metrics import METRICS, PARAMS_CLASSES, compute_metric
 from .pyramid import PyramidParams
 from .synth import (
     SpeckleSpec,
@@ -46,9 +39,7 @@ from .synth import (
     periodic_sequence,
     write_sequence,
 )
-from .tracking import ResetConfig, mean_shift_track, ncc_track, track_with_reset
-
-_TRACKERS = ("ncc", "meanshift")
+from .tracking import TRACKERS, ResetConfig, track_with_reset
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +83,6 @@ def _coerce(text: str):
     return text
 
 
-_PARAM_CLASSES = {
-    "ssim": SsimParams,
-    "msssim": MsSsimParams,
-    "cwssim": CwSsimParams,
-    "vif": VifParams,
-}
-
-
 def build_metric_params(metric: str, assignments: dict):
     """Turn ``field=value`` strings into the metric's params object.
 
@@ -114,7 +97,8 @@ def build_metric_params(metric: str, assignments: dict):
         if set(kv) != {"peakval"}:
             raise InvalidParamsError("psnr accepts only peakval=<value>")
         return float(kv["peakval"])
-    if metric not in _PARAM_CLASSES:
+    params_class = PARAMS_CLASSES.get(metric)
+    if params_class is None:
         raise InvalidParamsError(f"{metric} takes no parameters")
     if metric == "cwssim":
         pyramid_kv = {}
@@ -124,7 +108,7 @@ def build_metric_params(metric: str, assignments: dict):
         if pyramid_kv:
             kv["pyramid"] = PyramidParams(**pyramid_kv)
     try:
-        return _PARAM_CLASSES[metric](**kv)
+        return params_class(**kv)
     except TypeError as exc:
         raise InvalidParamsError(f"bad {metric} parameter: {exc}") from None
 
@@ -201,10 +185,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    seq = load_sequence(args.manifest)
     roi = _parse_roi(args.roi) if args.roi else None
     metrics = _parse_list(args.metrics)
     params = _collect_params(args.param, metrics)
+    seq = load_sequence(args.manifest)
     report = run_trace(seq, metrics, roi=roi, metric_params=params)
     write_trace_csv(report, args.out)
     for name, kind in sorted(report.notes.items()):
@@ -255,28 +239,25 @@ def _cmd_track(args) -> int:
     if args.reset:
         result = track_with_reset(args.tracker, seq,
                                   reset=_reset_config_from(args))
-    elif args.tracker == "ncc":
-        result = ncc_track(seq)
     else:
-        result = mean_shift_track(seq)
+        result = TRACKERS[args.tracker].track(seq)
     write_track_csv(result, args.out)
     print(args.out)
     return 0
 
 
 def _cmd_study_correlation(args) -> int:
+    metrics = _parse_list(args.metrics)
+    roi = _parse_roi(args.roi) if args.roi else None
+    params = _collect_params(args.param, metrics)
     if args.manifest:
         seq = load_sequence(args.manifest)
     else:
         seq = _benchmark_sequence(args.seed, args.frames, args.alpha)
-    metrics = _parse_list(args.metrics)
-    roi = _parse_roi(args.roi) if args.roi else None
-    params = _collect_params(args.param, metrics)
     report = run_correlation_study(seq, metrics, roi=roi, metric_params=params)
     write_correlation_json(report, args.out)
     if args.trace_out:
-        write_trace_csv(run_trace(seq, metrics, roi=roi, metric_params=params),
-                        args.trace_out)
+        write_trace_csv(report.trace, args.trace_out)
     print(args.out)
     return 0
 
@@ -294,7 +275,7 @@ def _cmd_study_noise_sweep(args) -> int:
 def _cmd_study_tracking(args) -> int:
     trackers = _parse_list(args.trackers)
     for tracker in trackers:
-        if tracker not in _TRACKERS:
+        if tracker not in TRACKERS:
             raise InvalidParamsError(f"unknown tracker {tracker!r}")
     seq = _benchmark_sequence(args.seed, args.frames, args.alpha, decoy=True)
     # the decoy disc is scenery for the injected jump; track the true disc
@@ -387,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     track = sub.add_parser("track", help="run one tracker over a manifest")
     track.add_argument("--manifest", required=True)
-    track.add_argument("--tracker", required=True, choices=_TRACKERS)
+    track.add_argument("--tracker", required=True, choices=tuple(TRACKERS))
     track.add_argument("--reset", action="store_true")
     _add_reset_options(track)
     track.add_argument("--out", required=True)
@@ -424,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tracking = study_sub.add_parser(
         "tracking", help="bare versus reset-wrapped tracking comparison")
-    tracking.add_argument("--trackers", default="ncc,meanshift")
+    tracking.add_argument("--trackers", default=",".join(TRACKERS))
     tracking.add_argument("--seed", type=int, default=0)
     tracking.add_argument("--frames", type=int, default=90)
     tracking.add_argument("--alpha", type=float, default=0.3)

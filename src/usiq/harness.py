@@ -22,6 +22,7 @@ from .image import FrameSequence, Roi, crop
 from .metrics import METRICS, compute_metric, normalize_series
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
+    TRACKERS,
     ErrorStats,
     ResetConfig,
     TrackResult,
@@ -203,9 +204,13 @@ class CorrelationEntry:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Metrics ranked by |Pearson r|, scored entries before errored ones."""
+    """Metrics ranked by |Pearson r|, scored entries before errored ones.
+
+    ``trace`` is the similarity trace the ranking was computed from.
+    """
 
     entries: tuple[CorrelationEntry, ...]
+    trace: TraceReport | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -251,7 +256,7 @@ def run_correlation_study(seq: FrameSequence, metrics, roi: Roi | None = None,
         scored.append(CorrelationEntry(name, abs(r),
                                        sign=1 if r >= 0.0 else -1))
     scored.sort(key=lambda entry: -entry.abs_pearson)
-    return CorrelationReport(entries=tuple(scored + errored))
+    return CorrelationReport(entries=tuple(scored + errored), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +332,6 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
 # Tracking experiments
 
 
-_TRACKERS = {"ncc": ncc_track, "meanshift": mean_shift_track}
-
-
 @dataclass(frozen=True)
 class TrackingArm:
     result: TrackResult
@@ -354,16 +356,19 @@ def run_tracking_experiment(seq: FrameSequence, tracker: str,
     explicit per-frame subset when ``init`` tracks fewer landmarks than the
     sequence annotates. ``disturbances`` perturbs both arms identically.
     """
-    if tracker not in _TRACKERS:
+    if tracker not in TRACKERS:
         raise InvalidParamsError(
-            f"unknown tracker {tracker!r}; choose from {sorted(_TRACKERS)}")
+            f"unknown tracker {tracker!r}; choose from {sorted(TRACKERS)}")
     if truth is None:
         if seq.landmarks is None:
             raise InvalidParamsError(
                 "tracking experiment needs ground-truth landmarks")
         truth = seq.landmarks
-    bare = _TRACKERS[tracker](seq, init=init, cfg=cfg,
-                              disturbances=disturbances)
+    # the bare arm goes through the module-level public name, not
+    # TRACKERS[tracker].track, so wrappers bound to that name (profilers,
+    # tracers) see it
+    bare_track = ncc_track if tracker == "ncc" else mean_shift_track
+    bare = bare_track(seq, init=init, cfg=cfg, disturbances=disturbances)
     wrapped = track_with_reset(tracker, seq, init=init, cfg=cfg, reset=reset,
                                disturbances=disturbances)
     spacing = seq.pixel_spacing_mm

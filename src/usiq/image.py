@@ -1,4 +1,4 @@
-"""Grayscale raster primitives: PGM I/O, ROI cropping, resampling, windows.
+"""Grayscale raster primitives: PGM I/O, ROI cropping, resampling, sequences.
 
 Images are immutable 2-D float64 grids in row-major order with a nominal
 [0, 255] intensity range. All coordinates are (x, y) with x indexing columns
@@ -26,6 +26,21 @@ from .errors import (
     PgmFormatError,
     PgmHeaderError,
 )
+
+__all__ = [
+    "FrameSequence",
+    "GrayImage",
+    "Landmark",
+    "Roi",
+    "SequenceManifest",
+    "crop",
+    "downsample2",
+    "load_manifest",
+    "load_pgm",
+    "load_sequence",
+    "save_manifest",
+    "save_pgm",
+]
 
 PGM_MAX_MAXVAL = 65535
 
@@ -233,22 +248,6 @@ def downsample2(image: GrayImage) -> GrayImage:
     a = ndimage.correlate1d(image.pixels, _BINOMIAL5, axis=0, mode="nearest")
     a = ndimage.correlate1d(a, _BINOMIAL5, axis=1, mode="nearest")
     return GrayImage(a[::2, ::2])
-
-
-def gaussian_window(size: int, sigma: float) -> np.ndarray:
-    """Isotropic 2-D Gaussian weight matrix normalized to unit sum.
-
-    ``size`` must be odd so the window has an exact center; size 1 yields the
-    degenerate [[1.0]] window for any sigma.
-    """
-    if size <= 0 or size % 2 == 0:
-        raise InvalidParamsError(f"window size must be odd and positive, got {size}")
-    if not sigma > 0:
-        raise InvalidParamsError(f"sigma must be > 0, got {sigma}")
-    r = np.arange(size, dtype=np.float64) - size // 2
-    g = np.exp(-(r ** 2) / (2.0 * sigma ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------

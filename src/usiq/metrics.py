@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy import ndimage
@@ -22,7 +23,22 @@ from .errors import (
 from .image import GrayImage, downsample2, require_same_shape
 from .pyramid import PyramidParams, decompose
 
-_METRIC_IDS = ("mse", "psnr", "ssim", "msssim", "cwssim", "vif")
+__all__ = [
+    "METRICS",
+    "CwSsimParams",
+    "MsSsimParams",
+    "SimilarityScore",
+    "SsimParams",
+    "VifParams",
+    "compute_metric",
+    "cw_ssim",
+    "mse",
+    "ms_ssim",
+    "normalize_series",
+    "psnr",
+    "ssim",
+    "vif",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +158,7 @@ class SimilarityScore:
     map: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.metric not in _METRIC_IDS:
+        if self.metric not in METRICS:
             raise InvalidParamsError(f"unknown metric id {self.metric!r}")
         v = self.value
         if math.isnan(v) or (math.isinf(v) and self.metric != "psnr"):
@@ -408,6 +424,17 @@ METRICS = {
     "vif": vif,
 }
 
+# Type of the params argument each metric takes; None means it takes none.
+# psnr's params is its peak value.
+PARAMS_CLASSES = {
+    "mse": None,
+    "psnr": Real,
+    "ssim": SsimParams,
+    "msssim": MsSsimParams,
+    "cwssim": CwSsimParams,
+    "vif": VifParams,
+}
+
 
 def compute_metric(name: str, ref: GrayImage, test: GrayImage,
                    params=None) -> SimilarityScore:
@@ -419,4 +446,9 @@ def compute_metric(name: str, ref: GrayImage, test: GrayImage,
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")
     if params is None:
         return fn(ref, test)
+    expected = PARAMS_CLASSES[name]
+    if expected is None or not isinstance(params, expected):
+        wanted = "no params" if expected is None else expected.__name__
+        raise InvalidParamsError(
+            f"{name} takes {wanted}, got {type(params).__name__}")
     return fn(ref, test, params)

@@ -21,6 +21,16 @@ import numpy as np
 from .errors import ImageTooSmallError, InvalidParamsError
 from .image import GrayImage
 
+__all__ = [
+    "ComplexSubband",
+    "Pyramid",
+    "PyramidParams",
+    "band_energy",
+    "decompose",
+    "min_dimension",
+    "shift_magnitude_stability",
+]
+
 MIN_PIXELS_PER_SIDE = 8
 
 

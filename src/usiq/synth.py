@@ -30,6 +30,20 @@ from .image import (
     save_pgm,
 )
 
+__all__ = [
+    "Disc",
+    "MotionSpec",
+    "PhantomSpec",
+    "SpeckleSpec",
+    "apply_speckle",
+    "benchmark_motion_spec",
+    "benchmark_phantom_spec",
+    "displacement",
+    "make_phantom",
+    "periodic_sequence",
+    "write_sequence",
+]
+
 
 @dataclass(frozen=True)
 class Disc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -364,7 +364,8 @@ class _MeanShiftStepper:
     def scales_from(self, state):
         return state
 
-    def _similarity(self, pixels, cx, cy, model, radius):
+    def _candidate(self, pixels, cx, cy, radius):
+        """Kernel window at (cx, cy) and its normalized histogram."""
         window = _kernel_window(pixels, cx, cy, radius)
         if window is None:
             raise EmptyHistogramError("candidate window missed the frame")
@@ -372,19 +373,17 @@ class _MeanShiftStepper:
         hist, total = _kernel_histogram(values, kernel, self.cfg.bins)
         if total <= 0.0:
             raise EmptyHistogramError("candidate window has no kernel mass")
-        return float(np.sqrt(model * (hist / total)).sum())
+        return window, hist / total
+
+    def _similarity(self, pixels, cx, cy, model, radius):
+        _, target = self._candidate(pixels, cx, cy, radius)
+        return float(np.sqrt(model * target).sum())
 
     def _converge(self, pixels, cx, cy, model, radius):
         """Iterate the weighted centroid until the shift drops below epsilon."""
         for _ in range(self.cfg.max_iters):
-            window = _kernel_window(pixels, cx, cy, radius)
-            if window is None:
-                raise EmptyHistogramError("candidate window missed the frame")
-            gx, gy, kernel, values = window
-            hist, total = _kernel_histogram(values, kernel, self.cfg.bins)
-            if total <= 0.0:
-                raise EmptyHistogramError("candidate window has no kernel mass")
-            target = hist / total
+            (gx, gy, kernel, values), target = self._candidate(
+                pixels, cx, cy, radius)
             idx = _bin_indices(values, self.cfg.bins)
             weights = np.zeros_like(kernel)
             inside = kernel > 0.0
@@ -438,8 +437,10 @@ class _MeanShiftStepper:
 # Driving loop shared by the bare trackers and the reset wrapper
 
 
-_STEPPERS = {"ncc": _NccStepper, "meanshift": _MeanShiftStepper}
-_DEFAULT_CFG = {"ncc": NccConfig, "meanshift": MeanShiftConfig}
+class _Tracker(NamedTuple):
+    stepper: type
+    config: type
+    track: Callable[..., TrackResult]
 
 
 def _resolve_init(seq: FrameSequence, init) -> tuple[Landmark, ...]:
@@ -455,24 +456,14 @@ def _resolve_init(seq: FrameSequence, init) -> tuple[Landmark, ...]:
 
 
 def _run(seq: FrameSequence, init, stepper, disturbances,
-         reset: ResetConfig | None, threshold: float | None) -> TrackResult:
+         trace: list[float] | None, threshold: float | None) -> TrackResult:
     frames = seq.frames
-    if reset is not None:
-        ref_crop = crop(frames[reset.reference_frame], reset.similarity_roi)
     estimates, scores, events, clamped = [], [], [], []
-    trace = [] if reset is not None else None
     scale_log = [] if stepper.has_scales else None
     state = stepper.initial_state()
     prev = init
     for t in range(len(frames)):
-        fired = False
-        if reset is not None:
-            value = compute_metric(
-                reset.metric, ref_crop, crop(frames[t], reset.similarity_roi),
-                reset.metric_params).value
-            trace.append(value)
-            fired = value > threshold
-        if fired:
+        if trace is not None and trace[t] > threshold:
             marks = init
             state = stepper.initial_state()
             frame_scores = stepper.score_at(t, marks, state)
@@ -501,14 +492,60 @@ def _run(seq: FrameSequence, init, stepper, disturbances,
         scales=tuple(scale_log) if scale_log is not None else None)
 
 
-def _check_cfg(cfg, tracker: str):
-    expected = _DEFAULT_CFG[tracker]
-    if cfg is None:
-        return expected()
-    if not isinstance(cfg, expected):
+def _similarity_trace(seq: FrameSequence, reset: ResetConfig,
+                      frames: slice = slice(None)) -> list[float]:
+    """Reset-metric values of ``seq.frames[frames]`` against the reference."""
+    ref_crop = crop(seq.frames[reset.reference_frame], reset.similarity_roi)
+    return [compute_metric(reset.metric, ref_crop,
+                           crop(frame, reset.similarity_roi),
+                           reset.metric_params).value
+            for frame in seq.frames[frames]]
+
+
+def _calibration_window(seq: FrameSequence, reset: ResetConfig) -> slice:
+    """The ``calibration_frames`` frames directly following the reference."""
+    if reset.calibration_frames < 1:
+        raise InvalidParamsError("calibration requires calibration_frames >= 1")
+    ref = reset.reference_frame
+    last = ref + reset.calibration_frames
+    if ref >= len(seq.frames) or last >= len(seq.frames):
+        raise InvalidParamsError("calibration window extends past the sequence")
+    return slice(ref + 1, last + 1)
+
+
+def _threshold_from(values) -> float:
+    """Maximum minus one population standard deviation, checked in (0, 1]."""
+    values = np.asarray(values)
+    threshold = float(values.max() - values.std())
+    if not (0.0 < threshold <= 1.0):
         raise InvalidParamsError(
-            f"config for '{tracker}' must be {expected.__name__}")
-    return cfg
+            f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
+    return threshold
+
+
+def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
+           reset: ResetConfig | None = None) -> TrackResult:
+    """Build the named tracker's stepper, then drive it over every frame.
+
+    With a reset policy, each frame is scored against the reference crop once;
+    a calibrated threshold is taken from the calibration slice of that trace.
+    """
+    stepper_type, config_type, _ = TRACKERS[tracker]
+    init = _resolve_init(seq, init)
+    if cfg is None:
+        cfg = config_type()
+    elif not isinstance(cfg, config_type):
+        raise InvalidParamsError(
+            f"config for '{tracker}' must be {config_type.__name__}")
+    stepper = stepper_type(seq.frames, init, cfg)
+    trace = threshold = None
+    if reset is not None:
+        window = (_calibration_window(seq, reset)
+                  if reset.threshold is None else None)
+        trace = _similarity_trace(seq, reset)
+        threshold = (reset.threshold if window is None
+                     else _threshold_from(trace[window]))
+    return _run(seq, init, stepper, disturbances, trace, threshold)
 
 
 def ncc_track(seq: FrameSequence, init=None, cfg: NccConfig | None = None,
@@ -523,9 +560,7 @@ def ncc_track(seq: FrameSequence, init=None, cfg: NccConfig | None = None,
     ``disturbances`` maps frame index to an (dx, dy) corruption added to every
     estimate of that frame, for drift-injection experiments.
     """
-    init = _resolve_init(seq, init)
-    stepper = _NccStepper(seq.frames, init, _check_cfg(cfg, "ncc"))
-    return _run(seq, init, stepper, disturbances, None, None)
+    return _track("ncc", seq, init, cfg, disturbances)
 
 
 def mean_shift_track(seq: FrameSequence, init=None,
@@ -539,9 +574,15 @@ def mean_shift_track(seq: FrameSequence, init=None,
     for each bandwidth candidate and keeps the best match. See ``ncc_track``
     for the ``init`` and ``disturbances`` conventions.
     """
-    init = _resolve_init(seq, init)
-    stepper = _MeanShiftStepper(seq.frames, init, _check_cfg(cfg, "meanshift"))
-    return _run(seq, init, stepper, disturbances, None, None)
+    return _track("meanshift", seq, init, cfg, disturbances)
+
+
+# The one table of tracker names: each maps to its stepper, its config type
+# and its public bare tracker.
+TRACKERS = {
+    "ncc": _Tracker(_NccStepper, NccConfig, ncc_track),
+    "meanshift": _Tracker(_MeanShiftStepper, MeanShiftConfig, mean_shift_track),
+}
 
 
 def calibrate_threshold(seq: FrameSequence, reset: ResetConfig) -> float:
@@ -551,23 +592,8 @@ def calibrate_threshold(seq: FrameSequence, reset: ResetConfig) -> float:
     following the reference frame and returns its maximum minus one population
     standard deviation.
     """
-    if reset.calibration_frames < 1:
-        raise InvalidParamsError("calibration requires calibration_frames >= 1")
-    ref = reset.reference_frame
-    last = ref + reset.calibration_frames
-    if ref >= len(seq.frames) or last >= len(seq.frames):
-        raise InvalidParamsError("calibration window extends past the sequence")
-    ref_crop = crop(seq.frames[ref], reset.similarity_roi)
-    values = np.asarray([
-        compute_metric(reset.metric, ref_crop,
-                       crop(seq.frames[t], reset.similarity_roi),
-                       reset.metric_params).value
-        for t in range(ref + 1, last + 1)])
-    threshold = float(values.max() - values.std())
-    if not (0.0 < threshold <= 1.0):
-        raise InvalidParamsError(
-            f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
-    return threshold
+    window = _calibration_window(seq, reset)
+    return _threshold_from(_similarity_trace(seq, reset, window))
 
 
 def track_with_reset(tracker: str, seq: FrameSequence, init=None,
@@ -579,21 +605,18 @@ def track_with_reset(tracker: str, seq: FrameSequence, init=None,
     Before each tracker step the current frame is compared to the reference
     frame on the configured ROI; a similarity strictly above the threshold
     resets every estimate to its first-frame annotation (and the mean-shift
-    scale to 1) instead of stepping. The full similarity trace is recorded.
+    scale to 1) instead of stepping. The full similarity trace is recorded,
+    and a calibrated threshold equals ``calibrate_threshold(seq, reset)``.
     With a threshold no frame can exceed, the output estimates match the bare
     tracker bit for bit.
     """
-    if tracker not in _STEPPERS:
+    if tracker not in TRACKERS:
         raise InvalidParamsError(f"unknown tracker '{tracker}'")
     if reset is None:
         raise InvalidParamsError("a ResetConfig is required")
     if reset.reference_frame >= len(seq.frames):
         raise InvalidParamsError("reference frame outside the sequence")
-    init = _resolve_init(seq, init)
-    stepper = _STEPPERS[tracker](seq.frames, init, _check_cfg(cfg, tracker))
-    threshold = (reset.threshold if reset.threshold is not None
-                 else calibrate_threshold(seq, reset))
-    return _run(seq, init, stepper, disturbances, reset, threshold)
+    return _track(tracker, seq, init, cfg, disturbances, reset)
 
 
 def tracking_error(result: TrackResult, truth, pixel_spacing_mm: float

@@ -111,6 +111,30 @@ def test_bad_roi_string_reports_kind(workdir, run_cli):
     assert proc.stderr.startswith("invalid-params:")
 
 
+def test_bad_roi_is_reported_before_the_manifest_is_read(workdir, run_cli):
+    proc = run_cli("trace", "--manifest", "missing.json", "--metrics", "mse",
+                   "--roi", "1,2,3", "--out", "t.csv", cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid-params:")
+
+
+def test_correlation_trace_out_matches_trace(workdir, run_cli):
+    proc = run_cli("synth", "sequence", "--out-dir", "seq_corr", "--seed", "4",
+                   "--frames", "6", cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    manifest = proc.stdout.strip()
+    args = ("--manifest", manifest, "--metrics", "mse,ssim", "--roi",
+            "108,128,32,32", "--param", "ssim:window_size=7")
+    proc = run_cli("study", "correlation", *args, "--out", "corr.json",
+                   "--trace-out", "corr_trace.csv", cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("trace", *args, "--out", "plain_trace.csv", cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    got = (workdir / "corr_trace.csv").read_bytes()
+    assert got == (workdir / "plain_trace.csv").read_bytes()
+    assert len(got.splitlines()) == 7
+
+
 def test_synth_sweep_writes_index(workdir, run_cli):
     proc = run_cli("synth", "sweep", "--out-dir", "sweepdir", "--alphas",
                    "0.2,0.6", "--seed", "0", cwd=workdir)

@@ -227,6 +227,7 @@ def test_correlation_study_ranked_and_oracle_checked():
     assert all(e.sign in (-1, 1) for e in report.entries)
     # every |r| must agree with a brute-force two-pass oracle
     trace = run_trace(seq, metrics, roi=SMALL_ROI, metric_params=params)
+    assert report.trace == trace
     disp = [marks[0].x for marks in seq.landmarks]
     for entry in report.entries:
         want = abs(statistics.correlation(disp, list(trace.normalized[entry.metric])))

@@ -1,6 +1,4 @@
-"""Image-core tests: PGM I/O, crop, downsample, Gaussian windows, manifests."""
-
-import math
+"""Image-core tests: PGM I/O, crop, downsample, manifests."""
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from usiq.image import (
     SequenceManifest,
     crop,
     downsample2,
-    gaussian_window,
     load_manifest,
     load_pgm,
     load_sequence,
@@ -243,47 +240,6 @@ def test_downsample2_matches_double_loop_oracle():
 def test_downsample2_too_small():
     with pytest.raises(errors.ImageTooSmallError):
         downsample2(GrayImage(np.zeros((1, 5))))
-
-
-# ---------------------------------------------------------------------------
-# gaussian_window
-
-
-def test_gaussian_window_degenerate_size_one():
-    assert gaussian_window(1, 1.5).tolist() == [[1.0]]
-
-
-def test_gaussian_window_frozen_center_weight():
-    w = gaussian_window(11, 1.5)
-    assert abs(w[5, 5] - 0.07076223776394698) < 1e-12
-
-
-def test_gaussian_window_sum_and_symmetry():
-    w = gaussian_window(11, 1.5)
-    assert abs(w.sum() - 1.0) < 1e-12
-    assert np.all(w > 0)
-    assert np.allclose(w, w.T, atol=0)
-    assert np.allclose(w, w[::-1, ::-1], atol=0)
-    assert np.allclose(w, np.rot90(w), atol=1e-16)
-
-
-def test_gaussian_window_matches_fsum_oracle():
-    size, sigma = 11, 1.5
-    half = size // 2
-    raw = [[math.exp(-((x - half) ** 2 + (y - half) ** 2) / (2 * sigma * sigma))
-            for x in range(size)] for y in range(size)]
-    total = math.fsum(math.fsum(row) for row in raw)
-    w = gaussian_window(size, sigma)
-    for y in range(size):
-        for x in range(size):
-            assert abs(w[y, x] - raw[y][x] / total) < 1e-14
-
-
-def test_gaussian_window_rejects_bad_params():
-    with pytest.raises(errors.InvalidParamsError):
-        gaussian_window(10, 1.5)
-    with pytest.raises(errors.InvalidParamsError):
-        gaussian_window(11, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,20 @@ def test_compute_metric_dispatch():
         compute_metric("nope", a, b)
 
 
+@pytest.mark.parametrize("name, wrong", [
+    ("mse", SsimParams()),
+    ("psnr", SsimParams()),
+    ("ssim", VifParams()),
+    ("msssim", SsimParams()),
+    ("cwssim", SsimParams()),
+    ("vif", 255.0),
+])
+def test_compute_metric_rejects_params_of_another_metric(name, wrong):
+    a = noise_image(16)
+    with pytest.raises(errors.InvalidParamsError):
+        compute_metric(name, a, a, wrong)
+
+
 def test_score_map_only_for_ssim_and_cwssim():
     a = noise_image(14, shape=(256, 256))
     b = noise_image(15, shape=(256, 256))

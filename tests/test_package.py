@@ -1,0 +1,31 @@
+"""Package surface: the names ``usiq`` exports."""
+
+import usiq
+
+PUBLIC_NAMES = [
+    "ComplexSubband", "CorrelationEntry", "CorrelationReport", "CwSsimParams",
+    "Disc", "ErrorStats", "FrameSequence", "GrayImage", "Landmark", "METRICS",
+    "MeanShiftConfig", "MotionSpec", "MsSsimParams", "NccConfig",
+    "PhantomSpec", "Pyramid", "PyramidParams", "ResetConfig", "Roi",
+    "SequenceManifest", "SimilarityScore", "SpeckleSpec", "SsimParams",
+    "SweepResult", "SweepRow", "TraceReport", "TrackResult", "TrackingArm",
+    "TrackingComparison", "VifParams", "__version__", "apply_speckle",
+    "band_energy", "benchmark_motion_spec", "benchmark_phantom_spec",
+    "calibrate_threshold", "compute_metric", "crop", "cw_ssim", "decompose",
+    "displacement", "downsample2", "format_number", "load_manifest",
+    "load_pgm", "load_sequence", "make_phantom", "mean_shift_track",
+    "min_dimension", "ms_ssim", "mse", "ncc_track", "normalize_series",
+    "pearson", "periodic_sequence", "psnr", "run_correlation_study",
+    "run_noise_sweep", "run_trace", "run_tracking_experiment",
+    "save_manifest", "save_pgm", "shift_magnitude_stability", "ssim",
+    "track_with_reset", "tracking_error", "vif", "write_correlation_json",
+    "write_sequence", "write_sweep_csv", "write_trace_csv",
+    "write_track_csv", "write_tracking_frames_csv",
+    "write_tracking_summary_csv",
+]
+
+
+def test_public_names_are_pinned():
+    # deriving __all__ from the layer modules must neither add nor drop a name
+    assert sorted(usiq.__all__) == PUBLIC_NAMES
+

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from usiq import errors
+from usiq import errors, tracking
 from usiq.image import FrameSequence, GrayImage, Landmark, Roi
-from usiq.metrics import CwSsimParams
+from usiq.metrics import CwSsimParams, compute_metric
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
     Disc,
@@ -332,6 +332,30 @@ def test_calibrate_threshold_formula():
             for t in range(1, 9)]
     want = max(vals) - float(np.std(vals))
     assert calibrate_threshold(seq, cfg) == pytest.approx(want, rel=1e-12)
+
+
+def test_calibrated_reset_scores_each_frame_once(monkeypatch):
+    seq = bench_sequence(seed=4)
+    cfg = reset_cfg(calibration_frames=28)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return compute_metric(*args)
+
+    monkeypatch.setattr(tracking, "compute_metric", counting)
+    res = track_with_reset("ncc", seq, reset=cfg)
+    assert calls == ["cwssim"] * 90
+    monkeypatch.undo()
+    # the wrapped run fires exactly where the public calibration says it should
+    threshold = calibrate_threshold(seq, cfg)
+    assert res.reset_events
+    assert res.reset_events == tuple(
+        t for t, v in enumerate(res.similarity_trace) if v > threshold)
+    fixed = track_with_reset("ncc", seq,
+                             reset=reset_cfg(threshold=threshold))
+    assert fixed.estimates == res.estimates
+    assert fixed.similarity_trace == res.similarity_trace
 
 
 def test_drift_injection_reset_beats_bare_tracker():
