@@ -175,10 +175,10 @@ def _benchmark_sequence(seed, frames, alpha, decoy=False):
 
 
 def _cmd_compare(args) -> int:
-    ref = load_pgm(args.ref)
-    test = load_pgm(args.test)
     params = _collect_params(args.param, [args.metric],
                              default_metric=args.metric)
+    ref = load_pgm(args.ref)
+    test = load_pgm(args.test)
     score = compute_metric(args.metric, ref, test, params.get(args.metric))
     print(format_number(score.value))
     return 0
@@ -235,10 +235,10 @@ def _cmd_synth_sweep(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    reset = _reset_config_from(args) if args.reset else None
     seq = load_sequence(args.manifest)
-    if args.reset:
-        result = track_with_reset(args.tracker, seq,
-                                  reset=_reset_config_from(args))
+    if reset is not None:
+        result = track_with_reset(args.tracker, seq, reset=reset)
     else:
         result = TRACKERS[args.tracker].track(seq)
     write_track_csv(result, args.out)

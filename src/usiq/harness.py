@@ -19,7 +19,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import FrameSequence, Roi, crop
-from .metrics import METRICS, compute_metric, normalize_series
+from .metrics import METRICS, normalize_series, prepare
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
     TRACKERS,
@@ -159,9 +159,8 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     ref = view(seq.frames[seq.reference_frame])
     raw = {}
     for name in names:
-        raw[name] = tuple(
-            compute_metric(name, ref, view(frame), params.get(name)).value
-            for frame in seq.frames)
+        score = prepare(name, ref, params.get(name))
+        raw[name] = tuple(score(view(frame)).value for frame in seq.frames)
     normalized, notes = {}, {}
     for name in names:
         if len(raw[name]) < 2:
@@ -302,13 +301,13 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
     if seeds < 1:
         raise InvalidParamsError("seeds must be >= 1")
     base = make_phantom(phantom, seed=seed)
+    scorers = {name: prepare(name, base, params.get(name)) for name in names}
     means = {name: [] for name in names}
     for alpha in alpha_list:
         speckled = [apply_speckle(base, SpeckleSpec(alpha=alpha, seed=seed + i))
                     for i in range(seeds)]
         for name in names:
-            values = [compute_metric(name, base, img, params.get(name)).value
-                      for img in speckled]
+            values = [scorers[name](img).value for img in speckled]
             means[name].append(math.fsum(values) / len(values))
     normalized, notes = {}, {}
     for name in names:

@@ -1,8 +1,11 @@
 """Full-reference similarity metrics for grayscale image pairs.
 
 Six metrics share one calling convention: ``metric(ref, test, params)`` returns
-a SimilarityScore. Intensities are nominally [0, 255]; the stabilizing
-constants scale with the declared dynamic range, not with the data.
+a SimilarityScore. Each is ``prepare(id, ref, params)(test)``: ``prepare`` does
+the reference-only work once and returns a scorer, so a fixed reference
+compared with many tests is analysed once. Intensities are nominally
+[0, 255]; the stabilizing constants scale with the declared dynamic range,
+not with the data.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -35,6 +39,7 @@ __all__ = [
     "mse",
     "ms_ssim",
     "normalize_series",
+    "prepare",
     "psnr",
     "ssim",
     "vif",
@@ -173,6 +178,11 @@ class SimilarityScore:
             self.map.setflags(write=False)
 
 
+# What ``prepare`` returns: scores one test image against the prepared
+# reference.
+Scorer = Callable[[GrayImage], SimilarityScore]
+
+
 # ---------------------------------------------------------------------------
 # Shared local-statistics plumbing
 
@@ -191,15 +201,23 @@ def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[r:arr.shape[0] - r, r:arr.shape[1] - r]
 
 
-def _local_moments(x, y, kernel):
-    """Weighted means, variances, and covariance over valid windows."""
-    smooth = lambda a: _valid_smooth(a, kernel)
-    mx = smooth(x)
-    my = smooth(y)
-    sxx = smooth(x * x) - mx * mx
-    syy = smooth(y * y) - my * my
-    sxy = smooth(x * y) - mx * my
-    return mx, my, sxx, syy, sxy
+class _Moments(NamedTuple):
+    """One image's pixels with their weighted local mean and variance."""
+
+    pixels: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+
+
+def _moments(x: np.ndarray, kernel: np.ndarray) -> _Moments:
+    """Weighted mean and variance over valid windows."""
+    mean = _valid_smooth(x, kernel)
+    return _Moments(x, mean, _valid_smooth(x * x, kernel) - mean * mean)
+
+
+def _covariance(a: _Moments, b: _Moments, kernel: np.ndarray) -> np.ndarray:
+    """Weighted covariance of two images over valid windows."""
+    return _valid_smooth(a.pixels * b.pixels, kernel) - a.mean * b.mean
 
 
 def _powered(term: np.ndarray, exponent: float):
@@ -210,17 +228,23 @@ def _powered(term: np.ndarray, exponent: float):
     return np.clip(term, 0.0, None) ** exponent
 
 
-def _ssim_terms(x, y, params: SsimParams):
-    """Luminance, contrast, and structure maps over valid window centers."""
-    kernel = _gauss1d(params.window_size, params.window_sigma)
-    mx, my, sxx, syy, sxy = _local_moments(x, y, kernel)
+def _ssim_side(x: np.ndarray, kernel: np.ndarray):
+    """One image's SSIM statistics: local moments and standard deviation."""
+    m = _moments(x, kernel)
+    return m, np.sqrt(np.clip(m.var, 0.0, None))
+
+
+def _ssim_terms(ref, test: np.ndarray, kernel, params: SsimParams):
+    """Luminance, contrast, and structure maps over valid window centers,
+    from the reference's ``_ssim_side`` statistics and the test pixels."""
+    (x, sx), (y, sy) = ref, _ssim_side(test, kernel)
+    sxy = _covariance(x, y, kernel)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     c3 = c2 / 2.0
-    sx = np.sqrt(np.clip(sxx, 0.0, None))
-    sy = np.sqrt(np.clip(syy, 0.0, None))
-    lterm = (2.0 * mx * my + c1) / (mx * mx + my * my + c1)
-    cterm = (2.0 * sx * sy + c2) / (sxx + syy + c2)
+    lterm = (2.0 * x.mean * y.mean + c1) / (
+        x.mean * x.mean + y.mean * y.mean + c1)
+    cterm = (2.0 * sx * sy + c2) / (x.var + y.var + c2)
     sterm = (sxy + c3) / (sx * sy + c3)
     return lterm, cterm, sterm
 
@@ -233,14 +257,174 @@ def _require_window_fits(image: GrayImage, need: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# Metrics, one preparer each: ``_prepare_<id>(ref[, params])`` does the
+# reference-only work and returns ``score(test) -> SimilarityScore``.
+
+
+def _prepare_mse(ref: GrayImage) -> Scorer:
+    def score(test: GrayImage) -> SimilarityScore:
+        require_same_shape(ref, test)
+        diff = ref.pixels - test.pixels
+        return SimilarityScore("mse", float(np.mean(diff * diff)))
+    return score
+
+
+def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
+    if peakval <= 0:
+        raise InvalidParamsError("peakval must be positive")
+    squared_error = _prepare_mse(ref)
+
+    def score(test: GrayImage) -> SimilarityScore:
+        err = squared_error(test).value
+        if err == 0.0:
+            return SimilarityScore("psnr", math.inf)
+        return SimilarityScore("psnr", 10.0 * math.log10(peakval ** 2 / err))
+    return score
+
+
+def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None) -> Scorer:
+    params = params if params is not None else SsimParams()
+    _require_window_fits(ref, params.window_size, "the similarity window")
+    kernel = _gauss1d(params.window_size, params.window_sigma)
+    x = _ssim_side(ref.pixels, kernel)
+
+    def score(test: GrayImage) -> SimilarityScore:
+        require_same_shape(ref, test)
+        lterm, cterm, sterm = _ssim_terms(x, test.pixels, kernel, params)
+        smap = _powered(lterm, params.alpha) * (
+            _powered(cterm, params.beta) * _powered(sterm, params.gamma))
+        return SimilarityScore("ssim", float(smap.mean()), smap)
+    return score
+
+
+def _prepare_ms_ssim(ref: GrayImage,
+                     params: MsSsimParams | None = None) -> Scorer:
+    params = params if params is not None else MsSsimParams()
+    need = params.base.window_size * 2 ** (params.scales - 1)
+    _require_window_fits(ref, need, f"{params.scales} scales")
+    kernel = _gauss1d(params.base.window_size, params.base.window_sigma)
+    last = params.scales - 1
+    scales = []
+    x = ref
+    for m in range(params.scales):
+        scales.append(_ssim_side(x.pixels, kernel))
+        if m < last:
+            x = downsample2(x)
+
+    def score(test: GrayImage) -> SimilarityScore:
+        require_same_shape(ref, test)
+        value = 1.0
+        y = test
+        for m, (side, weight) in enumerate(zip(scales, params.weights)):
+            lterm, cterm, sterm = _ssim_terms(side, y.pixels, kernel,
+                                              params.base)
+            cs = cterm * sterm
+            scale_map = lterm * cs if m == last else cs
+            value *= max(float(scale_map.mean()), 0.0) ** weight
+            if m < last:
+                y = downsample2(y)
+        return SimilarityScore("msssim", value)
+    return score
+
+
+def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
+    """Plain box sums over all size x size windows that fit."""
+    ones = np.ones(size, dtype=np.float64)
+    return _valid_smooth(arr, ones)
+
+
+def _prepare_cw_ssim(ref: GrayImage,
+                     params: CwSsimParams | None = None) -> Scorer:
+    params = params if params is not None else CwSsimParams()
+    size = params.window_size
+    k = params.k_stab
+    bands = []  # (level, reference coefficients, their window power sums)
+    for band in decompose(ref, params.pyramid).subbands:
+        wx = band.coeffs
+        if min(wx.shape) < size:
+            raise ImageTooSmallError(
+                f"coefficient grid {wx.shape} is smaller than the "
+                f"{size}x{size} window; reduce levels or window_size")
+        power_x = wx.real ** 2 + wx.imag ** 2
+        bands.append((band.level, wx, _window_sums(power_x, size)))
+
+    def score(test: GrayImage) -> SimilarityScore:
+        require_same_shape(ref, test)
+        total = 0.0
+        count = 0
+        finest = []
+        pyr_test = decompose(test, params.pyramid)
+        for (level, wx, sums_x), band_test in zip(bands, pyr_test.subbands):
+            wy = band_test.coeffs
+            cross = wx * np.conj(wy)
+            power_y = wy.real ** 2 + wy.imag ** 2
+            num = 2.0 * np.hypot(_window_sums(cross.real, size),
+                                 _window_sums(cross.imag, size)) + k
+            den = sums_x + _window_sums(power_y, size) + k
+            smap = num / den
+            total += float(smap.sum())
+            count += smap.size
+            if level == 0:
+                finest.append(smap)
+        return SimilarityScore("cwssim", total / count,
+                               np.mean(finest, axis=0))
+    return score
+
+
+_VIF_EPS = 1e-10
+_VIF_DEGENERATE = 1e-4
+
+
+def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
+    params = params if params is not None else VifParams()
+    need = params.block_size * 2 ** (params.scales - 1)
+    _require_window_fits(ref, need, f"{params.scales} channels")
+    kernel = _gauss1d(params.block_size, params.block_size / 5.0)
+    channels = []  # (reference moments, clipped reference variance)
+    denominator = 0.0
+    x = ref.pixels
+    for scale in range(params.scales):
+        if scale > 0:
+            x = _decimate2(x, kernel)
+        m = _moments(x, kernel)
+        sxx = np.clip(m.var, 0.0, None)
+        channels.append((m, sxx))
+        denominator += float(np.sum(np.log2(1.0 + sxx / params.sigma_n2)))
+    if denominator < _VIF_DEGENERATE:
+        raise DegenerateReferenceError(
+            "reference image has no usable local variance")
+
+    def score(test: GrayImage) -> SimilarityScore:
+        require_same_shape(ref, test)
+        numerator = 0.0
+        y = test.pixels
+        for scale, (m, sxx) in enumerate(channels):
+            if scale > 0:
+                y = _decimate2(y, kernel)
+            t = _moments(y, kernel)
+            sxy = _covariance(m, t, kernel)
+            syy = np.clip(t.var, 0.0, None)
+            gain = np.clip(sxy / (sxx + _VIF_EPS), 0.0, None)
+            resid = np.clip(syy - gain * sxy, _VIF_EPS, None)
+            numerator += float(np.sum(np.log2(
+                1.0 + gain * gain * sxx / (resid + params.sigma_n2))))
+        return SimilarityScore("vif", numerator / denominator)
+    return score
+
+
+def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    out = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest")
+    out = ndimage.correlate1d(out, kernel, axis=1, mode="nearest")
+    return out[::2, ::2]
+
+
+# ---------------------------------------------------------------------------
+# Public entry points: each is ``prepare(...)(test)``
 
 
 def mse(ref: GrayImage, test: GrayImage) -> SimilarityScore:
     """Mean squared intensity difference."""
-    require_same_shape(ref, test)
-    diff = ref.pixels - test.pixels
-    return SimilarityScore("mse", float(np.mean(diff * diff)))
+    return prepare("mse", ref)(test)
 
 
 def psnr(ref: GrayImage, test: GrayImage,
@@ -251,24 +435,13 @@ def psnr(ref: GrayImage, test: GrayImage,
     reference frame itself stay well-defined; normalize_series maps the
     sentinel back onto the finite maximum.
     """
-    if peakval <= 0:
-        raise InvalidParamsError("peakval must be positive")
-    err = mse(ref, test).value
-    if err == 0.0:
-        return SimilarityScore("psnr", math.inf)
-    return SimilarityScore("psnr", 10.0 * math.log10(peakval ** 2 / err))
+    return prepare("psnr", ref, peakval)(test)
 
 
 def ssim(ref: GrayImage, test: GrayImage,
          params: SsimParams | None = None) -> SimilarityScore:
     """Mean of the local luminance/contrast/structure product map."""
-    params = params if params is not None else SsimParams()
-    require_same_shape(ref, test)
-    _require_window_fits(ref, params.window_size, "the similarity window")
-    lterm, cterm, sterm = _ssim_terms(ref.pixels, test.pixels, params)
-    smap = _powered(lterm, params.alpha) * (
-        _powered(cterm, params.beta) * _powered(sterm, params.gamma))
-    return SimilarityScore("ssim", float(smap.mean()), smap)
+    return prepare("ssim", ref, params)(test)
 
 
 def ms_ssim(ref: GrayImage, test: GrayImage,
@@ -281,28 +454,7 @@ def ms_ssim(ref: GrayImage, test: GrayImage,
     base alpha/beta/gamma exponents are ignored here: the per-scale
     weights are the exponents.
     """
-    params = params if params is not None else MsSsimParams()
-    require_same_shape(ref, test)
-    need = params.base.window_size * 2 ** (params.scales - 1)
-    _require_window_fits(ref, need, f"{params.scales} scales")
-    value = 1.0
-    x, y = ref, test
-    for m, weight in enumerate(params.weights):
-        lterm, cterm, sterm = _ssim_terms(x.pixels, y.pixels, params.base)
-        cs = cterm * sterm
-        scale_map = lterm * cs if m == params.scales - 1 else cs
-        mean = float(scale_map.mean())
-        value *= max(mean, 0.0) ** weight
-        if m < params.scales - 1:
-            x = downsample2(x)
-            y = downsample2(y)
-    return SimilarityScore("msssim", value)
-
-
-def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
-    """Plain box sums over all size x size windows that fit."""
-    ones = np.ones(size, dtype=np.float64)
-    return _valid_smooth(arr, ones)
+    return prepare("msssim", ref, params)(test)
 
 
 def cw_ssim(ref: GrayImage, test: GrayImage,
@@ -315,39 +467,7 @@ def cw_ssim(ref: GrayImage, test: GrayImage,
     rather than abs() so an identical pair scores exactly 1. The returned
     map is the orientation average over the finest level.
     """
-    params = params if params is not None else CwSsimParams()
-    require_same_shape(ref, test)
-    pyr_ref = decompose(ref, params.pyramid)
-    pyr_test = decompose(test, params.pyramid)
-    size = params.window_size
-    k = params.k_stab
-    total = 0.0
-    count = 0
-    finest = []
-    for band_ref, band_test in zip(pyr_ref.subbands, pyr_test.subbands):
-        wx = band_ref.coeffs
-        wy = band_test.coeffs
-        if min(wx.shape) < size:
-            raise ImageTooSmallError(
-                f"coefficient grid {wx.shape} is smaller than the "
-                f"{size}x{size} window; reduce levels or window_size")
-        cross = wx * np.conj(wy)
-        power_x = wx.real ** 2 + wx.imag ** 2
-        power_y = wy.real ** 2 + wy.imag ** 2
-        num = 2.0 * np.hypot(_window_sums(cross.real, size),
-                             _window_sums(cross.imag, size)) + k
-        den = _window_sums(power_x, size) + _window_sums(power_y, size) + k
-        smap = num / den
-        total += float(smap.sum())
-        count += smap.size
-        if band_ref.level == 0:
-            finest.append(smap)
-    return SimilarityScore("cwssim", total / count,
-                           np.mean(finest, axis=0))
-
-
-_VIF_EPS = 1e-10
-_VIF_DEGENERATE = 1e-4
+    return prepare("cwssim", ref, params)(test)
 
 
 def vif(ref: GrayImage, test: GrayImage,
@@ -361,37 +481,7 @@ def vif(ref: GrayImage, test: GrayImage,
     without local structure leaves the denominator near zero, which is
     reported as a degenerate-reference error rather than a quotient.
     """
-    params = params if params is not None else VifParams()
-    require_same_shape(ref, test)
-    need = params.block_size * 2 ** (params.scales - 1)
-    _require_window_fits(ref, need, f"{params.scales} channels")
-    kernel = _gauss1d(params.block_size, params.block_size / 5.0)
-    x = ref.pixels
-    y = test.pixels
-    numerator = 0.0
-    denominator = 0.0
-    for scale in range(params.scales):
-        if scale > 0:
-            x = _decimate2(x, kernel)
-            y = _decimate2(y, kernel)
-        _, _, sxx, syy, sxy = _local_moments(x, y, kernel)
-        sxx = np.clip(sxx, 0.0, None)
-        syy = np.clip(syy, 0.0, None)
-        gain = np.clip(sxy / (sxx + _VIF_EPS), 0.0, None)
-        resid = np.clip(syy - gain * sxy, _VIF_EPS, None)
-        numerator += float(np.sum(np.log2(
-            1.0 + gain * gain * sxx / (resid + params.sigma_n2))))
-        denominator += float(np.sum(np.log2(1.0 + sxx / params.sigma_n2)))
-    if denominator < _VIF_DEGENERATE:
-        raise DegenerateReferenceError(
-            "reference image has no usable local variance")
-    return SimilarityScore("vif", numerator / denominator)
-
-
-def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest")
-    out = ndimage.correlate1d(out, kernel, axis=1, mode="nearest")
-    return out[::2, ::2]
+    return prepare("vif", ref, params)(test)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +525,41 @@ PARAMS_CLASSES = {
     "vif": VifParams,
 }
 
+_PREPARERS = {
+    "mse": _prepare_mse,
+    "psnr": _prepare_psnr,
+    "ssim": _prepare_ssim,
+    "msssim": _prepare_ms_ssim,
+    "cwssim": _prepare_cw_ssim,
+    "vif": _prepare_vif,
+}
 
-def compute_metric(name: str, ref: GrayImage, test: GrayImage,
-                   params=None) -> SimilarityScore:
-    """Evaluate a metric by registry id; params must match the metric."""
+
+def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
+    """Do a metric's reference-only work once and return ``scorer(test)``.
+
+    ``params`` must match the metric (see PARAMS_CLASSES); None selects its
+    defaults. Errors that depend only on the reference and the params (too
+    small, degenerate) are raised here; a test of another shape is rejected
+    by the scorer. The scorer keeps no state between calls, so reusing it
+    over many tests gives the same values as preparing afresh for each.
+    """
     try:
-        fn = METRICS[name]
+        preparer = _PREPARERS[name]
     except KeyError:
         raise InvalidParamsError(
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")
     if params is None:
-        return fn(ref, test)
+        return preparer(ref)
     expected = PARAMS_CLASSES[name]
     if expected is None or not isinstance(params, expected):
         wanted = "no params" if expected is None else expected.__name__
         raise InvalidParamsError(
             f"{name} takes {wanted}, got {type(params).__name__}")
-    return fn(ref, test, params)
+    return preparer(ref, params)
+
+
+def compute_metric(name: str, ref: GrayImage, test: GrayImage,
+                   params=None) -> SimilarityScore:
+    """Evaluate a metric by registry id: a one-shot ``prepare(...)(test)``."""
+    return prepare(name, ref, params)(test)

@@ -13,8 +13,10 @@ Analysis only; there is no synthesis operation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +128,45 @@ def _freeze(arr):
     return arr
 
 
+class _Level(NamedTuple):
+    """Masks of one pyramid level, on that level's spectrum grid."""
+
+    himask: np.ndarray
+    angle_masks: tuple[np.ndarray, ...]
+    keep: tuple[slice, slice]  # dyadic crop down to the next level's grid
+    lomask: np.ndarray  # applied on the cropped grid
+
+
+class _Plan(NamedTuple):
+    hi0: np.ndarray
+    lo0: np.ndarray
+    levels: tuple[_Level, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(shape: tuple[int, int], levels: int, orientations: int) -> _Plan:
+    """Every mask ``decompose`` applies to a ``shape`` spectrum, read-only.
+
+    The masks depend on nothing but the grid and the pyramid shape, so
+    repeated decompositions of same-sized images share one plan.
+    """
+    log_rad, angle = _freq_grids(shape)
+    hi0, lo0 = _radial_pair(log_rad, 0.0)
+    out = []
+    cutoff = 0.0
+    for _ in range(levels):
+        cutoff -= 1.0
+        himask, _ = _radial_pair(log_rad, cutoff)
+        angle_masks = tuple(_freeze(m)
+                            for m in _angle_masks(angle, orientations))
+        keep = _crop_slices(log_rad.shape)
+        log_rad = log_rad[keep]
+        angle = angle[keep]
+        _, lomask = _radial_pair(log_rad, cutoff)
+        out.append(_Level(_freeze(himask), angle_masks, keep, _freeze(lomask)))
+    return _Plan(_freeze(hi0), _freeze(lo0), tuple(out))
+
+
 def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
     """Analyze ``image`` into oriented complex subbands plus residuals.
 
@@ -142,30 +183,20 @@ def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
 
     total = image.height * image.width
     dft = np.fft.fftshift(np.fft.fft2(image.pixels))
-    log_rad, angle = _freq_grids(dft.shape)
+    plan = _plan(dft.shape, params.levels, params.orientations)
 
-    hi0, lo0 = _radial_pair(log_rad, 0.0)
-    highpass = np.fft.ifft2(np.fft.ifftshift(dft * hi0)).real
-    lodft = dft * lo0
+    highpass = np.fft.ifft2(np.fft.ifftshift(dft * plan.hi0)).real
+    lodft = dft * plan.lo0
 
-    order = params.orientations - 1
-    phase = (-1j) ** order
+    phase = (-1j) ** (params.orientations - 1)
     subbands = []
-    cutoff = 0.0
-    for level in range(params.levels):
-        cutoff -= 1.0
-        himask, _ = _radial_pair(log_rad, cutoff)
+    for level, masks in enumerate(plan.levels):
         factor = math.sqrt(lodft.size / total)
-        for b, amask in enumerate(_angle_masks(angle, params.orientations)):
-            banddft = phase * lodft * himask * amask
-            coeffs = np.fft.ifft2(np.fft.ifftshift(banddft)) * factor
+        radial = phase * lodft * masks.himask
+        for b, amask in enumerate(masks.angle_masks):
+            coeffs = np.fft.ifft2(np.fft.ifftshift(radial * amask)) * factor
             subbands.append(ComplexSubband(level, b, _freeze(coeffs)))
-        keep = _crop_slices(lodft.shape)
-        lodft = lodft[keep]
-        log_rad = log_rad[keep]
-        angle = angle[keep]
-        _, lomask = _radial_pair(log_rad, cutoff)
-        lodft = lodft * lomask
+        lodft = lodft[masks.keep] * masks.lomask
 
     factor = math.sqrt(lodft.size / total)
     lowpass = np.fft.ifft2(np.fft.ifftshift(lodft)).real * factor

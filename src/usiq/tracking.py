@@ -28,7 +28,7 @@ from .errors import (
     ZeroVarianceTemplateError,
 )
 from .image import FrameSequence, GrayImage, Landmark, Roi, crop, round_half_away
-from .metrics import METRICS, compute_metric
+from .metrics import METRICS, prepare
 
 __all__ = [
     "NccConfig",
@@ -494,12 +494,12 @@ def _run(seq: FrameSequence, init, stepper, disturbances,
 
 def _similarity_trace(seq: FrameSequence, reset: ResetConfig,
                       frames: slice = slice(None)) -> list[float]:
-    """Reset-metric values of ``seq.frames[frames]`` against the reference."""
-    ref_crop = crop(seq.frames[reset.reference_frame], reset.similarity_roi)
-    return [compute_metric(reset.metric, ref_crop,
-                           crop(frame, reset.similarity_roi),
-                           reset.metric_params).value
-            for frame in seq.frames[frames]]
+    """Reset-metric values of ``seq.frames[frames]`` against the reference,
+    whose crop is prepared once."""
+    roi = reset.similarity_roi
+    score = prepare(reset.metric, crop(seq.frames[reset.reference_frame], roi),
+                    reset.metric_params)
+    return [score(crop(frame, roi)).value for frame in seq.frames[frames]]
 
 
 def _calibration_window(seq: FrameSequence, reset: ResetConfig) -> slice:

@@ -1,4 +1,5 @@
-"""Shared fixtures: one launcher for the CLI subprocess tests."""
+"""Shared fixtures: one launcher for the CLI subprocess tests, and the
+settings every property test runs under."""
 
 import os
 import subprocess
@@ -6,8 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import usiq
+
+# Property tests draw the same bounded set of examples on every run, keep no
+# example database, and set no per-example deadline, so a slow or busy host
+# neither fails them nor changes what they check.
+settings.register_profile("usiq", derandomize=True, database=None,
+                          deadline=None, max_examples=25)
+settings.load_profile("usiq")
 
 
 @pytest.fixture(scope="session")

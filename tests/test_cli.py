@@ -118,6 +118,23 @@ def test_bad_roi_is_reported_before_the_manifest_is_read(workdir, run_cli):
     assert proc.stderr.startswith("invalid-params:")
 
 
+def test_bad_reset_roi_is_reported_before_the_manifest_is_read(workdir,
+                                                                run_cli):
+    proc = run_cli("track", "--manifest", "missing.json", "--tracker", "ncc",
+                   "--reset", "--reset-roi", "1,2,3", "--tau", "0.9",
+                   "--out", "x.csv", cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid-params:")
+
+
+def test_bad_compare_param_is_reported_before_the_images_are_read(workdir,
+                                                                  run_cli):
+    proc = run_cli("compare", "missing_a.pgm", "missing_b.pgm", "--metric",
+                   "ssim", "--param", "window_size=4", cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid-params:")
+
+
 def test_correlation_trace_out_matches_trace(workdir, run_cli):
     proc = run_cli("synth", "sequence", "--out-dir", "seq_corr", "--seed", "4",
                    "--frames", "6", cwd=workdir)

@@ -7,7 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
-from usiq import errors
+from usiq import errors, metrics
 from usiq.harness import (
     CorrelationEntry,
     CorrelationReport,
@@ -176,6 +176,23 @@ def test_trace_periodic_maxima_near_period_multiples():
              if col[t] >= col[t - 1] and col[t] >= col[t + 1]
              and col[t] > 0.95]
     assert any(abs(t - 30) <= 1 for t in peaks)
+
+
+def test_cwssim_trace_decomposes_reference_once(monkeypatch):
+    seq = bench_sequence(seed=1, n_frames=12)
+    calls = []
+    real = metrics.decompose
+
+    def counting(image, params=None):
+        calls.append(image.shape)
+        return real(image, params)
+
+    monkeypatch.setattr(metrics, "decompose", counting)
+    params = {"cwssim": CwSsimParams(
+        pyramid=PyramidParams(levels=3, orientations=6))}
+    run_trace(seq, ["cwssim"], roi=SMALL_ROI, metric_params=params)
+    # every frame once, plus the reference crop once
+    assert calls == [(65, 65)] * (12 + 1)
 
 
 def test_trace_respects_roi_and_metric_order():

@@ -20,6 +20,7 @@ from usiq.metrics import (
     mse,
     ms_ssim,
     normalize_series,
+    prepare,
     psnr,
     ssim,
     vif,
@@ -182,7 +183,7 @@ def oracle_ssim_map(x, y, size=11, sigma=1.5, dynamic_range=255.0):
 
 
 def test_ssim_matches_double_loop_oracle():
-    from usiq.metrics import _local_moments, _gauss1d
+    from usiq.metrics import _covariance, _gauss1d, _moments
 
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 255.0, size=(16, 16))
@@ -192,7 +193,8 @@ def test_ssim_matches_double_loop_oracle():
     np.testing.assert_allclose(got.map, want_map, rtol=1e-10, atol=1e-10)
     assert got.value == pytest.approx(float(want_map.mean()), abs=1e-10)
     kernel = _gauss1d(11, 1.5)
-    got_m = _local_moments(x, y, kernel)
+    mx, my = _moments(x, kernel), _moments(y, kernel)
+    got_m = (mx.mean, my.mean, mx.var, my.var, _covariance(mx, my, kernel))
     for key, arr in zip(("mx", "my", "sxx", "syy", "sxy"), got_m):
         np.testing.assert_allclose(arr, want_m[key], rtol=1e-10, atol=1e-10)
 
@@ -449,3 +451,111 @@ def test_score_map_only_for_ssim_and_cwssim():
     assert compute_metric("vif", a, b).map is None
     assert compute_metric("ssim", a, b).map is not None
     assert compute_metric("cwssim", a, b).map is not None
+
+
+# ---------------------------------------------------------------------------
+# Prepared scorers: equivalence with the unprepared implementation
+
+
+PINNED_SHAPES = ((176, 176), (181, 203), (200, 185))
+
+PINNED_PARAMS = (
+    {},
+    {},
+    {"psnr": 200.0,
+     "ssim": SsimParams(window_size=7, alpha=0.5, gamma=2.0),
+     "msssim": MsSsimParams(scales=3, weights=(0.2, 0.3, 0.5)),
+     "cwssim": CwSsimParams(pyramid=PyramidParams(levels=3, orientations=4),
+                            window_size=5),
+     "vif": VifParams(scales=3, block_size=7)},
+)
+
+# float.hex of each value as computed before the metrics were split into a
+# reference-preparing step and a per-test scorer
+PINNED_HEX = (
+    {"cwssim": "0x1.a0da0b6080211p-1", "mse": "0x1.5b663c3e00efep+10",
+     "msssim": "0x1.949969be03766p-1", "psnr": "0x1.0b3b09c03c9ddp+4",
+     "ssim": "0x1.9e3caa3503ba7p-6", "vif": "0x1.988b4ed1ce655p-5"},
+    {"cwssim": "0x1.455f712825515p-1", "mse": "0x1.6424fab7470ddp+10",
+     "msssim": "0x1.6b92129992534p-1", "psnr": "0x1.0980c93323d0fp+4",
+     "ssim": "0x1.835bc9d387564p-6", "vif": "0x1.09f203b0a9d00p-5"},
+    {"cwssim": "0x1.f813df1bb2becp-2", "mse": "0x1.67b8e2e90caadp+10",
+     "msssim": "0x1.84b8e25467823p-2", "psnr": "0x1.ce1729938ef9fp+3",
+     "ssim": "0x1.2850545dcee03p-5", "vif": "0x1.90ca4e730e099p-7"},
+)
+
+
+def pinned_pair(seed):
+    """A textured ramp and a shifted, re-noised copy of it."""
+    shape = PINNED_SHAPES[seed]
+    rng = np.random.default_rng(300 + seed)
+    yy, xx = np.mgrid[0:shape[0], 0:shape[1]].astype(np.float64)
+    ref = np.clip(60.0 + 0.3 * xx + 0.2 * yy
+                  + rng.normal(0.0, 25.0, shape), 0.0, 255.0)
+    test = np.clip(np.roll(ref, seed + 1, axis=1)
+                   + rng.normal(0.0, 12.0, shape), 0.0, 255.0)
+    return GrayImage(ref), GrayImage(test)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_values_match_the_unprepared_implementation(seed):
+    ref, test = pinned_pair(seed)
+    params = PINNED_PARAMS[seed]
+    got = {name: compute_metric(name, ref, test, params.get(name)).value.hex()
+           for name in METRICS}
+    assert got == PINNED_HEX[seed]
+    for name, fn in METRICS.items():
+        extra = (params[name],) if name in params else ()
+        assert fn(ref, test, *extra).value.hex() == PINNED_HEX[seed][name]
+
+
+SMALL_PARAMS = {
+    "msssim": MsSsimParams(scales=2, weights=(0.5, 0.5)),
+    "cwssim": CwSsimParams(pyramid=PyramidParams(levels=3, orientations=6)),
+    "vif": VifParams(scales=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_reused_scorer_matches_fresh_prepare_in_any_order(name):
+    ref = noise_image(20)
+    tests = [ref, noise_image(21), rolled(ref, dx=2),
+             GrayImage(np.clip(ref.pixels + 30.0, 0, 255))]
+    params = SMALL_PARAMS.get(name)
+    fresh = [prepare(name, ref, params)(t) for t in tests]
+    score = prepare(name, ref, params)
+    for order in (range(4), reversed(range(4)), (2, 0, 3, 1, 2, 0)):
+        for i in order:
+            got = score(tests[i])
+            assert got.value == fresh[i].value
+            if fresh[i].map is None:
+                assert got.map is None
+            else:
+                assert np.array_equal(got.map, fresh[i].map)
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_shape_mismatch_error_kind(name):
+    with pytest.raises(errors.DimensionMismatchError):
+        compute_metric(name, noise_image(22), noise_image(23, shape=(64, 72)),
+                       SMALL_PARAMS.get(name))
+
+
+@pytest.mark.parametrize("name, size, params", [
+    ("ssim", 8, None),
+    ("msssim", 64, None),
+    ("cwssim", 64, None),
+    ("cwssim", 16, CwSsimParams(pyramid=PyramidParams(levels=1),
+                                window_size=17)),
+    ("vif", 64, None),
+])
+def test_too_small_reference_error_kind(name, size, params):
+    img = noise_image(24, shape=(size, size))
+    with pytest.raises(errors.ImageTooSmallError):
+        compute_metric(name, img, img, params)
+
+
+def test_flat_vif_reference_error_kind():
+    flat = GrayImage(np.full((64, 64), 128.0))
+    with pytest.raises(errors.DegenerateReferenceError):
+        compute_metric("vif", flat, noise_image(25), VifParams(scales=3))

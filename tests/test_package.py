@@ -15,8 +15,9 @@ PUBLIC_NAMES = [
     "displacement", "downsample2", "format_number", "load_manifest",
     "load_pgm", "load_sequence", "make_phantom", "mean_shift_track",
     "min_dimension", "ms_ssim", "mse", "ncc_track", "normalize_series",
-    "pearson", "periodic_sequence", "psnr", "run_correlation_study",
-    "run_noise_sweep", "run_trace", "run_tracking_experiment",
+    "pearson", "periodic_sequence", "prepare", "psnr",
+    "run_correlation_study", "run_noise_sweep", "run_trace",
+    "run_tracking_experiment",
     "save_manifest", "save_pgm", "shift_magnitude_stability", "ssim",
     "track_with_reset", "tracking_error", "vif", "write_correlation_json",
     "write_sequence", "write_sweep_csv", "write_trace_csv",

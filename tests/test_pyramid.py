@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from usiq import errors
+from usiq import errors, pyramid
 from usiq.image import GrayImage
 from usiq.pyramid import (
     Pyramid,
@@ -193,6 +193,51 @@ def test_decompose_is_deterministic():
         assert np.array_equal(s1.coeffs, s2.coeffs)
     assert np.array_equal(one.highpass_residual, two.highpass_residual)
     assert np.array_equal(one.lowpass_residual, two.lowpass_residual)
+
+
+# ---------------------------------------------------------------------------
+# Cached mask plan
+
+
+def plan_arrays(plan):
+    yield plan.hi0
+    yield plan.lo0
+    for level in plan.levels:
+        yield level.himask
+        yield from level.angle_masks
+        yield level.lomask
+
+
+def test_plan_arrays_are_read_only():
+    plan = pyramid._plan((65, 70), 3, 4)
+    arrays = list(plan_arrays(plan))
+    assert len(arrays) == 2 + 3 * (1 + 4 + 1)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_plan_is_shared_by_same_shaped_images():
+    pyramid._plan.cache_clear()
+    params = PyramidParams(levels=2, orientations=5)
+    decompose(noise_image(14), params)
+    decompose(noise_image(15), params)
+    info = pyramid._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (77, 90)])
+def test_decompose_bit_equal_with_warm_and_cleared_plan(shape):
+    img = noise_image(16, shape=shape)
+    params = PyramidParams(levels=3, orientations=4)
+    decompose(img, params)
+    warm = decompose(img, params)
+    pyramid._plan.cache_clear()
+    cold = decompose(img, params)
+    for s1, s2 in zip(warm.subbands, cold.subbands):
+        assert np.array_equal(s1.coeffs, s2.coeffs)
+    assert np.array_equal(warm.highpass_residual, cold.highpass_residual)
+    assert np.array_equal(warm.lowpass_residual, cold.lowpass_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from usiq import errors, tracking
+from usiq import errors, metrics, tracking
 from usiq.image import FrameSequence, GrayImage, Landmark, Roi
-from usiq.metrics import CwSsimParams, compute_metric
+from usiq.metrics import CwSsimParams, prepare
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
     Disc,
@@ -337,15 +337,21 @@ def test_calibrate_threshold_formula():
 def test_calibrated_reset_scores_each_frame_once(monkeypatch):
     seq = bench_sequence(seed=4)
     cfg = reset_cfg(calibration_frames=28)
-    calls = []
+    prepared, scored = [], []
 
-    def counting(*args):
-        calls.append(args[0])
-        return compute_metric(*args)
+    def counting(name, ref, params=None):
+        prepared.append(name)
+        score = prepare(name, ref, params)
 
-    monkeypatch.setattr(tracking, "compute_metric", counting)
+        def scorer(test):
+            scored.append(name)
+            return score(test)
+        return scorer
+
+    monkeypatch.setattr(tracking, "prepare", counting)
     res = track_with_reset("ncc", seq, reset=cfg)
-    assert calls == ["cwssim"] * 90
+    assert prepared == ["cwssim"]
+    assert scored == ["cwssim"] * 90
     monkeypatch.undo()
     # the wrapped run fires exactly where the public calibration says it should
     threshold = calibrate_threshold(seq, cfg)
@@ -356,6 +362,21 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
                              reset=reset_cfg(threshold=threshold))
     assert fixed.estimates == res.estimates
     assert fixed.similarity_trace == res.similarity_trace
+
+
+def test_calibrated_cwssim_reset_decomposes_reference_once(monkeypatch):
+    seq = bench_sequence(seed=5, n_frames=30)
+    calls = []
+    real = metrics.decompose
+
+    def counting(image, params=None):
+        calls.append(image.shape)
+        return real(image, params)
+
+    monkeypatch.setattr(metrics, "decompose", counting)
+    track_with_reset("meanshift", seq, reset=reset_cfg(calibration_frames=10))
+    # every frame once, plus the reference crop once
+    assert calls == [(65, 65)] * (30 + 1)
 
 
 def test_drift_injection_reset_beats_bare_tracker():
