@@ -19,7 +19,7 @@ from .harness import (
     run_correlation_study,
     run_noise_sweep,
     run_trace,
-    run_tracking_experiment,
+    run_tracking_study,
     write_correlation_json,
     write_sweep_csv,
     write_trace_csv,
@@ -283,10 +283,8 @@ def _cmd_study_tracking(args) -> int:
     truth = tuple((marks[0],) for marks in seq.landmarks)
     disturbances = {args.hit_frame: (args.hit_dx, 0.0)}
     reset = _reset_config_from(args)
-    comparisons = [run_tracking_experiment(seq, tracker, reset=reset,
-                                           init=init, truth=truth,
-                                           disturbances=disturbances)
-                   for tracker in trackers]
+    comparisons = run_tracking_study(seq, trackers, reset, init=init,
+                                     truth=truth, disturbances=disturbances)
     write_tracking_summary_csv(comparisons, args.out)
     if args.frames_out:
         stem, ext = os.path.splitext(args.frames_out)

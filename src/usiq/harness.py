@@ -26,9 +26,9 @@ from .tracking import (
     ErrorStats,
     ResetConfig,
     TrackResult,
+    _reset_tracker,
     mean_shift_track,
     ncc_track,
-    track_with_reset,
     tracking_error,
 )
 
@@ -46,6 +46,7 @@ __all__ = [
     "run_noise_sweep",
     "run_trace",
     "run_tracking_experiment",
+    "run_tracking_study",
     "write_correlation_json",
     "write_sweep_csv",
     "write_trace_csv",
@@ -355,26 +356,44 @@ def run_tracking_experiment(seq: FrameSequence, tracker: str,
     explicit per-frame subset when ``init`` tracks fewer landmarks than the
     sequence annotates. ``disturbances`` perturbs both arms identically.
     """
-    if tracker not in TRACKERS:
-        raise InvalidParamsError(
-            f"unknown tracker {tracker!r}; choose from {sorted(TRACKERS)}")
+    return run_tracking_study(seq, (tracker,), reset, init=init, truth=truth,
+                              cfg=cfg, disturbances=disturbances)[0]
+
+
+def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
+                       init=None, truth=None, cfg=None, disturbances=None
+                       ) -> tuple[TrackingComparison, ...]:
+    """``run_tracking_experiment`` for each named tracker, in order.
+
+    The reset arms share one similarity trace and threshold: the reset metric
+    scores each frame once per study, not once per tracker. Each reset arm
+    equals ``track_with_reset`` with the same arguments.
+    """
+    trackers = tuple(trackers)
+    for tracker in trackers:
+        if tracker not in TRACKERS:
+            raise InvalidParamsError(
+                f"unknown tracker {tracker!r}; choose from {sorted(TRACKERS)}")
     if truth is None:
         if seq.landmarks is None:
             raise InvalidParamsError(
                 "tracking experiment needs ground-truth landmarks")
         truth = seq.landmarks
-    # the bare arm goes through the module-level public name, not
-    # TRACKERS[tracker].track, so wrappers bound to that name (profilers,
-    # tracers) see it
-    bare_track = ncc_track if tracker == "ncc" else mean_shift_track
-    bare = bare_track(seq, init=init, cfg=cfg, disturbances=disturbances)
-    wrapped = track_with_reset(tracker, seq, init=init, cfg=cfg, reset=reset,
-                               disturbances=disturbances)
+    reset_track = _reset_tracker(seq, reset)
     spacing = seq.pixel_spacing_mm
-    return TrackingComparison(
-        tracker=tracker,
-        bare=TrackingArm(bare, tracking_error(bare, truth, spacing)),
-        reset=TrackingArm(wrapped, tracking_error(wrapped, truth, spacing)))
+    comparisons = []
+    for tracker in trackers:
+        # the bare arm goes through the module-level public name, not
+        # TRACKERS[tracker].track, so wrappers bound to that name (profilers,
+        # tracers) see it
+        bare_track = ncc_track if tracker == "ncc" else mean_shift_track
+        bare = bare_track(seq, init=init, cfg=cfg, disturbances=disturbances)
+        wrapped = reset_track(tracker, init, cfg, disturbances)
+        comparisons.append(TrackingComparison(
+            tracker=tracker,
+            bare=TrackingArm(bare, tracking_error(bare, truth, spacing)),
+            reset=TrackingArm(wrapped, tracking_error(wrapped, truth, spacing))))
+    return tuple(comparisons)
 
 
 # ---------------------------------------------------------------------------

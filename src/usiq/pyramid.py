@@ -110,6 +110,12 @@ def _angle_masks(angle, n_orient):
         theta = np.mod(angle - np.pi * b / n_orient + np.pi, 2.0 * np.pi) - np.pi
         keep = np.abs(theta) < np.pi / 2.0
         masks.append(root * np.where(keep, np.cos(theta), 0.0) ** order * keep)
+    if order == 0:
+        # cos^0 does not vanish on the half-plane's edge, the vertical axis,
+        # so weight its conjugate pairs 1/sqrt(2) on both sides: doubling
+        # then counts each axis point (self-conjugate Nyquist points too)
+        # exactly once
+        masks[0][np.abs(angle) == np.pi / 2.0] = math.sqrt(0.5)
     return masks
 
 

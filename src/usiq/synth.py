@@ -145,16 +145,28 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> GrayImage:
     makes the rendered centroid track fractional centers.
     """
     _require_discs_in_frame(spec)
+    return _draw_discs(_background(spec, seed), spec.landmarks)
+
+
+def _background(spec: PhantomSpec, seed: int) -> np.ndarray:
+    """The spec's background: Gaussian texture from ``seed`` clipped to
+    [0, 255], or flat when the texture sigma is 0."""
     if spec.background_texture_sigma > 0:
         rng = np.random.default_rng(seed)
         bg = spec.background_mean + spec.background_texture_sigma * \
             rng.standard_normal((spec.height, spec.width))
-        img = np.clip(bg, 0.0, 255.0)
-    else:
-        img = np.full((spec.height, spec.width), spec.background_mean)
-    yy = np.arange(spec.height, dtype=np.float64)[:, None]
-    xx = np.arange(spec.width, dtype=np.float64)[None, :]
-    for disc in spec.landmarks:
+        return np.clip(bg, 0.0, 255.0)
+    return np.full((spec.height, spec.width), spec.background_mean)
+
+
+def _draw_discs(background: np.ndarray, discs) -> GrayImage:
+    """Composite ``discs`` over ``background`` in order; the background
+    array itself is left as it was."""
+    height, width = background.shape
+    yy = np.arange(height, dtype=np.float64)[:, None]
+    xx = np.arange(width, dtype=np.float64)[None, :]
+    img = background
+    for disc in discs:
         dist = np.hypot(yy - disc.center.y, xx - disc.center.x)
         cov = np.clip(disc.radius + 0.5 - dist, 0.0, 1.0)
         img = img * (1.0 - cov) + disc.intensity * cov
@@ -179,16 +191,17 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
                       pixel_spacing_mm: float = 1.0) -> FrameSequence:
     """Render frames with sinusoidally displaced discs; frame 0 is the reference.
 
-    The background texture is drawn once from ``seed`` and shared by every
-    frame; speckle, when given, is re-seeded per frame as ``speckle.seed +
-    frame`` so consecutive frames carry independent noise (decorrelated
-    speckle). The returned sequence embeds the exact real-valued disc
-    centers as per-frame landmarks.
+    The background texture is drawn once from ``seed``, and every frame
+    composites its moved discs over it; speckle, when given, is re-seeded per
+    frame as ``speckle.seed + frame`` so consecutive frames carry independent
+    noise (decorrelated speckle). The returned sequence embeds the exact
+    real-valued disc centers as per-frame landmarks.
     """
     margin = motion.amplitude
     _require_discs_in_frame(phantom,
                             margin_x=margin if motion.axis == "x" else 0.0,
                             margin_y=margin if motion.axis == "y" else 0.0)
+    background = _background(phantom, seed)
     frames = []
     tracks = []
     for t in range(motion.n_frames):
@@ -196,13 +209,9 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
         dx, dy = (d, 0.0) if motion.axis == "x" else (0.0, d)
         centers = tuple(Landmark(disc.center.x + dx, disc.center.y + dy)
                         for disc in phantom.landmarks)
-        moved = PhantomSpec(
-            width=phantom.width, height=phantom.height,
-            background_mean=phantom.background_mean,
-            background_texture_sigma=phantom.background_texture_sigma,
-            landmarks=tuple(Disc(c, disc.radius, disc.intensity)
-                            for c, disc in zip(centers, phantom.landmarks)))
-        frame = make_phantom(moved, seed)
+        frame = _draw_discs(background, (
+            Disc(c, disc.radius, disc.intensity)
+            for c, disc in zip(centers, phantom.landmarks)))
         if speckle is not None:
             frame = apply_speckle(frame, SpeckleSpec(
                 alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,

@@ -13,12 +13,12 @@ produce bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CountMismatchError,
@@ -194,6 +194,42 @@ def _parabolic_offset(a: float, b: float, c: float) -> float:
     return min(0.5, max(-0.5, 0.5 * (a - c) / denom))
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a size the FFT splits into small
+    factors instead of a slow prime-length transform."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _correlate_valid(values: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Cross-correlation of ``values`` with ``template`` at every position
+    where the template fits, by FFT.
+
+    The transforms span ``values`` (padded to a fast length), so the circular
+    correlation they give wraps only at positions outside the valid ones.
+    """
+    shape = tuple(_fast_len(n) for n in values.shape)
+    spectrum = (np.fft.rfft2(values, shape)
+                * np.conj(np.fft.rfft2(template, shape)))
+    rows, cols = (n - t + 1 for n, t in zip(values.shape, template.shape))
+    return np.fft.irfft2(spectrum, shape)[:rows, :cols]
+
+
+def _box_sums(values: np.ndarray, side: int) -> np.ndarray:
+    """Sum over every ``side`` x ``side`` window of ``values``, from its 2-D
+    cumulative sums (one entry per valid window position)."""
+    sums = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
+    np.cumsum(np.cumsum(values, axis=0), axis=1, out=sums[1:, 1:])
+    return (sums[side:, side:] - sums[:-side, side:]
+            - sums[side:, :-side] + sums[:-side, :-side])
+
+
 class _NccStepper:
     """Correlation search with templates fixed at the first frame."""
 
@@ -228,21 +264,26 @@ class _NccStepper:
         return None
 
     def _corr_grid(self, pixels, centered, norm, ylo, yhi, xlo, xhi):
-        """Correlation for every window center in [ylo,yhi] x [xlo,xhi]."""
+        """Correlation for every window center in [ylo,yhi] x [xlo,xhi].
+
+        The cross term is an FFT correlation of the search region with the
+        template; window sums and sums of squares are box sums over the
+        region (Lewis 1995, fast normalized cross-correlation).
+        """
         r = self.cfg.roi_half
+        side = 2 * r + 1
         region = pixels[ylo - r:yhi + r + 1, xlo - r:xhi + r + 1]
-        windows = sliding_window_view(region, (2 * r + 1, 2 * r + 1))
-        # the template sums to ~zero, so the plain dot product is already the
+        # the template sums to ~zero, so the plain correlation is already the
         # centered cross term
-        cross = np.einsum("ijkl,kl->ij", windows, centered, optimize=True)
-        wsum = windows.sum(axis=(2, 3))
-        wsq = np.einsum("ijkl,ijkl->ij", windows, windows, optimize=True)
-        count = (2 * r + 1) ** 2
-        var = wsq - wsum * wsum / count
-        np.clip(var, 0.0, None, out=var)
-        denom = norm * np.sqrt(var)
-        flat = denom == 0.0
-        corr = cross / np.where(flat, 1.0, denom)
+        cross = _correlate_valid(region, centered)
+        squares = region * region
+        wsum = _box_sums(region, side)
+        var = _box_sums(squares, side) - wsum * wsum / (side * side)
+        # the box sums round by up to about (height + width) ulps of the
+        # region's total square sum, so a variance within that of zero is a
+        # flat window's
+        flat = var <= sum(region.shape) * np.finfo(float).eps * squares.sum()
+        corr = cross / (norm * np.sqrt(np.where(flat, 1.0, var)))
         corr[flat] = -1.0
         return corr
 
@@ -306,13 +347,13 @@ def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
-def _kernel_window(pixels: np.ndarray, cx: float, cy: float, radius: float):
+def _kernel_window(plane: np.ndarray, cx: float, cy: float, radius: float):
     """Integer pixel grid under an Epanechnikov kernel at (cx, cy).
 
-    Returns (xs grid, ys grid, kernel weights, intensities) restricted to the
-    frame, or None when the support misses the frame entirely.
+    Returns (xs grid, ys grid, kernel weights, ``plane`` values) restricted
+    to the frame, or None when the support misses the frame entirely.
     """
-    height, width = pixels.shape
+    height, width = plane.shape
     xlo, xhi = max(0, math.ceil(cx - radius)), min(width - 1, math.floor(cx + radius))
     ylo, yhi = max(0, math.ceil(cy - radius)), min(height - 1, math.floor(cy + radius))
     if xlo > xhi or ylo > yhi:
@@ -322,18 +363,18 @@ def _kernel_window(pixels: np.ndarray, cx: float, cy: float, radius: float):
     gx, gy = np.meshgrid(xs, ys)
     r2 = ((gx - cx) ** 2 + (gy - cy) ** 2) / (radius * radius)
     kernel = np.clip(1.0 - r2, 0.0, None)
-    return gx, gy, kernel, pixels[ylo:yhi + 1, xlo:xhi + 1]
+    return gx, gy, kernel, plane[ylo:yhi + 1, xlo:xhi + 1]
 
 
-def _kernel_histogram(values, kernel, bins):
-    hist = np.bincount(_bin_indices(values, bins).ravel(),
-                       weights=kernel.ravel(), minlength=bins)
+def _kernel_histogram(idx, kernel, bins):
+    hist = np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=bins)
     total = float(hist.sum())
     return hist, total
 
 
 class _MeanShiftStepper:
-    """Bhattacharyya mean-shift over kernel-weighted intensity histograms."""
+    """Bhattacharyya mean-shift over kernel-weighted intensity histograms;
+    each frame is binned once and every window reads its slice of the bins."""
 
     def __init__(self, frames: Sequence[GrayImage], init: tuple[Landmark, ...],
                  cfg: MeanShiftConfig):
@@ -343,15 +384,15 @@ class _MeanShiftStepper:
         # strictly, so a static target keeps scale 1 when 1.0 is offered
         self.scale_order = tuple(sorted(cfg.scale_steps,
                                         key=lambda s: (abs(s - 1.0), s)))
-        first = frames[0].pixels
+        first = self._binned(0)
         self.models = []
         for mark in init:
             window = _kernel_window(first, mark.x, mark.y, float(cfg.roi_half))
             if window is None:
                 raise OutOfFrameError(
                     f"model window at ({mark.x}, {mark.y}) misses the frame")
-            _, _, kernel, values = window
-            hist, total = _kernel_histogram(values, kernel, cfg.bins)
+            _, _, kernel, idx = window
+            hist, total = _kernel_histogram(idx, kernel, cfg.bins)
             if total <= 0.0:
                 raise EmptyHistogramError("model window has no kernel mass")
             self.models.append(hist / total)
@@ -364,27 +405,29 @@ class _MeanShiftStepper:
     def scales_from(self, state):
         return state
 
-    def _candidate(self, pixels, cx, cy, radius):
+    def _binned(self, t):
+        return _bin_indices(self.frames[t].pixels, self.cfg.bins)
+
+    def _candidate(self, binned, cx, cy, radius):
         """Kernel window at (cx, cy) and its normalized histogram."""
-        window = _kernel_window(pixels, cx, cy, radius)
+        window = _kernel_window(binned, cx, cy, radius)
         if window is None:
             raise EmptyHistogramError("candidate window missed the frame")
-        _, _, kernel, values = window
-        hist, total = _kernel_histogram(values, kernel, self.cfg.bins)
+        _, _, kernel, idx = window
+        hist, total = _kernel_histogram(idx, kernel, self.cfg.bins)
         if total <= 0.0:
             raise EmptyHistogramError("candidate window has no kernel mass")
         return window, hist / total
 
-    def _similarity(self, pixels, cx, cy, model, radius):
-        _, target = self._candidate(pixels, cx, cy, radius)
+    def _similarity(self, binned, cx, cy, model, radius):
+        _, target = self._candidate(binned, cx, cy, radius)
         return float(np.sqrt(model * target).sum())
 
-    def _converge(self, pixels, cx, cy, model, radius):
+    def _converge(self, binned, cx, cy, model, radius):
         """Iterate the weighted centroid until the shift drops below epsilon."""
         for _ in range(self.cfg.max_iters):
-            (gx, gy, kernel, values), target = self._candidate(
-                pixels, cx, cy, radius)
-            idx = _bin_indices(values, self.cfg.bins)
+            (gx, gy, kernel, idx), target = self._candidate(
+                binned, cx, cy, radius)
             weights = np.zeros_like(kernel)
             inside = kernel > 0.0
             weights[inside] = np.sqrt(model[idx[inside]] / target[idx[inside]])
@@ -398,17 +441,17 @@ class _MeanShiftStepper:
             cx, cy = nx, ny
             if shift < self.cfg.epsilon:
                 break
-        return cx, cy, self._similarity(pixels, cx, cy, model, radius)
+        return cx, cy, self._similarity(binned, cx, cy, model, radius)
 
     def score_at(self, t, marks, state):
-        pixels = self.frames[t].pixels
+        binned = self._binned(t)
         return tuple(
-            self._similarity(pixels, mark.x, mark.y, model,
+            self._similarity(binned, mark.x, mark.y, model,
                              self.cfg.roi_half * scale)
             for model, mark, scale in zip(self.models, marks, state))
 
     def step(self, t, prev, state):
-        pixels = self.frames[t].pixels
+        binned = self._binned(t)
         marks, scores, scales = [], [], []
         for model, mark, prev_scale in zip(self.models, prev, state):
             best = None
@@ -417,7 +460,7 @@ class _MeanShiftStepper:
                 scale = min(max(prev_scale * factor, _SCALE_MIN), _SCALE_MAX)
                 try:
                     cx, cy, rho = self._converge(
-                        pixels, mark.x, mark.y, model,
+                        binned, mark.x, mark.y, model,
                         self.cfg.roi_half * scale)
                 except EmptyHistogramError as exc:
                     failure = exc
@@ -456,7 +499,7 @@ def _resolve_init(seq: FrameSequence, init) -> tuple[Landmark, ...]:
 
 
 def _run(seq: FrameSequence, init, stepper, disturbances,
-         trace: list[float] | None, threshold: float | None) -> TrackResult:
+         trace: Sequence[float] | None, threshold: float | None) -> TrackResult:
     frames = seq.frames
     estimates, scores, events, clamped = [], [], [], []
     scale_log = [] if stepper.has_scales else None
@@ -524,11 +567,12 @@ def _threshold_from(values) -> float:
 
 
 def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
-           reset: ResetConfig | None = None) -> TrackResult:
+           gate: Callable[[], tuple[Sequence[float], float]] | None = None
+           ) -> TrackResult:
     """Build the named tracker's stepper, then drive it over every frame.
 
-    With a reset policy, each frame is scored against the reference crop once;
-    a calibrated threshold is taken from the calibration slice of that trace.
+    ``gate``, when given, is called once the stepper is built and returns
+    the reset trace and threshold (see ``_reset_tracker``).
     """
     stepper_type, config_type, _ = TRACKERS[tracker]
     init = _resolve_init(seq, init)
@@ -538,13 +582,7 @@ def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
         raise InvalidParamsError(
             f"config for '{tracker}' must be {config_type.__name__}")
     stepper = stepper_type(seq.frames, init, cfg)
-    trace = threshold = None
-    if reset is not None:
-        window = (_calibration_window(seq, reset)
-                  if reset.threshold is None else None)
-        trace = _similarity_trace(seq, reset)
-        threshold = (reset.threshold if window is None
-                     else _threshold_from(trace[window]))
+    trace, threshold = gate() if gate is not None else (None, None)
     return _run(seq, init, stepper, disturbances, trace, threshold)
 
 
@@ -612,11 +650,35 @@ def track_with_reset(tracker: str, seq: FrameSequence, init=None,
     """
     if tracker not in TRACKERS:
         raise InvalidParamsError(f"unknown tracker '{tracker}'")
+    return _reset_tracker(seq, reset)(tracker, init, cfg, disturbances)
+
+
+def _reset_tracker(seq: FrameSequence, reset: ResetConfig | None):
+    """Check ``reset`` against ``seq`` and return the reset-wrapped run
+    ``track(tracker, init, cfg, disturbances)``.
+
+    Every run of the returned function shares one reset trace and threshold,
+    computed by the first run once its stepper is built, so several trackers
+    gated by one policy on one sequence score each frame once. The trace
+    scores every frame against the reference crop; a calibrated threshold is
+    taken from its calibration slice.
+    """
     if reset is None:
         raise InvalidParamsError("a ResetConfig is required")
     if reset.reference_frame >= len(seq.frames):
         raise InvalidParamsError("reference frame outside the sequence")
-    return _track(tracker, seq, init, cfg, disturbances, reset)
+
+    @functools.cache
+    def gate():
+        window = (_calibration_window(seq, reset)
+                  if reset.threshold is None else None)
+        trace = tuple(_similarity_trace(seq, reset))
+        return trace, (reset.threshold if window is None
+                       else _threshold_from(trace[window]))
+
+    def track(tracker, init, cfg, disturbances):
+        return _track(tracker, seq, init, cfg, disturbances, gate)
+    return track
 
 
 def tracking_error(result: TrackResult, truth, pixel_spacing_mm: float

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from usiq import cli, tracking
+from usiq.metrics import prepare
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory, run_cli):
@@ -208,3 +211,28 @@ def test_study_tracking_summary_shape(workdir, run_cli):
     frame_lines = (workdir / "frames.csv").read_text().splitlines()
     assert frame_lines[0] == "frame,bare_error_mm,reset_error_mm"
     assert len(frame_lines) == 91
+
+
+def test_study_tracking_scores_the_reset_trace_once(tmp_path, monkeypatch):
+    # both trackers' reset arms gate on the same CW-SSIM trace, so the
+    # reference is prepared once and each of the 90 frames is scored once
+    prepared, scored = [], []
+
+    def counting(name, ref, params=None):
+        prepared.append(name)
+        score = prepare(name, ref, params)
+
+        def scorer(test):
+            scored.append(name)
+            return score(test)
+        return scorer
+
+    monkeypatch.setattr(tracking, "prepare", counting)
+    summary = tmp_path / "summary.csv"
+    assert cli.main(["study", "tracking", "--seed", "0",
+                     "--trackers", "ncc,meanshift", "--out", str(summary)]) == 0
+    assert prepared == ["cwssim"]
+    assert scored == ["cwssim"] * 90
+    lines = summary.read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["ncc", "0"], ["ncc", "1"], ["meanshift", "0"], ["meanshift", "1"]]

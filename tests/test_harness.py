@@ -18,6 +18,7 @@ from usiq.harness import (
     run_noise_sweep,
     run_trace,
     run_tracking_experiment,
+    run_tracking_study,
     write_correlation_json,
     write_sweep_csv,
     write_trace_csv,
@@ -38,7 +39,7 @@ from usiq.synth import (
     make_phantom,
     periodic_sequence,
 )
-from usiq.tracking import ResetConfig, TrackResult
+from usiq.tracking import ResetConfig, TrackResult, track_with_reset
 
 
 def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
@@ -404,6 +405,27 @@ def test_tracking_experiment_drift_reset_wins():
     assert comparison.reset.stats.mean_mm < comparison.bare.stats.mean_mm
     assert len(comparison.bare.stats.per_frame_mm) == 90
     assert len(comparison.reset.stats.per_frame_mm) == 90
+
+
+def test_tracking_study_matches_one_experiment_per_tracker():
+    seq = bench_sequence(seed=3, n_frames=30, decoy=True)
+    init = (seq.landmarks[0][0],)
+    truth = tuple((marks[0],) for marks in seq.landmarks)
+    reset = reset_cfg(calibration_frames=10)
+    hit = {12: (100.0, 0.0)}
+    study = run_tracking_study(seq, ["ncc", "meanshift"], reset, init=init,
+                               truth=truth, disturbances=hit)
+    assert [cmp.tracker for cmp in study] == ["ncc", "meanshift"]
+    for cmp in study:
+        # the reset arms share one trace, yet each equals its own run
+        assert cmp == run_tracking_experiment(seq, cmp.tracker, reset,
+                                              init=init, truth=truth,
+                                              disturbances=hit)
+        assert cmp.reset.result == track_with_reset(
+            cmp.tracker, seq, init=init, reset=reset, disturbances=hit)
+    with pytest.raises(errors.InvalidParamsError):
+        run_tracking_study(seq, ["ncc", "kalman"], reset, init=init,
+                           truth=truth)
 
 
 def test_tracking_experiment_validation():

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "min_dimension", "ms_ssim", "mse", "ncc_track", "normalize_series",
     "pearson", "periodic_sequence", "prepare", "psnr",
     "run_correlation_study", "run_noise_sweep", "run_trace",
-    "run_tracking_experiment",
+    "run_tracking_experiment", "run_tracking_study",
     "save_manifest", "save_pgm", "shift_magnitude_stability", "ssim",
     "track_with_reset", "tracking_error", "vif", "write_correlation_json",
     "write_sequence", "write_sweep_csv", "write_trace_csv",

@@ -226,6 +226,45 @@ def test_plan_is_shared_by_same_shaped_images():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def half_plane_masks(angle, n_orient):
+    """Oracle: the half-plane cos^(K-1) masks with no weight on the
+    half-plane's edge."""
+    order = n_orient - 1
+    root = math.sqrt((4.0 ** order) * (math.factorial(order) ** 2)
+                     / (n_orient * math.factorial(2 * order)))
+    masks = []
+    for b in range(n_orient):
+        theta = np.mod(angle - np.pi * b / n_orient + np.pi, 2.0 * np.pi) - np.pi
+        keep = np.abs(theta) < np.pi / 2.0
+        masks.append(root * np.where(keep, np.cos(theta), 0.0) ** order * keep)
+    return masks
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (65, 70), (77, 90)])
+def test_plan_angle_masks(shape):
+    _, angle = pyramid._freq_grids(shape)
+    for orientations in range(2, 7):
+        plan = pyramid._plan(shape, 3, orientations)
+        level_angle = angle
+        for level in plan.levels:
+            want = half_plane_masks(level_angle, orientations)
+            assert len(level.angle_masks) == orientations
+            for got, expected in zip(level.angle_masks, want):
+                assert np.array_equal(got, expected)
+            level_angle = level_angle[level.keep]
+    # one orientation: the same flat half-plane, plus 1/sqrt(2) on both
+    # sides of its edge, the vertical frequency axis
+    plan = pyramid._plan(shape, 3, 1)
+    level_angle = angle
+    for level in plan.levels:
+        (got,), (flat,) = level.angle_masks, half_plane_masks(level_angle, 1)
+        edge = np.abs(level_angle) == np.pi / 2.0
+        assert edge.sum() == level_angle.shape[0] - 1
+        assert np.all(got[edge] == math.sqrt(0.5))
+        assert np.array_equal(got[~edge], flat[~edge])
+        level_angle = level_angle[level.keep]
+
+
 @pytest.mark.parametrize("shape", [(64, 64), (77, 90)])
 def test_decompose_bit_equal_with_warm_and_cleared_plan(shape):
     img = noise_image(16, shape=shape)

@@ -279,6 +279,36 @@ def test_per_frame_speckle_seeding_contract():
     assert np.array_equal(seq.frames[t].pixels, want.pixels)
 
 
+@pytest.mark.parametrize("phantom,axis", [
+    (benchmark_phantom_spec(decoy=True), "x"),
+    # overlapping discs: the compositing order shows in the shared pixels
+    (quiet_spec(width=96, height=96,
+                discs=(Disc(Landmark(30, 40), radius=6.0, intensity=210.0),
+                       Disc(Landmark(36, 44), radius=4.5, intensity=20.0))),
+     "y"),
+])
+def test_every_frame_equals_make_phantom_of_the_moved_spec(phantom, axis):
+    """The background is drawn once, yet every frame is bit-identical to a
+    fresh ``make_phantom`` of that frame's moved discs."""
+    motion = MotionSpec(amplitude=8.0, period=30.0, n_frames=30,
+                        phase=math.pi / 2, axis=axis)
+    seq = periodic_sequence(phantom, motion, speckle=None, seed=11)
+    assert len(seq.frames) == 30
+    for t, frame in enumerate(seq.frames):
+        d = displacement(motion, t)
+        dx, dy = (d, 0.0) if axis == "x" else (0.0, d)
+        moved = PhantomSpec(
+            width=phantom.width, height=phantom.height,
+            background_mean=phantom.background_mean,
+            background_texture_sigma=phantom.background_texture_sigma,
+            landmarks=tuple(
+                Disc(Landmark(c.center.x + dx, c.center.y + dy), c.radius,
+                     c.intensity)
+                for c in phantom.landmarks))
+        assert np.array_equal(frame.pixels,
+                              make_phantom(moved, seed=11).pixels)
+
+
 def test_sequence_determinism_and_speckle_decorrelation():
     args = (small_phantom(), small_motion(amplitude=0.0, n_frames=4))
     one = periodic_sequence(*args, speckle=SpeckleSpec(alpha=0.5, seed=1),

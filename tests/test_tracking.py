@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from usiq import errors, metrics, tracking
 from usiq.image import FrameSequence, GrayImage, Landmark, Roi
@@ -195,6 +196,91 @@ def test_ncc_determinism():
     assert a.match_scores == b.match_scores
 
 
+def sliding_window_corr_grid(pixels, centered, norm, r, ylo, yhi, xlo, xhi):
+    """Oracle: the correlation grid from an explicit copy of every window."""
+    region = pixels[ylo - r:yhi + r + 1, xlo - r:xhi + r + 1]
+    windows = sliding_window_view(region, (2 * r + 1, 2 * r + 1))
+    cross = np.einsum("ijkl,kl->ij", windows, centered, optimize=True)
+    wsum = windows.sum(axis=(2, 3))
+    wsq = np.einsum("ijkl,ijkl->ij", windows, windows, optimize=True)
+    var = wsq - wsum * wsum / (2 * r + 1) ** 2
+    np.clip(var, 0.0, None, out=var)
+    denom = norm * np.sqrt(var)
+    flat = denom == 0.0
+    corr = cross / np.where(flat, 1.0, denom)
+    corr[flat] = -1.0
+    return corr
+
+
+def ncc_grids(size, r, s, seed):
+    """A random frame, a random template, and search grids around centres
+    in the interior, at each border, in a corner, and the 1x1 grid of
+    ``score_at``, clamped the way the stepper clamps them."""
+    rng = np.random.default_rng(seed)
+    frame = GrayImage(rng.uniform(0.0, 255.0, (size, size)))
+    template = rng.uniform(0.0, 255.0, (2 * r + 1, 2 * r + 1))
+    centered = template - template.mean()
+    norm = float(np.sqrt(np.sum(centered * centered)))
+    lo, hi, c = r, size - 1 - r, size // 2
+    grids = [(max(lo, cy - s), min(hi, cy + s), max(lo, cx - s), min(hi, cx + s))
+             for cx, cy in ((c, c), (lo, c), (hi, c), (c, lo), (c, hi),
+                            (lo + 1, hi - 2))]
+    grids.append((c, c, c, c))
+    return frame, centered, norm, grids
+
+
+@pytest.mark.parametrize("size,r,s,seed", [
+    (96, 12, 24, 0), (96, 12, 24, 1), (64, 5, 9, 2), (41, 3, 30, 3),
+    (128, 7, 40, 4)])
+def test_ncc_grid_matches_sliding_window_oracle(size, r, s, seed):
+    frame, centered, norm, grids = ncc_grids(size, r, s, seed)
+    stepper = tracking._NccStepper((frame,), (Landmark(size // 2, size // 2),),
+                                   NccConfig(roi_half=r, search_half=s))
+    for ylo, yhi, xlo, xhi in grids:
+        got = stepper._corr_grid(frame.pixels, centered, norm,
+                                 ylo, yhi, xlo, xhi)
+        want = sliding_window_corr_grid(frame.pixels, centered, norm, r,
+                                        ylo, yhi, xlo, xhi)
+        assert got.shape == want.shape == (yhi - ylo + 1, xhi - xlo + 1)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_ncc_grid_matches_oracle_on_benchmark_frames():
+    seq = bench_sequence(seed=9, n_frames=12, decoy=True)
+    init = (seq.landmarks[0][0],)
+    stepper = tracking._NccStepper(seq.frames, init, NccConfig())
+    (centered, norm), = stepper.templates
+    for frame in seq.frames:
+        # the full 49x49 search grid around the disc, and the one it clamps
+        # to at the frame's left edge
+        for grid in ((104, 152, 76, 124), (104, 152, 12, 40)):
+            got = stepper._corr_grid(frame.pixels, centered, norm, *grid)
+            want = sliding_window_corr_grid(frame.pixels, centered, norm, 12,
+                                            *grid)
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_ncc_flat_region_scores_minus_one():
+    rng = np.random.default_rng(8)
+    pixels = rng.uniform(0.0, 255.0, (80, 80))
+    pixels[30:70, 30:70] = 117.0
+    frame = GrayImage(pixels)
+    init = (Landmark(15.0, 15.0),)
+    stepper = tracking._NccStepper((frame,), init, NccConfig(roi_half=6,
+                                                             search_half=12))
+    (centered, norm), = stepper.templates
+    got = stepper._corr_grid(pixels, centered, norm, 36, 63, 36, 63)
+    want = sliding_window_corr_grid(pixels, centered, norm, 6, 36, 63, 36, 63)
+    assert np.all(want == -1.0)
+    assert np.all(got == -1.0)
+    # windows that overlap the flat patch only in part are not flat
+    got = stepper._corr_grid(pixels, centered, norm, 20, 40, 20, 40)
+    want = sliding_window_corr_grid(pixels, centered, norm, 6, 20, 40, 20, 40)
+    assert np.array_equal(got == -1.0, want == -1.0)
+    assert np.max(np.abs(got - want)) <= 1e-9
+    assert stepper.score_at(0, (Landmark(50.0, 50.0),), None) == (-1.0,)
+
+
 # ---------------------------------------------------------------------------
 # Mean-shift tracker
 
@@ -251,6 +337,33 @@ def test_meanshift_scale_tracks_growing_disc():
     assert picked[-1] > 1.0
 
 
+class PerWindowBinning(tracking._MeanShiftStepper):
+    """Oracle: the mean-shift stepper that bins each window's intensities
+    anew, for the model and on every iteration and scale candidate, instead
+    of binning each frame once."""
+
+    def __init__(self, frames, init, cfg):
+        self.frames, self.cfg = frames, cfg
+        self.scale_order = tuple(sorted(cfg.scale_steps,
+                                        key=lambda s: (abs(s - 1.0), s)))
+        self.models = []
+        for mark in init:
+            _, model = self._candidate(frames[0].pixels, mark.x, mark.y,
+                                       float(cfg.roi_half))
+            self.models.append(model)
+
+    def _binned(self, t):
+        return self.frames[t].pixels
+
+    def _candidate(self, pixels, cx, cy, radius):
+        gx, gy, kernel, values = tracking._kernel_window(pixels, cx, cy, radius)
+        idx = tracking._bin_indices(values, self.cfg.bins)
+        hist, total = tracking._kernel_histogram(idx, kernel, self.cfg.bins)
+        if total <= 0.0:
+            raise errors.EmptyHistogramError("candidate window has no kernel mass")
+        return (gx, gy, kernel, idx), hist / total
+
+
 def test_meanshift_determinism():
     seq = periodic_sequence(benchmark_phantom_spec(),
                             benchmark_motion_spec(n_frames=10),
@@ -259,6 +372,12 @@ def test_meanshift_determinism():
     b = mean_shift_track(seq)
     assert a.estimates == b.estimates
     assert a.scales == b.scales
+    # binning each frame once picks the same integer bins as binning every
+    # window, so the whole result is bit-identical
+    for cfg in (MeanShiftConfig(), MeanShiftConfig(bins=7, roi_half=9)):
+        oracle = PerWindowBinning(seq.frames, seq.landmarks[0], cfg)
+        want = tracking._run(seq, seq.landmarks[0], oracle, None, None, None)
+        assert mean_shift_track(seq, cfg=cfg) == want
 
 
 # ---------------------------------------------------------------------------
