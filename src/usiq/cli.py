@@ -273,18 +273,15 @@ def _cmd_study_noise_sweep(args) -> int:
 
 
 def _cmd_study_tracking(args) -> int:
-    trackers = _parse_list(args.trackers)
-    for tracker in trackers:
-        if tracker not in TRACKERS:
-            raise InvalidParamsError(f"unknown tracker {tracker!r}")
     seq = _benchmark_sequence(args.seed, args.frames, args.alpha, decoy=True)
     # the decoy disc is scenery for the injected jump; track the true disc
     init = (seq.landmarks[0][0],)
     truth = tuple((marks[0],) for marks in seq.landmarks)
     disturbances = {args.hit_frame: (args.hit_dx, 0.0)}
     reset = _reset_config_from(args)
-    comparisons = run_tracking_study(seq, trackers, reset, init=init,
-                                     truth=truth, disturbances=disturbances)
+    comparisons = run_tracking_study(seq, _parse_list(args.trackers), reset,
+                                     init=init, truth=truth,
+                                     disturbances=disturbances)
     write_tracking_summary_csv(comparisons, args.out)
     if args.frames_out:
         stem, ext = os.path.splitext(args.frames_out)

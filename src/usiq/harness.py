@@ -26,7 +26,8 @@ from .tracking import (
     ErrorStats,
     ResetConfig,
     TrackResult,
-    _reset_tracker,
+    _reset_gate,
+    _track,
     mean_shift_track,
     ncc_track,
     tracking_error,
@@ -45,7 +46,6 @@ __all__ = [
     "run_correlation_study",
     "run_noise_sweep",
     "run_trace",
-    "run_tracking_experiment",
     "run_tracking_study",
     "write_correlation_json",
     "write_sweep_csv",
@@ -83,16 +83,17 @@ def pearson(x, y) -> float:
     return max(-1.0, min(1.0, cov / math.sqrt(var_x * var_y)))
 
 
-def _checked_metric_list(metrics) -> tuple[str, ...]:
-    names = tuple(metrics)
+def _checked_names(names, known, kind: str) -> tuple[str, ...]:
+    """``names`` as a tuple: at least one, none twice, each in ``known``."""
+    names = tuple(names)
     if not names:
-        raise InvalidParamsError("at least one metric required")
+        raise InvalidParamsError(f"at least one {kind} required")
     if len(set(names)) != len(names):
-        raise InvalidParamsError("metric list contains duplicates")
+        raise InvalidParamsError(f"{kind} list contains duplicates")
     for name in names:
-        if name not in METRICS:
+        if name not in known:
             raise InvalidParamsError(
-                f"unknown metric {name!r}; choose from {sorted(METRICS)}")
+                f"unknown {kind} {name!r}; choose from {sorted(known)}")
     return names
 
 
@@ -154,7 +155,7 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     object. Constant columns (including the single-frame case) are reported
     raw with a constant-series note instead of raising.
     """
-    names = _checked_metric_list(metrics)
+    names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
     view = (lambda img: crop(img, roi)) if roi is not None else (lambda img: img)
     ref = view(seq.frames[seq.reference_frame])
@@ -292,7 +293,7 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
     metric's mean column is then min-max normalized across the alpha axis;
     columns without spread are noted instead.
     """
-    names = _checked_metric_list(metrics)
+    names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
     alpha_list = tuple(float(a) for a in alphas)
     if not alpha_list:
@@ -347,39 +348,28 @@ class TrackingComparison:
     reset: TrackingArm
 
 
-def run_tracking_experiment(seq: FrameSequence, tracker: str,
-                            reset: ResetConfig, init=None, truth=None,
-                            cfg=None, disturbances=None) -> TrackingComparison:
-    """Run a tracker with and without the reset wrapper and score both arms.
-
-    ``truth`` defaults to the sequence's ground-truth landmarks; pass an
-    explicit per-frame subset when ``init`` tracks fewer landmarks than the
-    sequence annotates. ``disturbances`` perturbs both arms identically.
-    """
-    return run_tracking_study(seq, (tracker,), reset, init=init, truth=truth,
-                              cfg=cfg, disturbances=disturbances)[0]
-
-
 def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
                        init=None, truth=None, cfg=None, disturbances=None
                        ) -> tuple[TrackingComparison, ...]:
-    """``run_tracking_experiment`` for each named tracker, in order.
+    """Run each named tracker with and without the reset wrapper, in order,
+    and score both arms against ground truth.
 
-    The reset arms share one similarity trace and threshold: the reset metric
-    scores each frame once per study, not once per tracker. Each reset arm
-    equals ``track_with_reset`` with the same arguments.
+    ``trackers`` must list known tracker names, at least one and none twice.
+    ``truth`` defaults to the sequence's ground-truth landmarks; pass an
+    explicit per-frame subset when ``init`` tracks fewer landmarks than the
+    sequence annotates. ``disturbances`` perturbs every arm identically. The
+    reset gate (the similarity trace and its threshold) is computed once,
+    before any arm runs, and drives every reset arm: the reset metric scores
+    each frame once per study. Each reset arm equals ``track_with_reset``
+    with the same arguments.
     """
-    trackers = tuple(trackers)
-    for tracker in trackers:
-        if tracker not in TRACKERS:
-            raise InvalidParamsError(
-                f"unknown tracker {tracker!r}; choose from {sorted(TRACKERS)}")
+    trackers = _checked_names(trackers, TRACKERS, "tracker")
     if truth is None:
         if seq.landmarks is None:
             raise InvalidParamsError(
                 "tracking experiment needs ground-truth landmarks")
         truth = seq.landmarks
-    reset_track = _reset_tracker(seq, reset)
+    gate = _reset_gate(seq, reset)
     spacing = seq.pixel_spacing_mm
     comparisons = []
     for tracker in trackers:
@@ -388,7 +378,7 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
         # tracers) see it
         bare_track = ncc_track if tracker == "ncc" else mean_shift_track
         bare = bare_track(seq, init=init, cfg=cfg, disturbances=disturbances)
-        wrapped = reset_track(tracker, init, cfg, disturbances)
+        wrapped = _track(tracker, seq, init, cfg, disturbances, gate)
         comparisons.append(TrackingComparison(
             tracker=tracker,
             bare=TrackingArm(bare, tracking_error(bare, truth, spacing)),

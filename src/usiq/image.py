@@ -254,6 +254,18 @@ def downsample2(image: GrayImage) -> GrayImage:
 # Sequences
 
 
+def _checked_landmarks(landmarks, n_frames: int
+                       ) -> tuple[tuple[Landmark, ...], ...]:
+    """Per-frame landmarks as tuples: one entry per frame, each with the same
+    number of landmarks."""
+    marks = tuple(tuple(per_frame) for per_frame in landmarks)
+    if len(marks) != n_frames:
+        raise ManifestError("landmarks must list one entry per frame")
+    if len({len(per_frame) for per_frame in marks}) > 1:
+        raise ManifestError("landmark count must not vary across frames")
+    return marks
+
+
 @dataclass(frozen=True)
 class SequenceManifest:
     """On-disk description of a frame sequence.
@@ -284,13 +296,8 @@ class SequenceManifest:
                 f"reference_frame {self.reference_frame} outside "
                 f"[0, {len(self.frame_paths)})")
         if self.landmarks is not None:
-            marks = tuple(tuple(per_frame) for per_frame in self.landmarks)
-            if len(marks) != len(self.frame_paths):
-                raise ManifestError("landmarks must list one entry per frame")
-            counts = {len(per_frame) for per_frame in marks}
-            if len(counts) > 1:
-                raise ManifestError("landmark count must not vary across frames")
-            object.__setattr__(self, "landmarks", marks)
+            object.__setattr__(self, "landmarks", _checked_landmarks(
+                self.landmarks, len(self.frame_paths)))
 
     def to_json_dict(self) -> dict:
         marks = None
@@ -380,10 +387,8 @@ class FrameSequence:
             raise ManifestError("reference_frame outside the sequence")
         object.__setattr__(self, "frames", frames)
         if self.landmarks is not None:
-            marks = tuple(tuple(per_frame) for per_frame in self.landmarks)
-            if len(marks) != len(frames):
-                raise ManifestError("landmarks must list one entry per frame")
-            object.__setattr__(self, "landmarks", marks)
+            object.__setattr__(self, "landmarks", _checked_landmarks(
+                self.landmarks, len(frames)))
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -4,7 +4,10 @@ Two trackers share one driving loop: normalized cross-correlation against a
 fixed first-frame template, and mean-shift over Epanechnikov-weighted
 intensity histograms. A similarity-gated wrapper re-anchors either tracker to
 its first-frame annotations whenever a reference-frame comparison metric
-exceeds a threshold, which bounds drift on periodic motion.
+exceeds a threshold, which bounds drift on periodic motion. Its reset gate is
+one value, computed before tracking starts: the metric's trace over every
+frame and the threshold, either fixed or calibrated from the frames after the
+reference.
 
 Coordinates follow the image-core convention (x = column, y = row); estimates
 are real-valued landmarks. All routines are deterministic: identical inputs
@@ -13,7 +16,6 @@ produce bit-identical results.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -39,7 +41,6 @@ __all__ = [
     "ncc_track",
     "mean_shift_track",
     "track_with_reset",
-    "calibrate_threshold",
     "tracking_error",
 ]
 
@@ -144,10 +145,12 @@ class TrackResult:
 
     ``estimates[t]`` holds one landmark per tracked target at frame ``t``.
     ``match_scores`` mirrors that layout with the tracker's own confidence
-    (correlation peak, or Bhattacharyya coefficient). ``similarity_trace``
-    and ``reset_events`` are populated by the reset wrapper; ``scales``
-    records the cumulative mean-shift bandwidth factor and is None for NCC.
-    ``clamped_frames`` lists frames whose search window hit the image border.
+    (correlation peak, or Bhattacharyya coefficient). ``similarity_trace``,
+    ``reset_threshold`` (the threshold the run gated on, fixed or
+    calibrated) and ``reset_events`` are populated by the reset wrapper;
+    ``scales`` records the cumulative mean-shift bandwidth factor and is None
+    for NCC. ``clamped_frames`` lists frames whose search window hit the
+    image border.
     """
 
     estimates: tuple[tuple[Landmark, ...], ...]
@@ -156,6 +159,7 @@ class TrackResult:
     similarity_trace: tuple[float, ...] | None = None
     clamped_frames: tuple[int, ...] = ()
     scales: tuple[tuple[float, ...], ...] | None = None
+    reset_threshold: float | None = None
 
     def __post_init__(self):
         if not self.estimates:
@@ -499,7 +503,8 @@ def _resolve_init(seq: FrameSequence, init) -> tuple[Landmark, ...]:
 
 
 def _run(seq: FrameSequence, init, stepper, disturbances,
-         trace: Sequence[float] | None, threshold: float | None) -> TrackResult:
+         trace: tuple[float, ...] | None, threshold: float | None
+         ) -> TrackResult:
     frames = seq.frames
     estimates, scores, events, clamped = [], [], [], []
     scale_log = [] if stepper.has_scales else None
@@ -530,49 +535,48 @@ def _run(seq: FrameSequence, init, stepper, disturbances,
         estimates=tuple(estimates),
         match_scores=tuple(scores),
         reset_events=tuple(events),
-        similarity_trace=tuple(trace) if trace is not None else None,
+        similarity_trace=trace,
         clamped_frames=tuple(clamped),
-        scales=tuple(scale_log) if scale_log is not None else None)
+        scales=tuple(scale_log) if scale_log is not None else None,
+        reset_threshold=threshold)
 
 
-def _similarity_trace(seq: FrameSequence, reset: ResetConfig,
-                      frames: slice = slice(None)) -> list[float]:
-    """Reset-metric values of ``seq.frames[frames]`` against the reference,
-    whose crop is prepared once."""
-    roi = reset.similarity_roi
-    score = prepare(reset.metric, crop(seq.frames[reset.reference_frame], roi),
-                    reset.metric_params)
-    return [score(crop(frame, roi)).value for frame in seq.frames[frames]]
+def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
+                ) -> tuple[tuple[float, ...], float]:
+    """Check ``reset`` against ``seq`` and return its trace and threshold.
 
-
-def _calibration_window(seq: FrameSequence, reset: ResetConfig) -> slice:
-    """The ``calibration_frames`` frames directly following the reference."""
-    if reset.calibration_frames < 1:
-        raise InvalidParamsError("calibration requires calibration_frames >= 1")
-    ref = reset.reference_frame
-    last = ref + reset.calibration_frames
-    if ref >= len(seq.frames) or last >= len(seq.frames):
+    The trace scores every frame against the reference frame's crop, which
+    is prepared once. A calibrated threshold is the maximum minus one
+    population standard deviation of the ``calibration_frames`` values
+    directly following the reference, and must lie in (0, 1].
+    """
+    if reset is None:
+        raise InvalidParamsError("a ResetConfig is required")
+    ref, n_frames = reset.reference_frame, len(seq.frames)
+    if ref >= n_frames:
+        raise InvalidParamsError("reference frame outside the sequence")
+    if reset.threshold is None and ref + reset.calibration_frames >= n_frames:
         raise InvalidParamsError("calibration window extends past the sequence")
-    return slice(ref + 1, last + 1)
-
-
-def _threshold_from(values) -> float:
-    """Maximum minus one population standard deviation, checked in (0, 1]."""
-    values = np.asarray(values)
-    threshold = float(values.max() - values.std())
+    roi = reset.similarity_roi
+    score = prepare(reset.metric, crop(seq.frames[ref], roi),
+                    reset.metric_params)
+    trace = tuple(score(crop(frame, roi)).value for frame in seq.frames)
+    if reset.threshold is not None:
+        return trace, reset.threshold
+    window = np.asarray(trace[ref + 1:ref + reset.calibration_frames + 1])
+    threshold = float(window.max() - window.std())
     if not (0.0 < threshold <= 1.0):
         raise InvalidParamsError(
             f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
-    return threshold
+    return trace, threshold
 
 
 def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
-           gate: Callable[[], tuple[Sequence[float], float]] | None = None
-           ) -> TrackResult:
+           gate: tuple = (None, None)) -> TrackResult:
     """Build the named tracker's stepper, then drive it over every frame.
 
-    ``gate``, when given, is called once the stepper is built and returns
-    the reset trace and threshold (see ``_reset_tracker``).
+    ``gate`` is the reset trace and threshold from ``_reset_gate``; a bare
+    run has neither.
     """
     stepper_type, config_type, _ = TRACKERS[tracker]
     init = _resolve_init(seq, init)
@@ -581,9 +585,8 @@ def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
     elif not isinstance(cfg, config_type):
         raise InvalidParamsError(
             f"config for '{tracker}' must be {config_type.__name__}")
-    stepper = stepper_type(seq.frames, init, cfg)
-    trace, threshold = gate() if gate is not None else (None, None)
-    return _run(seq, init, stepper, disturbances, trace, threshold)
+    return _run(seq, init, stepper_type(seq.frames, init, cfg), disturbances,
+                *gate)
 
 
 def ncc_track(seq: FrameSequence, init=None, cfg: NccConfig | None = None,
@@ -623,62 +626,26 @@ TRACKERS = {
 }
 
 
-def calibrate_threshold(seq: FrameSequence, reset: ResetConfig) -> float:
-    """Derive the reset threshold from the frames after the reference.
-
-    Computes the similarity trace over ``calibration_frames`` frames directly
-    following the reference frame and returns its maximum minus one population
-    standard deviation.
-    """
-    window = _calibration_window(seq, reset)
-    return _threshold_from(_similarity_trace(seq, reset, window))
-
-
 def track_with_reset(tracker: str, seq: FrameSequence, init=None,
                      cfg=None, reset: ResetConfig | None = None,
                      disturbances: Mapping[int, tuple[float, float]] | None = None
                      ) -> TrackResult:
     """Run a tracker with similarity-gated re-anchoring.
 
-    Before each tracker step the current frame is compared to the reference
-    frame on the configured ROI; a similarity strictly above the threshold
-    resets every estimate to its first-frame annotation (and the mean-shift
-    scale to 1) instead of stepping. The full similarity trace is recorded,
-    and a calibrated threshold equals ``calibrate_threshold(seq, reset)``.
-    With a threshold no frame can exceed, the output estimates match the bare
-    tracker bit for bit.
+    Every frame is first scored against the reference frame on the
+    configured ROI. Then, before each tracker step, a similarity strictly
+    above the threshold resets every estimate to its first-frame annotation
+    (and the mean-shift scale to 1) instead of stepping. The result records
+    the full similarity trace and, as ``reset_threshold``, the threshold
+    used: the fixed one, or the one calibrated from the frames after the
+    reference. With a threshold no frame can exceed, the output matches the
+    bare tracker bit for bit. The reset policy is checked before the
+    tracker's own inputs.
     """
     if tracker not in TRACKERS:
         raise InvalidParamsError(f"unknown tracker '{tracker}'")
-    return _reset_tracker(seq, reset)(tracker, init, cfg, disturbances)
-
-
-def _reset_tracker(seq: FrameSequence, reset: ResetConfig | None):
-    """Check ``reset`` against ``seq`` and return the reset-wrapped run
-    ``track(tracker, init, cfg, disturbances)``.
-
-    Every run of the returned function shares one reset trace and threshold,
-    computed by the first run once its stepper is built, so several trackers
-    gated by one policy on one sequence score each frame once. The trace
-    scores every frame against the reference crop; a calibrated threshold is
-    taken from its calibration slice.
-    """
-    if reset is None:
-        raise InvalidParamsError("a ResetConfig is required")
-    if reset.reference_frame >= len(seq.frames):
-        raise InvalidParamsError("reference frame outside the sequence")
-
-    @functools.cache
-    def gate():
-        window = (_calibration_window(seq, reset)
-                  if reset.threshold is None else None)
-        trace = tuple(_similarity_trace(seq, reset))
-        return trace, (reset.threshold if window is None
-                       else _threshold_from(trace[window]))
-
-    def track(tracker, init, cfg, disturbances):
-        return _track(tracker, seq, init, cfg, disturbances, gate)
-    return track
+    return _track(tracker, seq, init, cfg, disturbances,
+                  _reset_gate(seq, reset))
 
 
 def tracking_error(result: TrackResult, truth, pixel_spacing_mm: float

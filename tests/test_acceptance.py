@@ -18,7 +18,7 @@ from usiq.harness import (
     run_correlation_study,
     run_noise_sweep,
     run_trace,
-    run_tracking_experiment,
+    run_tracking_study,
 )
 from usiq.image import GrayImage, Landmark, Roi
 from usiq.metrics import (
@@ -282,9 +282,9 @@ def test_criterion_7_reset_improvement():
         init = (seq.landmarks[0][0],)
         truth = tuple((marks[0],) for marks in seq.landmarks)
         for tracker in ("ncc", "meanshift"):
-            cmp = run_tracking_experiment(seq, tracker, reset=reset,
-                                          init=init, truth=truth,
-                                          disturbances={15: (100.0, 0.0)})
+            cmp = run_tracking_study(seq, (tracker,), reset,
+                                     init=init, truth=truth,
+                                     disturbances={15: (100.0, 0.0)})[0]
             bare = cmp.bare.stats.mean_mm
             wrapped = cmp.reset.stats.mean_mm
             wins[tracker] += wrapped < bare

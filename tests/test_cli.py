@@ -236,3 +236,13 @@ def test_study_tracking_scores_the_reset_trace_once(tmp_path, monkeypatch):
     lines = summary.read_text().splitlines()
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["ncc", "0"], ["ncc", "1"], ["meanshift", "0"], ["meanshift", "1"]]
+
+
+@pytest.mark.parametrize("trackers", ["ncc,ncc", ","])
+def test_study_tracking_rejects_duplicate_or_empty_tracker_list(
+        trackers, tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    assert cli.main(["study", "tracking", "--trackers", trackers,
+                     "--out", str(summary)]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not summary.exists()

@@ -17,7 +17,6 @@ from usiq.harness import (
     run_correlation_study,
     run_noise_sweep,
     run_trace,
-    run_tracking_experiment,
     run_tracking_study,
     write_correlation_json,
     write_sweep_csv,
@@ -382,12 +381,12 @@ def reset_cfg(**kw):
 def test_tracking_experiment_static_is_zero_error():
     image = textured_phantom(size=128, disc=(64.0, 64.0, 9.0))
     seq = static_sequence(image, 8, (Landmark(64.0, 64.0),))
-    comparison = run_tracking_experiment(
-        seq, "ncc",
-        reset=ResetConfig(similarity_roi=Roi(Landmark(64.0, 64.0), 24, 24),
-                          metric_params=CwSsimParams(
-                              pyramid=PyramidParams(levels=2, orientations=6)),
-                          calibration_frames=4))
+    comparison = run_tracking_study(
+        seq, ("ncc",),
+        ResetConfig(similarity_roi=Roi(Landmark(64.0, 64.0), 24, 24),
+                    metric_params=CwSsimParams(
+                        pyramid=PyramidParams(levels=2, orientations=6)),
+                    calibration_frames=4))[0]
     assert comparison.tracker == "ncc"
     assert comparison.bare.stats.mean_mm == 0.0
     assert comparison.reset.stats.mean_mm == 0.0
@@ -398,9 +397,9 @@ def test_tracking_experiment_drift_reset_wins():
     seq = bench_sequence(seed=7, decoy=True)
     init = (seq.landmarks[0][0],)
     truth = tuple((marks[0],) for marks in seq.landmarks)
-    comparison = run_tracking_experiment(
-        seq, "ncc", reset=reset_cfg(calibration_frames=28),
-        init=init, truth=truth, disturbances={15: (100.0, 0.0)})
+    comparison = run_tracking_study(
+        seq, ("ncc",), reset_cfg(calibration_frames=28),
+        init=init, truth=truth, disturbances={15: (100.0, 0.0)})[0]
     assert len(comparison.reset.result.reset_events) >= 1
     assert comparison.reset.stats.mean_mm < comparison.bare.stats.mean_mm
     assert len(comparison.bare.stats.per_frame_mm) == 90
@@ -418,9 +417,9 @@ def test_tracking_study_matches_one_experiment_per_tracker():
     assert [cmp.tracker for cmp in study] == ["ncc", "meanshift"]
     for cmp in study:
         # the reset arms share one trace, yet each equals its own run
-        assert cmp == run_tracking_experiment(seq, cmp.tracker, reset,
-                                              init=init, truth=truth,
-                                              disturbances=hit)
+        assert cmp == run_tracking_study(seq, (cmp.tracker,), reset,
+                                         init=init, truth=truth,
+                                         disturbances=hit)[0]
         assert cmp.reset.result == track_with_reset(
             cmp.tracker, seq, init=init, reset=reset, disturbances=hit)
     with pytest.raises(errors.InvalidParamsError):
@@ -433,11 +432,11 @@ def test_tracking_experiment_validation():
     cfg = ResetConfig(similarity_roi=Roi(Landmark(48.0, 48.0), 16, 16),
                       threshold=0.9)
     with pytest.raises(errors.InvalidParamsError):
-        run_tracking_experiment(seq, "ncc", reset=cfg)
+        run_tracking_study(seq, ("ncc",), cfg)
     with pytest.raises(errors.InvalidParamsError):
-        run_tracking_experiment(seq, "kalman", reset=cfg,
-                                init=(Landmark(48.0, 48.0),),
-                                truth=((Landmark(48.0, 48.0),),) * 2)
+        run_tracking_study(seq, ("kalman",), cfg,
+                           init=(Landmark(48.0, 48.0),),
+                           truth=((Landmark(48.0, 48.0),),) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +527,7 @@ def test_write_tracking_csvs(tmp_path):
                         metric_params=CwSsimParams(
                             pyramid=PyramidParams(levels=2, orientations=6)),
                         calibration_frames=3)
-    comparisons = [run_tracking_experiment(seq, name, reset=reset)
+    comparisons = [run_tracking_study(seq, (name,), reset)[0]
                    for name in ("ncc", "meanshift")]
     summary = tmp_path / "summary.csv"
     write_tracking_summary_csv(comparisons, summary)

@@ -304,3 +304,8 @@ def test_frame_sequence_validates():
     b = GrayImage(np.zeros((4, 5)))
     with pytest.raises(errors.DimensionMismatchError):
         FrameSequence(frames=(a, b))
+    # as in SequenceManifest, so write_sequence cannot write frames and then
+    # fail at the manifest
+    with pytest.raises(errors.ManifestError):
+        FrameSequence(frames=(a, a), landmarks=(
+            (Landmark(1.0, 1.0),), (Landmark(1.0, 1.0), Landmark(2.0, 2.0))))

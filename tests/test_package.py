@@ -11,13 +11,13 @@ PUBLIC_NAMES = [
     "SweepResult", "SweepRow", "TraceReport", "TrackResult", "TrackingArm",
     "TrackingComparison", "VifParams", "__version__", "apply_speckle",
     "band_energy", "benchmark_motion_spec", "benchmark_phantom_spec",
-    "calibrate_threshold", "compute_metric", "crop", "cw_ssim", "decompose",
+    "compute_metric", "crop", "cw_ssim", "decompose",
     "displacement", "downsample2", "format_number", "load_manifest",
     "load_pgm", "load_sequence", "make_phantom", "mean_shift_track",
     "min_dimension", "ms_ssim", "mse", "ncc_track", "normalize_series",
     "pearson", "periodic_sequence", "prepare", "psnr",
     "run_correlation_study", "run_noise_sweep", "run_trace",
-    "run_tracking_experiment", "run_tracking_study",
+    "run_tracking_study",
     "save_manifest", "save_pgm", "shift_magnitude_stability", "ssim",
     "track_with_reset", "tracking_error", "vif", "write_correlation_json",
     "write_sequence", "write_sweep_csv", "write_trace_csv",

@@ -1,13 +1,21 @@
-"""Property tests of the invariants the metrics and the pyramid promise,
-run through the prepared-scorer path."""
+"""Property tests of the invariants the metrics, the pyramid and the reset
+gate promise; metrics run through the prepared-scorer path."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from usiq.image import GrayImage
+from usiq.errors import InvalidParamsError
+from usiq.harness import run_tracking_study
+from usiq.image import GrayImage, Landmark, Roi, crop
 from usiq.metrics import CwSsimParams, MsSsimParams, prepare
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
+from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
+                        periodic_sequence)
+from usiq.tracking import TRACKERS, ResetConfig, track_with_reset
 
 # small enough for every metric below: CW-SSIM needs 32 pixels a side,
 # two-scale MS-SSIM 22
@@ -82,3 +90,80 @@ def test_single_orientation_keeps_energy_of_horizontal_stripes():
     for levels in (1, 2):
         params = PyramidParams(levels=levels, orientations=1)
         assert energy_error(pixels, params) <= 1e-12
+
+
+# Reset-gate properties run on small frames with SSIM as the reset metric, so
+# that each drawn example costs milliseconds.
+PHANTOM = PhantomSpec(width=64, height=64, landmarks=(
+    Disc(Landmark(32.0, 32.0), radius=6.0, intensity=200.0),))
+RESET_ROI = Roi(Landmark(32.0, 32.0), 16, 16)
+TRACKER_NAMES = st.sampled_from(sorted(TRACKERS))
+
+
+@st.composite
+def gated_sequences(draw):
+    """A short speckled sequence of one disc swinging along x, a reference
+    frame with at least one frame after it, and one injected jump."""
+    n_frames = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    motion = MotionSpec(amplitude=draw(st.floats(0.0, 4.0)),
+                        period=draw(st.floats(4.0, 12.0)), n_frames=n_frames)
+    seq = periodic_sequence(PHANTOM, motion, seed=seed, speckle=SpeckleSpec(
+        alpha=draw(st.floats(0.0, 0.3)), seed=seed))
+    ref = draw(st.integers(0, n_frames - 2))
+    hit = {draw(st.integers(1, n_frames - 1)): (draw(st.floats(-6.0, 6.0)),
+                                                0.0)}
+    return seq, ref, hit
+
+
+@given(gated_sequences(), TRACKER_NAMES)
+def test_unreachable_threshold_gives_the_bare_tracker(drawn, tracker):
+    seq, ref, hit = drawn
+    # SSIM is at most 1, and resets fire only strictly above the threshold
+    reset = ResetConfig(RESET_ROI, metric="ssim", threshold=1.0,
+                        reference_frame=ref)
+    wrapped = track_with_reset(tracker, seq, reset=reset, disturbances=hit)
+    bare = TRACKERS[tracker].track(seq, disturbances=hit)
+    assert wrapped.reset_events == ()
+    assert wrapped.reset_threshold == 1.0
+    assert len(wrapped.similarity_trace) == len(seq)
+    assert dataclasses.replace(wrapped, similarity_trace=None,
+                               reset_threshold=None) == bare
+
+
+@given(gated_sequences(), TRACKER_NAMES, st.data())
+def test_calibrated_threshold_is_max_minus_std_of_the_window(drawn, tracker,
+                                                             data):
+    seq, ref, hit = drawn
+    frames = data.draw(st.integers(1, len(seq) - 1 - ref))
+    reset = ResetConfig(RESET_ROI, metric="ssim", calibration_frames=frames,
+                        reference_frame=ref)
+    score = prepare("ssim", crop(seq.frames[ref], RESET_ROI))
+    window = [score(crop(frame, RESET_ROI)).value
+              for frame in seq.frames[ref + 1:ref + frames + 1]]
+    want = max(window) - np.std(window)
+    if not 0.0 < want <= 1.0:
+        with pytest.raises(InvalidParamsError):
+            track_with_reset(tracker, seq, reset=reset, disturbances=hit)
+        return
+    res = track_with_reset(tracker, seq, reset=reset, disturbances=hit)
+    assert res.reset_threshold == want
+    assert res.similarity_trace[ref + 1:ref + frames + 1] == tuple(window)
+    assert res.reset_events == tuple(
+        t for t, v in enumerate(res.similarity_trace) if v > want)
+
+
+@given(gated_sequences(), st.none() | st.floats(0.5, 1.0), st.data())
+def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
+    seq, ref, hit = drawn
+    frames = (data.draw(st.integers(1, len(seq) - 1 - ref))
+              if threshold is None else 0)
+    reset = ResetConfig(RESET_ROI, metric="ssim", threshold=threshold,
+                        calibration_frames=frames, reference_frame=ref)
+    study = run_tracking_study(seq, sorted(TRACKERS), reset,
+                               disturbances=hit)
+    for cmp in study:
+        assert cmp.bare.result == TRACKERS[cmp.tracker].track(
+            seq, disturbances=hit)
+        assert cmp.reset.result == track_with_reset(
+            cmp.tracker, seq, reset=reset, disturbances=hit)

@@ -25,7 +25,6 @@ from usiq.tracking import (
     NccConfig,
     ResetConfig,
     TrackResult,
-    calibrate_threshold,
     mean_shift_track,
     ncc_track,
     track_with_reset,
@@ -409,6 +408,7 @@ def test_wrapper_transparency_with_unreachable_threshold():
         assert wrapped.match_scores == plain.match_scores
         assert wrapped.scales == plain.scales
         assert wrapped.reset_events == ()
+        assert wrapped.reset_threshold == 1.0
         assert wrapped.similarity_trace is not None
         assert len(wrapped.similarity_trace) == 20
 
@@ -450,7 +450,8 @@ def test_calibrate_threshold_formula():
                            cfg.metric_params).value
             for t in range(1, 9)]
     want = max(vals) - float(np.std(vals))
-    assert calibrate_threshold(seq, cfg) == pytest.approx(want, rel=1e-12)
+    got = track_with_reset("ncc", seq, reset=cfg).reset_threshold
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_calibrated_reset_scores_each_frame_once(monkeypatch):
@@ -472,8 +473,8 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
     assert prepared == ["cwssim"]
     assert scored == ["cwssim"] * 90
     monkeypatch.undo()
-    # the wrapped run fires exactly where the public calibration says it should
-    threshold = calibrate_threshold(seq, cfg)
+    # the wrapped run fires exactly where its reported threshold says it should
+    threshold = res.reset_threshold
     assert res.reset_events
     assert res.reset_events == tuple(
         t for t, v in enumerate(res.similarity_trace) if v > threshold)
@@ -481,6 +482,7 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
                              reset=reset_cfg(threshold=threshold))
     assert fixed.estimates == res.estimates
     assert fixed.similarity_trace == res.similarity_trace
+    assert fixed.reset_threshold == threshold
 
 
 def test_calibrated_cwssim_reset_decomposes_reference_once(monkeypatch):
