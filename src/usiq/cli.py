@@ -27,7 +27,14 @@ from .harness import (
     write_tracking_frames_csv,
     write_tracking_summary_csv,
 )
-from .image import Landmark, Roi, load_pgm, load_sequence, save_pgm
+from .image import (
+    Landmark,
+    Roi,
+    load_pgm,
+    load_sequence,
+    save_pgm,
+    write_sequence,
+)
 from .metrics import METRICS, PARAMS_CLASSES, compute_metric
 from .pyramid import PyramidParams
 from .synth import (
@@ -37,7 +44,6 @@ from .synth import (
     benchmark_phantom_spec,
     make_phantom,
     periodic_sequence,
-    write_sequence,
 )
 from .tracking import TRACKERS, ResetConfig, track_with_reset
 
@@ -163,11 +169,16 @@ def _reset_config_from(args) -> ResetConfig:
         reference_frame=args.ref_frame)
 
 
+def _speckle(alpha, seed) -> SpeckleSpec | None:
+    """The speckle of ``--alpha``: checked at every value, None at 0."""
+    speckle = SpeckleSpec(alpha=alpha, seed=seed)
+    return speckle if alpha > 0 else None
+
+
 def _benchmark_sequence(seed, frames, alpha, decoy=False):
-    speckle = SpeckleSpec(alpha=alpha, seed=seed) if alpha > 0 else None
     return periodic_sequence(benchmark_phantom_spec(decoy=decoy),
                              benchmark_motion_spec(n_frames=frames),
-                             speckle=speckle, seed=seed)
+                             speckle=_speckle(alpha, seed), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +209,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_synth_phantom(args) -> int:
+    speckle = _speckle(args.alpha, args.seed)
     image = make_phantom(benchmark_phantom_spec(decoy=args.decoy),
                          seed=args.seed)
-    if args.alpha > 0:
-        image = apply_speckle(image, SpeckleSpec(alpha=args.alpha,
-                                                 seed=args.seed))
+    if speckle is not None:
+        image = apply_speckle(image, speckle)
     save_pgm(image, args.out)
     print(args.out)
     return 0

@@ -106,6 +106,21 @@ def _checked_params(metric_params, names) -> dict:
     return params
 
 
+def _normalized_or_noted(columns: dict) -> tuple[dict, dict]:
+    """Min-max normalize each named column; a column with fewer than two
+    values or no spread gets a note naming the error kind instead."""
+    normalized, notes = {}, {}
+    for name, values in columns.items():
+        if len(values) < 2:
+            notes[name] = ConstantSeriesError.kind
+            continue
+        try:
+            normalized[name] = tuple(normalize_series(values))
+        except ConstantSeriesError as exc:
+            notes[name] = exc.kind
+    return normalized, notes
+
+
 # ---------------------------------------------------------------------------
 # Similarity traces
 
@@ -163,15 +178,7 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     for name in names:
         score = prepare(name, ref, params.get(name))
         raw[name] = tuple(score(view(frame)).value for frame in seq.frames)
-    normalized, notes = {}, {}
-    for name in names:
-        if len(raw[name]) < 2:
-            notes[name] = ConstantSeriesError.kind
-            continue
-        try:
-            normalized[name] = tuple(normalize_series(raw[name]))
-        except ConstantSeriesError as exc:
-            notes[name] = exc.kind
+    normalized, notes = _normalized_or_noted(raw)
     return TraceReport(metrics=names, raw=raw, normalized=normalized,
                        notes=notes, reference_frame=seq.reference_frame)
 
@@ -311,15 +318,7 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
         for name in names:
             values = [scorers[name](img).value for img in speckled]
             means[name].append(math.fsum(values) / len(values))
-    normalized, notes = {}, {}
-    for name in names:
-        if len(alpha_list) < 2:
-            notes[name] = ConstantSeriesError.kind
-            continue
-        try:
-            normalized[name] = normalize_series(means[name])
-        except ConstantSeriesError as exc:
-            notes[name] = exc.kind
+    normalized, notes = _normalized_or_noted(means)
     rows = tuple(
         SweepRow(alpha=alpha, metric=name, mean_value=means[name][i],
                  normalized_value=(normalized[name][i]

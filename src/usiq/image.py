@@ -32,14 +32,12 @@ __all__ = [
     "GrayImage",
     "Landmark",
     "Roi",
-    "SequenceManifest",
     "crop",
     "downsample2",
-    "load_manifest",
     "load_pgm",
     "load_sequence",
-    "save_manifest",
     "save_pgm",
+    "write_sequence",
 ]
 
 PGM_MAX_MAXVAL = 65535
@@ -198,8 +196,8 @@ def load_pgm(path) -> GrayImage:
             arr = np.array([int(t) for t in tokens[:count]], dtype=np.int64)
         except ValueError:
             raise PgmDataError("non-numeric sample in ASCII raster") from None
-        if arr.min() < 0 or arr.max() > maxval:
-            raise PgmDataError("sample value outside [0, maxval]")
+    if arr.min() < 0 or arr.max() > maxval:
+        raise PgmDataError("sample value outside [0, maxval]")
 
     pixels = arr.astype(np.float64).reshape(height, width) * 255.0 / maxval
     return GrayImage(pixels)
@@ -210,7 +208,6 @@ def save_pgm(image: GrayImage, path) -> None:
     and clamped to [0, 255]."""
     clipped = np.clip(image.pixels, 0.0, 255.0)
     quantized = np.floor(clipped + 0.5)
-    quantized[quantized > 255.0] = 255.0
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -254,10 +251,19 @@ def downsample2(image: GrayImage) -> GrayImage:
 # Sequences
 
 
-def _checked_landmarks(landmarks, n_frames: int
-                       ) -> tuple[tuple[Landmark, ...], ...]:
-    """Per-frame landmarks as tuples: one entry per frame, each with the same
-    number of landmarks."""
+def _checked_fields(n_frames: int, pixel_spacing_mm, reference_frame,
+                    landmarks) -> tuple[tuple[Landmark, ...], ...] | None:
+    """Check a sequence's fields other than the frames themselves; returns
+    the landmarks as tuples (or None)."""
+    if n_frames < 1:
+        raise ManifestError("sequence must contain at least one frame")
+    if not pixel_spacing_mm > 0:
+        raise ManifestError("pixel_spacing_mm must be > 0")
+    if not 0 <= reference_frame < n_frames:
+        raise ManifestError(
+            f"reference_frame {reference_frame} outside [0, {n_frames})")
+    if landmarks is None:
+        return None
     marks = tuple(tuple(per_frame) for per_frame in landmarks)
     if len(marks) != n_frames:
         raise ManifestError("landmarks must list one entry per frame")
@@ -266,105 +272,16 @@ def _checked_landmarks(landmarks, n_frames: int
     return marks
 
 
-@dataclass(frozen=True)
-class SequenceManifest:
-    """On-disk description of a frame sequence.
-
-    JSON schema::
-
-        {"frames": [...paths...], "pixel_spacing_mm": float,
-         "reference_frame": int,
-         "landmarks": [[{"x": .., "y": ..}, ...] per frame] | null}
-
-    Frame paths are interpreted relative to the manifest's directory unless
-    absolute.
-    """
-
-    frame_paths: tuple[str, ...]
-    pixel_spacing_mm: float = 1.0
-    landmarks: tuple[tuple[Landmark, ...], ...] | None = None
-    reference_frame: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame_paths", tuple(self.frame_paths))
-        if not self.frame_paths:
-            raise ManifestError("manifest must list at least one frame")
-        if not self.pixel_spacing_mm > 0:
-            raise ManifestError("pixel_spacing_mm must be > 0")
-        if not 0 <= self.reference_frame < len(self.frame_paths):
-            raise ManifestError(
-                f"reference_frame {self.reference_frame} outside "
-                f"[0, {len(self.frame_paths)})")
-        if self.landmarks is not None:
-            object.__setattr__(self, "landmarks", _checked_landmarks(
-                self.landmarks, len(self.frame_paths)))
-
-    def to_json_dict(self) -> dict:
-        marks = None
-        if self.landmarks is not None:
-            marks = [[{"x": lm.x, "y": lm.y} for lm in per_frame]
-                     for per_frame in self.landmarks]
-        return {
-            "frames": list(self.frame_paths),
-            "pixel_spacing_mm": self.pixel_spacing_mm,
-            "reference_frame": self.reference_frame,
-            "landmarks": marks,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "SequenceManifest":
-        if not isinstance(obj, dict):
-            raise ManifestError("manifest root must be a JSON object")
-        try:
-            frames = obj["frames"]
-        except KeyError:
-            raise ManifestError("manifest is missing the 'frames' list") from None
-        if (not isinstance(frames, list)
-                or not all(isinstance(p, str) for p in frames)):
-            raise ManifestError("'frames' must be a list of path strings")
-        marks = obj.get("landmarks")
-        parsed_marks = None
-        if marks is not None:
-            try:
-                parsed_marks = tuple(
-                    tuple(Landmark(float(lm["x"]), float(lm["y"]))
-                          for lm in per_frame)
-                    for per_frame in marks)
-            except (TypeError, KeyError, ValueError):
-                raise ManifestError(
-                    "'landmarks' must be per-frame lists of {x, y} objects"
-                ) from None
-        try:
-            spacing = float(obj.get("pixel_spacing_mm", 1.0))
-            ref = int(obj.get("reference_frame", 0))
-        except (TypeError, ValueError):
-            raise ManifestError("malformed scalar field in manifest") from None
-        return cls(frame_paths=tuple(frames), pixel_spacing_mm=spacing,
-                   landmarks=parsed_marks, reference_frame=ref)
-
-
-def save_manifest(manifest: SequenceManifest, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def load_manifest(path) -> SequenceManifest:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"manifest is not valid JSON: {exc}") from None
-    return SequenceManifest.from_json_dict(obj)
-
-
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
     """In-memory frame sequence: what trackers and the harness operate on.
 
-    ``landmarks`` carries per-frame annotations (ground truth when the
-    sequence came from the synthesizer). The on-disk twin of this type is
-    :class:`SequenceManifest` plus numbered PGM files.
+    Every frame has the same shape, ``pixel_spacing_mm`` is > 0 and
+    ``reference_frame`` indexes a frame. ``landmarks``, when given, holds one
+    tuple of annotations per frame, the same number in each (ground truth
+    when the sequence came from the synthesizer). On disk a sequence is
+    numbered PGM files plus a manifest JSON, written by
+    :func:`write_sequence` and read by :func:`load_sequence`.
     """
 
     frames: tuple[GrayImage, ...]
@@ -374,39 +291,100 @@ class FrameSequence:
 
     def __post_init__(self):
         frames = tuple(self.frames)
-        if not frames:
-            raise ManifestError("sequence must contain at least one frame")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "landmarks", _checked_fields(
+            len(frames), self.pixel_spacing_mm, self.reference_frame,
+            self.landmarks))
         shape = frames[0].shape
         for i, frame in enumerate(frames):
             if frame.shape != shape:
                 raise DimensionMismatchError(
                     f"frame {i} has shape {frame.shape}, frame 0 has {shape}")
-        if not self.pixel_spacing_mm > 0:
-            raise ManifestError("pixel_spacing_mm must be > 0")
-        if not 0 <= self.reference_frame < len(frames):
-            raise ManifestError("reference_frame outside the sequence")
-        object.__setattr__(self, "frames", frames)
-        if self.landmarks is not None:
-            object.__setattr__(self, "landmarks", _checked_landmarks(
-                self.landmarks, len(frames)))
 
     def __len__(self) -> int:
         return len(self.frames)
 
-    @classmethod
-    def from_manifest(cls, manifest: SequenceManifest, base_dir=".") -> "FrameSequence":
-        frames = []
-        for rel in manifest.frame_paths:
-            path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-            frames.append(load_pgm(path))
-        return cls(frames=tuple(frames),
-                   pixel_spacing_mm=manifest.pixel_spacing_mm,
-                   landmarks=manifest.landmarks,
-                   reference_frame=manifest.reference_frame)
+
+def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> str:
+    """Write numbered PGM frames plus a manifest JSON; returns the manifest path.
+
+    In ``directory``, frame ``t`` goes to ``{stem}_{t:04d}.pgm`` (see
+    :func:`save_pgm`) and the manifest to ``{stem}_manifest.json``::
+
+        {"frames": [...paths...], "pixel_spacing_mm": number,
+         "reference_frame": integer,
+         "landmarks": [[{"x": number, "y": number}, ...] per frame] | null}
+
+    :func:`load_sequence` reads frame paths relative to the manifest's
+    directory unless absolute.
+    """
+    directory = os.fspath(directory)
+    os.makedirs(directory, exist_ok=True)
+    names = [f"{stem}_{t:04d}.pgm" for t in range(len(sequence))]
+    for name, frame in zip(names, sequence.frames):
+        save_pgm(frame, os.path.join(directory, name))
+    marks = None
+    if sequence.landmarks is not None:
+        marks = [[{"x": lm.x, "y": lm.y} for lm in per_frame]
+                 for per_frame in sequence.landmarks]
+    path = os.path.join(directory, f"{stem}_manifest.json")
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump({"frames": names,
+                   "pixel_spacing_mm": sequence.pixel_spacing_mm,
+                   "reference_frame": sequence.reference_frame,
+                   "landmarks": marks}, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool, a string,
+    NaN or Infinity is rejected, not coerced."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ManifestError(f"{name} must be a finite JSON number, got {value!r}")
 
 
 def load_sequence(manifest_path) -> FrameSequence:
-    """Load a manifest JSON and every frame it references."""
-    manifest = load_manifest(manifest_path)
-    return FrameSequence.from_manifest(manifest, os.path.dirname(
-        os.path.abspath(manifest_path)))
+    """Read a sequence written by :func:`write_sequence`.
+
+    Every manifest field is checked, ``reference_frame`` as a JSON integer,
+    before any frame is read; a malformed manifest raises ManifestError.
+    """
+    with open(manifest_path, "r", encoding="ascii") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not ASCII
+            raise ManifestError(f"manifest is not ASCII JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ManifestError("manifest root must be a JSON object")
+    paths = obj.get("frames")
+    if not (isinstance(paths, list)
+            and all(isinstance(p, str) for p in paths)):
+        raise ManifestError("manifest needs a 'frames' list of path strings")
+    spacing = _json_number(obj.get("pixel_spacing_mm", 1.0),
+                           "pixel_spacing_mm")
+    ref = obj.get("reference_frame", 0)
+    if type(ref) is not int:
+        raise ManifestError(
+            f"reference_frame must be a JSON integer, got {ref!r}")
+    marks = obj.get("landmarks")
+    if marks is not None:
+        if not (isinstance(marks, list) and all(
+                isinstance(per_frame, list)
+                and all(isinstance(lm, dict) for lm in per_frame)
+                for per_frame in marks)):
+            raise ManifestError(
+                "'landmarks' must be per-frame lists of {x, y} objects")
+        marks = [[Landmark(_json_number(lm.get("x"), "landmark x"),
+                           _json_number(lm.get("y"), "landmark y"))
+                  for lm in per_frame] for per_frame in marks]
+    marks = _checked_fields(len(paths), spacing, ref, marks)
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    return FrameSequence(
+        frames=tuple(load_pgm(os.path.join(base, p)) for p in paths),
+        pixel_spacing_mm=spacing, landmarks=marks, reference_frame=ref)

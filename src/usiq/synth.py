@@ -15,20 +15,12 @@ exact and interpolation artifacts cannot leak into metric traces.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError, OutOfFrameError
-from .image import (
-    FrameSequence,
-    GrayImage,
-    Landmark,
-    SequenceManifest,
-    save_manifest,
-    save_pgm,
-)
+from .image import FrameSequence, GrayImage, Landmark
 
 __all__ = [
     "Disc",
@@ -41,7 +33,6 @@ __all__ = [
     "displacement",
     "make_phantom",
     "periodic_sequence",
-    "write_sequence",
 ]
 
 
@@ -222,24 +213,6 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
                          pixel_spacing_mm=pixel_spacing_mm,
                          landmarks=tuple(tracks),
                          reference_frame=0)
-
-
-def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> str:
-    """Write numbered PGM frames plus a manifest JSON; returns the manifest path."""
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    names = []
-    for t, frame in enumerate(sequence.frames):
-        name = f"{stem}_{t:04d}.pgm"
-        save_pgm(frame, os.path.join(directory, name))
-        names.append(name)
-    manifest = SequenceManifest(frame_paths=tuple(names),
-                                pixel_spacing_mm=sequence.pixel_spacing_mm,
-                                landmarks=sequence.landmarks,
-                                reference_frame=sequence.reference_frame)
-    path = os.path.join(directory, f"{stem}_manifest.json")
-    save_manifest(manifest, path)
-    return path
 
 
 # Shared benchmark geometry: one bright disc mid-left on a 256x256 textured

@@ -246,3 +246,19 @@ def test_study_tracking_rejects_duplicate_or_empty_tracker_list(
                      "--out", str(summary)]) == 2
     assert capsys.readouterr().err.startswith("invalid-params:")
     assert not summary.exists()
+
+
+@pytest.mark.parametrize("alpha", ["-0.5", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["synth", "phantom", "--out"],
+    ["synth", "sequence", "--frames", "2", "--out-dir"],
+    ["study", "correlation", "--frames", "6", "--metrics", "mse", "--out"],
+    ["study", "tracking", "--frames", "6", "--calibrate", "3",
+     "--hit-frame", "4", "--out"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_alpha_outside_unit_interval_is_rejected_before_any_output(
+        argv, alpha, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*argv, str(out), "--alpha", alpha]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not out.exists()

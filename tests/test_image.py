@@ -1,4 +1,7 @@
-"""Image-core tests: PGM I/O, crop, downsample, manifests."""
+"""Image-core tests: PGM I/O, crop, downsample, sequences on disk."""
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -9,15 +12,13 @@ from usiq.image import (
     GrayImage,
     Landmark,
     Roi,
-    SequenceManifest,
     crop,
     downsample2,
-    load_manifest,
     load_pgm,
     load_sequence,
     round_half_away,
-    save_manifest,
     save_pgm,
+    write_sequence,
 )
 
 
@@ -121,6 +122,17 @@ def test_load_pgm_rejects_oversized_maxval(tmp_path):
     path.write_bytes(b"P5\n1 1\n70000\n\x00\x00")
     with pytest.raises(errors.PgmHeaderError):
         load_pgm(path)
+
+
+def test_load_pgm_rejects_samples_above_maxval(tmp_path):
+    path = tmp_path / "a.pgm"
+    over_16bit = np.array([50, 1001], dtype=">u2").tobytes()
+    for data in (b"P2\n2 1\n100\n50 200\n",
+                 b"P5\n2 1\n100\n" + bytes([50, 200]),
+                 b"P5\n2 1\n1000\n" + over_16bit):
+        path.write_bytes(data)
+        with pytest.raises(errors.PgmDataError):
+            load_pgm(path)
 
 
 def test_save_pgm_rounds_half_away_and_clamps(tmp_path):
@@ -243,58 +255,123 @@ def test_downsample2_too_small():
 
 
 # ---------------------------------------------------------------------------
-# manifests and sequences
+# sequences on disk
+
+
+def rewrite_manifest(path, **fields):
+    """Replace top-level fields of the manifest JSON at ``path``."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    obj.update(fields)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+@pytest.fixture
+def manifest(tmp_path):
+    """A written three-frame sequence with one landmark per frame."""
+    frames = tuple(GrayImage(np.full((4, 5), 10.0 * t)) for t in range(3))
+    marks = tuple((Landmark(1.0 + t, 2.0),) for t in range(3))
+    return write_sequence(FrameSequence(frames, landmarks=marks), tmp_path)
 
 
 def test_manifest_json_round_trip(tmp_path):
     marks = ((Landmark(1.5, 2.0),), (Landmark(2.5, 2.0),))
-    m = SequenceManifest(frame_paths=("f0.pgm", "f1.pgm"),
-                         pixel_spacing_mm=0.3, landmarks=marks,
-                         reference_frame=0)
-    path = tmp_path / "seq.json"
-    save_manifest(m, path)
-    back = load_manifest(path)
-    assert back == m
+    seq = FrameSequence(frames=(GrayImage(np.zeros((3, 4))),) * 2,
+                        pixel_spacing_mm=0.3, landmarks=marks,
+                        reference_frame=1)
+    path = write_sequence(seq, tmp_path, stem="s")
+    assert path == os.path.join(tmp_path, "s_manifest.json")
+    with open(path) as fh:
+        assert fh.read() == json.dumps({
+            "frames": ["s_0000.pgm", "s_0001.pgm"],
+            "pixel_spacing_mm": 0.3,
+            "reference_frame": 1,
+            "landmarks": [[{"x": 1.5, "y": 2.0}], [{"x": 2.5, "y": 2.0}]],
+        }, indent=2) + "\n"
+    back = load_sequence(path)
+    assert back.pixel_spacing_mm == 0.3
+    assert back.reference_frame == 1
+    assert back.landmarks == marks
 
 
 def test_manifest_rejects_bad_schema(tmp_path):
     path = tmp_path / "seq.json"
-    path.write_text('{"pixel_spacing_mm": 1.0}')
+    for text in ('{"pixel_spacing_mm": 1.0}', "not json", '["a.pgm"]',
+                 '{"frames": []}', '{"frames": ["a.pgm"], "landmarks": 3}',
+                 '{"frames": ["a.pgm", "b.pgm"],'
+                 ' "landmarks": [[{"x": 0, "y": 0}]]}'):
+        path.write_text(text)
+        with pytest.raises(errors.ManifestError):
+            load_sequence(path)
+
+
+def test_load_sequence_checks_the_manifest_before_reading_frames(tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text('{"frames": ["missing0.pgm", "missing1.pgm"],'
+                    ' "reference_frame": 2}')
     with pytest.raises(errors.ManifestError):
-        load_manifest(path)
-    path.write_text("not json")
+        load_sequence(path)
+
+
+def test_manifest_must_be_ascii(tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_bytes('{"frames": ["\u00e9.pgm"]}'.encode("utf-8"))
     with pytest.raises(errors.ManifestError):
-        load_manifest(path)
+        load_sequence(path)
+
+
+@pytest.mark.parametrize("field", [
+    {"reference_frame": 2.9}, {"reference_frame": "1"},
+    {"reference_frame": True}, {"pixel_spacing_mm": True},
+    {"pixel_spacing_mm": "0.3"},
+    {"landmarks": [[{"x": float("nan"), "y": 2.0}]] * 3},
+    {"landmarks": [[{"x": "1.5", "y": 2.0}]] * 3},
+    {"landmarks": [[{"x": 1.5, "y": False}]] * 3},
+], ids=["ref-float", "ref-string", "ref-bool", "spacing-bool",
+        "spacing-string", "landmark-nan", "landmark-string", "landmark-bool"])
+def test_manifest_fields_are_validated_not_coerced(manifest, field):
+    rewrite_manifest(manifest, **field)
     with pytest.raises(errors.ManifestError):
-        SequenceManifest(frame_paths=("a.pgm",), reference_frame=3)
-    with pytest.raises(errors.ManifestError):
-        SequenceManifest(frame_paths=("a.pgm", "b.pgm"),
-                         landmarks=((Landmark(0, 0),),))
+        load_sequence(manifest)
+
+
+def test_manifest_accepts_integer_and_fractional_numbers(manifest):
+    for spacing in (1, 0.3):
+        rewrite_manifest(manifest, pixel_spacing_mm=spacing, reference_frame=2,
+                         landmarks=[[{"x": 1, "y": 2.5}]] * 3)
+        seq = load_sequence(manifest)
+        assert seq.pixel_spacing_mm == spacing
+        assert seq.reference_frame == 2
+        assert seq.landmarks == ((Landmark(1.0, 2.5),),) * 3
 
 
 def test_load_sequence_checks_frame_dims(tmp_path):
     save_pgm(GrayImage(np.zeros((4, 4))), tmp_path / "f0.pgm")
     save_pgm(GrayImage(np.zeros((4, 5))), tmp_path / "f1.pgm")
-    save_manifest(SequenceManifest(frame_paths=("f0.pgm", "f1.pgm")),
-                  tmp_path / "seq.json")
+    (tmp_path / "seq.json").write_text('{"frames": ["f0.pgm", "f1.pgm"]}')
     with pytest.raises(errors.DimensionMismatchError):
         load_sequence(tmp_path / "seq.json")
 
 
 def test_load_sequence_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    imgs = [GrayImage(np.floor(rng.uniform(0, 256, size=(6, 7))))
-            for _ in range(3)]
-    for i, img in enumerate(imgs):
-        save_pgm(img, tmp_path / f"f{i}.pgm")
-    save_manifest(SequenceManifest(frame_paths=("f0.pgm", "f1.pgm", "f2.pgm"),
-                                   pixel_spacing_mm=0.2),
-                  tmp_path / "seq.json")
-    seq = load_sequence(tmp_path / "seq.json")
+    imgs = tuple(GrayImage(np.floor(rng.uniform(0, 256, size=(6, 7))))
+                 for _ in range(3))
+    path = write_sequence(FrameSequence(imgs, pixel_spacing_mm=0.2),
+                          tmp_path / "seq")
+    seq = load_sequence(path)
     assert len(seq) == 3
     assert seq.pixel_spacing_mm == 0.2
+    assert seq.landmarks is None
     for img, frame in zip(imgs, seq.frames):
         assert np.array_equal(img.pixels, frame.pixels)
+    # frame paths resolve against the manifest's directory unless absolute
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"frames": [
+        "seq/frame_0000.pgm", str(tmp_path / "seq" / "frame_0002.pgm")]}))
+    seq = load_sequence(other)
+    assert np.array_equal(seq.frames[1].pixels, imgs[2].pixels)
 
 
 def test_frame_sequence_validates():
@@ -304,8 +381,7 @@ def test_frame_sequence_validates():
     b = GrayImage(np.zeros((4, 5)))
     with pytest.raises(errors.DimensionMismatchError):
         FrameSequence(frames=(a, b))
-    # as in SequenceManifest, so write_sequence cannot write frames and then
-    # fail at the manifest
+    # the same field check as load_sequence's
     with pytest.raises(errors.ManifestError):
         FrameSequence(frames=(a, a), landmarks=(
             (Landmark(1.0, 1.0),), (Landmark(1.0, 1.0), Landmark(2.0, 2.0))))

@@ -1,7 +1,11 @@
-"""Property tests of the invariants the metrics, the pyramid and the reset
-gate promise; metrics run through the prepared-scorer path."""
+"""Property tests of the invariants the image layer, the metrics, the
+pyramid and the reset gate promise; metrics run through the prepared-scorer
+path."""
 
 import dataclasses
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,12 +14,88 @@ from hypothesis import strategies as st
 
 from usiq.errors import InvalidParamsError
 from usiq.harness import run_tracking_study
-from usiq.image import GrayImage, Landmark, Roi, crop
+from usiq.image import (FrameSequence, GrayImage, Landmark, Roi, crop,
+                        downsample2, load_pgm, load_sequence, save_pgm,
+                        write_sequence)
 from usiq.metrics import CwSsimParams, MsSsimParams, prepare
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
                         periodic_sequence)
 from usiq.tracking import TRACKERS, ResetConfig, track_with_reset
+
+# Image-layer properties write to a fresh temporary directory per example.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def integer_image(seed, shape):
+    """Whole values in [0, 255], which 8-bit PGM holds exactly."""
+    rng = np.random.default_rng(seed)
+    return GrayImage(rng.integers(0, 256, shape).astype(np.float64))
+
+
+@st.composite
+def integer_images(draw, max_side=12):
+    side = st.integers(1, max_side)
+    return integer_image(draw(SEEDS), (draw(side), draw(side)))
+
+
+@st.composite
+def sequences(draw):
+    """A short sequence of integer frames with drawn spacing and reference
+    frame, and either no landmarks or the same drawn count on every frame."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    n_frames = draw(st.integers(1, 4))
+    frames = tuple(integer_image(draw(SEEDS), shape) for _ in range(n_frames))
+    per_frame = draw(st.none() | st.integers(0, 3))
+    marks = None if per_frame is None else tuple(
+        tuple(Landmark(draw(FINITE), draw(FINITE)) for _ in range(per_frame))
+        for _ in range(n_frames))
+    return FrameSequence(
+        frames, landmarks=marks,
+        pixel_spacing_mm=draw(st.floats(0.0, 1e6, exclude_min=True)),
+        reference_frame=draw(st.integers(0, n_frames - 1)))
+
+
+@given(sequences())
+def test_write_then_load_sequence_is_exact(seq):
+    with tempfile.TemporaryDirectory() as directory:
+        back = load_sequence(write_sequence(seq, directory))
+    assert len(back) == len(seq)
+    for got, want in zip(back.frames, seq.frames):
+        assert np.array_equal(got.pixels, want.pixels)
+    assert back.pixel_spacing_mm == seq.pixel_spacing_mm
+    assert back.reference_frame == seq.reference_frame
+    assert back.landmarks == seq.landmarks
+
+
+@given(integer_images())
+def test_pgm_round_trips_integer_images_as_p5_and_p2(image):
+    values = image.pixels.astype(int)
+    p2 = f"P2\n{image.width} {image.height}\n255\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in values)
+    with tempfile.TemporaryDirectory() as directory:
+        p5_path = os.path.join(directory, "a.pgm")
+        save_pgm(image, p5_path)
+        p2_path = os.path.join(directory, "b.pgm")
+        with open(p2_path, "w", encoding="ascii") as fh:
+            fh.write(p2)
+        for path in (p5_path, p2_path):
+            assert np.array_equal(load_pgm(path).pixels, image.pixels)
+
+
+@given(integer_images(max_side=20), st.floats(-30.0, 50.0),
+       st.floats(-30.0, 50.0), st.integers(0, 8), st.integers(0, 8))
+def test_crop_shape_is_the_roi_shape(image, x, y, half_width, half_height):
+    out = crop(image, Roi(Landmark(x, y), half_width, half_height))
+    assert out.shape == (2 * half_height + 1, 2 * half_width + 1)
+
+
+@given(st.integers(2, 40), st.integers(2, 40))
+def test_downsample2_halves_rounding_up(height, width):
+    out = downsample2(GrayImage(np.zeros((height, width))))
+    assert out.shape == (math.ceil(height / 2), math.ceil(width / 2))
+
 
 # small enough for every metric below: CW-SSIM needs 32 pixels a side,
 # two-scale MS-SSIM 22

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from usiq import errors
-from usiq.image import FrameSequence, GrayImage, Landmark, load_sequence
+from usiq.image import (
+    FrameSequence,
+    GrayImage,
+    Landmark,
+    load_sequence,
+    write_sequence,
+)
 from usiq.metrics import (
     CwSsimParams,
     MsSsimParams,
@@ -27,7 +33,6 @@ from usiq.synth import (
     displacement,
     make_phantom,
     periodic_sequence,
-    write_sequence,
 )
 
 
