@@ -228,14 +228,15 @@ def _cmd_synth_sequence(args) -> int:
 
 
 def _cmd_synth_sweep(args) -> int:
+    specs = [SpeckleSpec(alpha=alpha, seed=args.seed)
+             for alpha in _parse_alphas(args.alphas)]
     base = make_phantom(benchmark_phantom_spec(), seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     index_rows = []
-    for i, alpha in enumerate(_parse_alphas(args.alphas)):
+    for i, spec in enumerate(specs):
         name = f"speckle_{i:02d}.pgm"
-        save_pgm(apply_speckle(base, SpeckleSpec(alpha=alpha, seed=args.seed)),
-                 os.path.join(args.out_dir, name))
-        index_rows.append(f"{format_number(alpha)},{name}\n")
+        save_pgm(apply_speckle(base, spec), os.path.join(args.out_dir, name))
+        index_rows.append(f"{format_number(spec.alpha)},{name}\n")
     save_pgm(base, os.path.join(args.out_dir, "clean.pgm"))
     index = os.path.join(args.out_dir, "index.csv")
     with open(index, "w", encoding="ascii") as fh:

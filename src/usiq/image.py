@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -252,24 +253,30 @@ def downsample2(image: GrayImage) -> GrayImage:
 
 
 def _checked_fields(n_frames: int, pixel_spacing_mm, reference_frame,
-                    landmarks) -> tuple[tuple[Landmark, ...], ...] | None:
+                    landmarks) -> tuple[int, tuple[tuple[Landmark, ...], ...] | None]:
     """Check a sequence's fields other than the frames themselves; returns
-    the landmarks as tuples (or None)."""
+    the reference frame as a Python int and the landmarks as tuples (or
+    None)."""
     if n_frames < 1:
         raise ManifestError("sequence must contain at least one frame")
-    if not pixel_spacing_mm > 0:
-        raise ManifestError("pixel_spacing_mm must be > 0")
+    if not (math.isfinite(pixel_spacing_mm) and pixel_spacing_mm > 0):
+        raise ManifestError("pixel_spacing_mm must be finite and > 0")
+    if (isinstance(reference_frame, bool)
+            or not hasattr(type(reference_frame), "__index__")):
+        raise ManifestError(
+            f"reference_frame must be an integer, got {reference_frame!r}")
+    reference_frame = operator.index(reference_frame)
     if not 0 <= reference_frame < n_frames:
         raise ManifestError(
             f"reference_frame {reference_frame} outside [0, {n_frames})")
     if landmarks is None:
-        return None
+        return reference_frame, None
     marks = tuple(tuple(per_frame) for per_frame in landmarks)
     if len(marks) != n_frames:
         raise ManifestError("landmarks must list one entry per frame")
     if len({len(per_frame) for per_frame in marks}) > 1:
         raise ManifestError("landmark count must not vary across frames")
-    return marks
+    return reference_frame, marks
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,10 +298,11 @@ class FrameSequence:
 
     def __post_init__(self):
         frames = tuple(self.frames)
+        ref, marks = _checked_fields(len(frames), self.pixel_spacing_mm,
+                                     self.reference_frame, self.landmarks)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "landmarks", _checked_fields(
-            len(frames), self.pixel_spacing_mm, self.reference_frame,
-            self.landmarks))
+        object.__setattr__(self, "reference_frame", ref)
+        object.__setattr__(self, "landmarks", marks)
         shape = frames[0].shape
         for i, frame in enumerate(frames):
             if frame.shape != shape:
@@ -316,24 +324,25 @@ def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> s
          "landmarks": [[{"x": number, "y": number}, ...] per frame] | null}
 
     :func:`load_sequence` reads frame paths relative to the manifest's
-    directory unless absolute.
+    directory unless absolute. The manifest text is built before any file
+    is written, so a sequence it cannot hold leaves no partial output.
     """
     directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
     names = [f"{stem}_{t:04d}.pgm" for t in range(len(sequence))]
-    for name, frame in zip(names, sequence.frames):
-        save_pgm(frame, os.path.join(directory, name))
     marks = None
     if sequence.landmarks is not None:
         marks = [[{"x": lm.x, "y": lm.y} for lm in per_frame]
                  for per_frame in sequence.landmarks]
+    text = json.dumps({"frames": names,
+                       "pixel_spacing_mm": sequence.pixel_spacing_mm,
+                       "reference_frame": sequence.reference_frame,
+                       "landmarks": marks}, indent=2, allow_nan=False)
+    os.makedirs(directory, exist_ok=True)
+    for name, frame in zip(names, sequence.frames):
+        save_pgm(frame, os.path.join(directory, name))
     path = os.path.join(directory, f"{stem}_manifest.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump({"frames": names,
-                   "pixel_spacing_mm": sequence.pixel_spacing_mm,
-                   "reference_frame": sequence.reference_frame,
-                   "landmarks": marks}, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -383,7 +392,7 @@ def load_sequence(manifest_path) -> FrameSequence:
         marks = [[Landmark(_json_number(lm.get("x"), "landmark x"),
                            _json_number(lm.get("y"), "landmark y"))
                   for lm in per_frame] for per_frame in marks]
-    marks = _checked_fields(len(paths), spacing, ref, marks)
+    ref, marks = _checked_fields(len(paths), spacing, ref, marks)
     base = os.path.dirname(os.path.abspath(manifest_path))
     return FrameSequence(
         frames=tuple(load_pgm(os.path.join(base, p)) for p in paths),

@@ -196,8 +196,11 @@ def _gauss1d(size: int, sigma: float) -> np.ndarray:
 def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Separable correlation, cropped to windows fully inside the image."""
     r = kernel.size // 2
-    out = ndimage.correlate1d(arr, kernel, axis=0, mode="constant")
-    out = ndimage.correlate1d(out, kernel, axis=1, mode="constant")
+    # A preallocated output spares correlate1d its dtype-driven allocation.
+    out = ndimage.correlate1d(arr, kernel, axis=0, mode="constant",
+                              output=np.empty(arr.shape))
+    out = ndimage.correlate1d(out, kernel, axis=1, mode="constant",
+                              output=np.empty(arr.shape))
     return out[r:arr.shape[0] - r, r:arr.shape[1] - r]
 
 

@@ -151,16 +151,18 @@ def _background(spec: PhantomSpec, seed: int) -> np.ndarray:
 
 
 def _draw_discs(background: np.ndarray, discs) -> GrayImage:
-    """Composite ``discs`` over ``background`` in order; the background
-    array itself is left as it was."""
-    height, width = background.shape
-    yy = np.arange(height, dtype=np.float64)[:, None]
-    xx = np.arange(width, dtype=np.float64)[None, :]
-    img = background
+    """Composite ``discs`` over a copy of ``background`` in order, each only
+    inside centre +- (radius + 0.5), outside which its coverage is exactly 0."""
+    ys, xs = (np.arange(n, dtype=np.float64) for n in background.shape)
+    img = background.copy()
     for disc in discs:
-        dist = np.hypot(yy - disc.center.y, xx - disc.center.x)
-        cov = np.clip(disc.radius + 0.5 - dist, 0.0, 1.0)
-        img = img * (1.0 - cov) + disc.intensity * cov
+        cx, cy, reach = disc.center.x, disc.center.y, disc.radius + 0.5
+        rows = slice(max(0, math.floor(cy - reach)), max(0, math.ceil(cy + reach) + 1))
+        cols = slice(max(0, math.floor(cx - reach)), max(0, math.ceil(cx + reach) + 1))
+        dist = np.hypot(ys[rows, None] - cy, xs[None, cols] - cx)
+        cov = np.clip(reach - dist, 0.0, 1.0)
+        box = img[rows, cols]
+        box[...] = box * (1.0 - cov) + disc.intensity * cov
     return GrayImage(img)
 
 

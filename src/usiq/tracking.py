@@ -354,7 +354,7 @@ def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:
 def _kernel_window(plane: np.ndarray, cx: float, cy: float, radius: float):
     """Integer pixel grid under an Epanechnikov kernel at (cx, cy).
 
-    Returns (xs grid, ys grid, kernel weights, ``plane`` values) restricted
+    Returns (xs row, ys column, kernel weights, ``plane`` values) restricted
     to the frame, or None when the support misses the frame entirely.
     """
     height, width = plane.shape
@@ -362,9 +362,8 @@ def _kernel_window(plane: np.ndarray, cx: float, cy: float, radius: float):
     ylo, yhi = max(0, math.ceil(cy - radius)), min(height - 1, math.floor(cy + radius))
     if xlo > xhi or ylo > yhi:
         return None
-    xs = np.arange(xlo, xhi + 1, dtype=np.float64)
-    ys = np.arange(ylo, yhi + 1, dtype=np.float64)
-    gx, gy = np.meshgrid(xs, ys)
+    gx = np.arange(xlo, xhi + 1, dtype=np.float64)[None, :]
+    gy = np.arange(ylo, yhi + 1, dtype=np.float64)[:, None]
     r2 = ((gx - cx) ** 2 + (gy - cy) ** 2) / (radius * radius)
     kernel = np.clip(1.0 - r2, 0.0, None)
     return gx, gy, kernel, plane[ylo:yhi + 1, xlo:xhi + 1]

@@ -262,3 +262,13 @@ def test_alpha_outside_unit_interval_is_rejected_before_any_output(
     assert cli.main([*argv, str(out), "--alpha", alpha]) == 2
     assert capsys.readouterr().err.startswith("invalid-params:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["-1", "nan"])
+def test_sweep_checks_every_alpha_before_writing(bad, tmp_path, capsys):
+    # a bad alpha late in the list once failed after earlier files were written
+    out = tmp_path / "sw"
+    assert cli.main(["synth", "sweep", "--out-dir", str(out),
+                     "--alphas", f"0.5,{bad}"]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not out.exists() or not any(out.iterdir())

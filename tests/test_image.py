@@ -385,3 +385,30 @@ def test_frame_sequence_validates():
     with pytest.raises(errors.ManifestError):
         FrameSequence(frames=(a, a), landmarks=(
             (Landmark(1.0, 1.0),), (Landmark(1.0, 1.0), Landmark(2.0, 2.0))))
+
+
+def test_frame_sequence_stores_an_integer_reference_frame(tmp_path):
+    # a NumPy integer once wrote both PGMs, then failed mid-manifest
+    frames = (GrayImage(np.zeros((3, 4))),) * 2
+    seq = FrameSequence(frames, reference_frame=np.int64(1))
+    assert type(seq.reference_frame) is int
+    assert load_sequence(write_sequence(seq, tmp_path)).reference_frame == 1
+    for bad in (True, np.True_, 1.0, np.float64(1.0), "1"):
+        with pytest.raises(errors.ManifestError):
+            FrameSequence(frames, reference_frame=bad)
+
+
+@pytest.mark.parametrize("spacing", [float("inf"), float("nan"), -1.0, 0.0])
+def test_frame_sequence_rejects_spacing_the_manifest_cannot_hold(spacing):
+    # inf was written as Infinity, which load_sequence rejects
+    with pytest.raises(errors.ManifestError):
+        FrameSequence((GrayImage(np.zeros((3, 4))),), pixel_spacing_mm=spacing)
+
+
+def test_write_sequence_serializes_the_manifest_before_any_frame(tmp_path):
+    seq = FrameSequence((GrayImage(np.zeros((3, 4))),) * 2,
+                        pixel_spacing_mm=np.float32(0.5))
+    out = tmp_path / "seq"
+    with pytest.raises(TypeError):  # float32 is not JSON serializable
+        write_sequence(seq, out)
+    assert not out.exists()

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from usiq import errors
+from usiq import errors, metrics
 from usiq.image import GrayImage
 from usiq.metrics import (
     METRICS,
@@ -559,3 +561,31 @@ def test_flat_vif_reference_error_kind():
     flat = GrayImage(np.full((64, 64), 128.0))
     with pytest.raises(errors.DegenerateReferenceError):
         compute_metric("vif", flat, noise_image(25), VifParams(scales=3))
+
+
+# ---------------------------------------------------------------------------
+# Separable smoothing
+
+
+def plain_valid_smooth(arr, kernel):
+    """Oracle: ``_valid_smooth`` with correlate1d allocating its own output."""
+    r = kernel.size // 2
+    out = ndimage.correlate1d(arr, kernel, axis=0, mode="constant")
+    out = ndimage.correlate1d(out, kernel, axis=1, mode="constant")
+    return out[r:arr.shape[0] - r, r:arr.shape[1] - r]
+
+
+@given(size=st.integers(1, 6).map(lambda k: 2 * k + 1),
+       sigma=st.floats(0.5, 3.0), box=st.booleans(),
+       extra=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_valid_smooth_equals_plain_correlate1d(size, sigma, box, extra,
+                                               strided, seed):
+    kernel = np.ones(size) if box else metrics._gauss1d(size, sigma)
+    shape = (size + extra[0], size + extra[1])
+    rng = np.random.default_rng(seed)
+    arr = rng.uniform(-255.0, 255.0, shape)
+    if strided:  # CW-SSIM smooths the real and imaginary planes as views
+        arr = (arr + 1j * rng.uniform(-255.0, 255.0, shape)).imag
+    assert np.array_equal(metrics._valid_smooth(arr, kernel),
+                          plain_valid_smooth(arr, kernel))

@@ -1,6 +1,6 @@
 """Property tests of the invariants the image layer, the metrics, the
-pyramid and the reset gate promise; metrics run through the prepared-scorer
-path."""
+pyramid, the trackers, the reset gate and the number format promise; metrics
+run through the prepared-scorer path."""
 
 import dataclasses
 import math
@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from usiq.errors import InvalidParamsError
-from usiq.harness import run_tracking_study
+from usiq.harness import format_number, run_tracking_study
 from usiq.image import (FrameSequence, GrayImage, Landmark, Roi, crop,
                         downsample2, load_pgm, load_sequence, save_pgm,
                         write_sequence)
@@ -21,7 +21,8 @@ from usiq.metrics import CwSsimParams, MsSsimParams, prepare
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
                         periodic_sequence)
-from usiq.tracking import TRACKERS, ResetConfig, track_with_reset
+from usiq.tracking import (TRACKERS, NccConfig, ResetConfig, ncc_track,
+                           track_with_reset)
 
 # Image-layer properties write to a fresh temporary directory per example.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -247,3 +248,32 @@ def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
             seq, disturbances=hit)
         assert cmp.reset.result == track_with_reset(
             cmp.tracker, seq, reset=reset, disturbances=hit)
+
+
+# ---------------------------------------------------------------------------
+# NCC tracking
+
+
+@given(seed=SEEDS, cx=st.integers(16, 31), cy=st.integers(16, 31),
+       dx=st.integers(-10, 10), dy=st.integers(-10, 10))
+def test_ncc_recovers_integer_shifts_exactly(seed, cx, cy, dx, dy):
+    # both frames are windows of one larger texture, so the template's
+    # pixels reappear unchanged (dx, dy) away, with no wrapped edge
+    texture = np.random.default_rng(seed).uniform(0.0, 255.0, (68, 68))
+    frames = (GrayImage(texture[10:58, 10:58]),
+              GrayImage(texture[10 - dy:58 - dy, 10 - dx:58 - dx]))
+    res = ncc_track(FrameSequence(frames), init=(Landmark(cx, cy),),
+                    cfg=NccConfig(roi_half=6, search_half=10))
+    assert res.estimates[1] == (Landmark(cx + dx, cy + dy),)
+
+
+# ---------------------------------------------------------------------------
+# Number format
+
+
+@given(FINITE)
+def test_format_number_round_trips_at_nine_significant_digits(value):
+    text = format_number(value)
+    parsed = float(text)
+    assert format_number(parsed) == text
+    assert abs(parsed - value) <= 5e-9 * abs(value)

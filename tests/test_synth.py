@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from usiq import errors
+from usiq import errors, synth
 from usiq.image import (
     FrameSequence,
     GrayImage,
@@ -312,6 +314,48 @@ def test_every_frame_equals_make_phantom_of_the_moved_spec(phantom, axis):
                 for c in phantom.landmarks))
         assert np.array_equal(frame.pixels,
                               make_phantom(moved, seed=11).pixels)
+
+
+def full_frame_draw_discs(background, discs):
+    """Oracle: the compositor that blends every disc over the whole frame."""
+    height, width = background.shape
+    yy = np.arange(height, dtype=np.float64)[:, None]
+    xx = np.arange(width, dtype=np.float64)[None, :]
+    img = background
+    for disc in discs:
+        dist = np.hypot(yy - disc.center.y, xx - disc.center.x)
+        cov = np.clip(disc.radius + 0.5 - dist, 0.0, 1.0)
+        img = img * (1.0 - cov) + disc.intensity * cov
+    return img
+
+
+def quarters(lo, hi):
+    """Multiples of 0.25, where centre +- (radius + 0.5) often lands on a
+    pixel exactly, mixed with arbitrary floats."""
+    return (st.integers(4 * lo, 4 * hi).map(lambda k: k / 4.0)
+            | st.floats(lo, hi))
+
+
+@st.composite
+def overlapping_discs(draw, width=24, height=20):
+    """One to three discs near each other, some of whose boxes touch or
+    cross the frame edge."""
+    x0, y0 = draw(quarters(-4, width + 3)), draw(quarters(-4, height + 3))
+    discs = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = Landmark(x0 + draw(quarters(-6, 6)), y0 + draw(quarters(-6, 6)))
+        discs.append(Disc(center, radius=draw(quarters(0.5, 12)),
+                          intensity=draw(st.floats(0.0, 255.0))))
+    return tuple(discs)
+
+
+@given(discs=overlapping_discs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_bounding_box_compositing_equals_the_full_frame_oracle(discs, seed):
+    background = np.random.default_rng(seed).uniform(0.0, 255.0, (20, 24))
+    kept = background.copy()
+    got = synth._draw_discs(background, discs).pixels
+    assert np.array_equal(got, full_frame_draw_discs(background, discs))
+    assert np.array_equal(background, kept)
 
 
 def test_sequence_determinism_and_speckle_decorrelation():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from usiq import errors, metrics, tracking
@@ -361,6 +363,59 @@ class PerWindowBinning(tracking._MeanShiftStepper):
         if total <= 0.0:
             raise errors.EmptyHistogramError("candidate window has no kernel mass")
         return (gx, gy, kernel, idx), hist / total
+
+
+def meshgrid_kernel_window(plane, cx, cy, radius):
+    """Oracle: the kernel window on full ``np.meshgrid`` coordinate grids."""
+    height, width = plane.shape
+    xlo, xhi = max(0, math.ceil(cx - radius)), min(width - 1, math.floor(cx + radius))
+    ylo, yhi = max(0, math.ceil(cy - radius)), min(height - 1, math.floor(cy + radius))
+    if xlo > xhi or ylo > yhi:
+        return None
+    xs = np.arange(xlo, xhi + 1, dtype=np.float64)
+    ys = np.arange(ylo, yhi + 1, dtype=np.float64)
+    gx, gy = np.meshgrid(xs, ys)
+    r2 = ((gx - cx) ** 2 + (gy - cy) ** 2) / (radius * radius)
+    kernel = np.clip(1.0 - r2, 0.0, None)
+    return gx, gy, kernel, plane[ylo:yhi + 1, xlo:xhi + 1]
+
+
+@given(cx=st.floats(-12.0, 52.0), cy=st.floats(-12.0, 42.0),
+       radius=st.floats(0.5, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_broadcast_kernel_window_equals_the_meshgrid_oracle(cx, cy, radius,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    plane = rng.uniform(0.0, 255.0, (30, 40))
+    got = tracking._kernel_window(plane, cx, cy, radius)
+    want = meshgrid_kernel_window(plane, cx, cy, radius)
+    if want is None:
+        assert got is None
+        return
+    (gx, gy, kernel, values), (wgx, wgy, wkernel, wvalues) = got, want
+    r2 = ((gx - cx) ** 2 + (gy - cy) ** 2) / (radius * radius)
+    assert np.array_equal(r2, ((wgx - cx) ** 2 + (wgy - cy) ** 2) / (radius * radius))
+    assert np.array_equal(kernel, wkernel)
+    assert np.array_equal(values, wvalues)
+    # the weighted centroid sums of _MeanShiftStepper._converge
+    weights = rng.uniform(0.0, 1.0, kernel.shape)
+    assert (weights * gx).sum() == (weights * wgx).sum()
+    assert (weights * gy).sum() == (weights * wgy).sum()
+
+
+def test_meanshift_track_equals_the_meshgrid_window_track(monkeypatch):
+    seq = periodic_sequence(benchmark_phantom_spec(),
+                            benchmark_motion_spec(n_frames=10),
+                            speckle=SpeckleSpec(alpha=0.3, seed=5), seed=5)
+    cfg = MeanShiftConfig(bins=7, roi_half=9)
+
+    def tracks():
+        oracle = PerWindowBinning(seq.frames, seq.landmarks[0], cfg)
+        return (mean_shift_track(seq, cfg=cfg),
+                tracking._run(seq, seq.landmarks[0], oracle, None, None, None))
+
+    broadcast = tracks()
+    monkeypatch.setattr(tracking, "_kernel_window", meshgrid_kernel_window)
+    assert tracks() == broadcast
 
 
 def test_meanshift_determinism():
