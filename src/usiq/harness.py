@@ -176,8 +176,8 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     ref = view(seq.frames[seq.reference_frame])
     raw = {}
     for name in names:
-        score = prepare(name, ref, params.get(name))
-        raw[name] = tuple(score(view(frame)).value for frame in seq.frames)
+        scorer = prepare(name, ref, params.get(name))
+        raw[name] = scorer.values(view(frame) for frame in seq.frames)
     normalized, notes = _normalized_or_noted(raw)
     return TraceReport(metrics=names, raw=raw, normalized=normalized,
                        notes=notes, reference_frame=seq.reference_frame)

@@ -243,8 +243,11 @@ def downsample2(image: GrayImage) -> GrayImage:
     if image.width < 2 or image.height < 2:
         raise ImageTooSmallError(
             f"cannot downsample a {image.width}x{image.height} image")
-    a = ndimage.correlate1d(image.pixels, _BINOMIAL5, axis=0, mode="nearest")
-    a = ndimage.correlate1d(a, _BINOMIAL5, axis=1, mode="nearest")
+    shape = image.shape
+    a = ndimage.correlate1d(image.pixels, _BINOMIAL5, axis=0, mode="nearest",
+                            output=np.empty(shape))
+    a = ndimage.correlate1d(a, _BINOMIAL5, axis=1, mode="nearest",
+                            output=np.empty(shape))
     return GrayImage(a[::2, ::2])
 
 
@@ -333,10 +336,13 @@ def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> s
     if sequence.landmarks is not None:
         marks = [[{"x": lm.x, "y": lm.y} for lm in per_frame]
                  for per_frame in sequence.landmarks]
-    text = json.dumps({"frames": names,
-                       "pixel_spacing_mm": sequence.pixel_spacing_mm,
-                       "reference_frame": sequence.reference_frame,
-                       "landmarks": marks}, indent=2, allow_nan=False)
+    try:
+        text = json.dumps({"frames": names,
+                           "pixel_spacing_mm": sequence.pixel_spacing_mm,
+                           "reference_frame": sequence.reference_frame,
+                           "landmarks": marks}, indent=2, allow_nan=False)
+    except TypeError as exc:  # a number type JSON cannot hold, e.g. float32
+        raise ManifestError(f"sequence cannot be written: {exc}") from None
     os.makedirs(directory, exist_ok=True)
     for name, frame in zip(names, sequence.frames):
         save_pgm(frame, os.path.join(directory, name))

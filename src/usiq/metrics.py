@@ -3,17 +3,18 @@
 Six metrics share one calling convention: ``metric(ref, test, params)`` returns
 a SimilarityScore. Each is ``prepare(id, ref, params)(test)``: ``prepare`` does
 the reference-only work once and returns a scorer, so a fixed reference
-compared with many tests is analysed once. Intensities are nominally
-[0, 255]; the stabilizing constants scale with the declared dynamic range,
-not with the data.
+compared with many tests is analysed once; ``scorer.values(tests)`` scores
+many tests in one call. Intensities are nominally [0, 255]; the stabilizing
+constants scale with the declared dynamic range, not with the data.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -25,7 +26,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import GrayImage, downsample2, require_same_shape
-from .pyramid import PyramidParams, decompose
+from .pyramid import PyramidParams, band_stack, decompose
 
 __all__ = [
     "METRICS",
@@ -178,9 +179,41 @@ class SimilarityScore:
             self.map.setflags(write=False)
 
 
-# What ``prepare`` returns: scores one test image against the prepared
-# reference.
-Scorer = Callable[[GrayImage], SimilarityScore]
+# Tests per stack of a stacked scorer. CW-SSIM's working memory grows by
+# about 1 MB per 65x65 frame in a stack, while its time stops falling at 4
+# frames: by then the per-call cost of its many small FFTs is mostly spared.
+_STACK_SIZE = 4
+
+
+class Scorer:
+    """What ``prepare`` returns: scores test images against one prepared
+    reference.
+
+    ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
+    ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
+    errors. A metric that scores a stack of tests at once (CW-SSIM: one
+    pyramid pass per stack) reads ``tests`` lazily, ``_STACK_SIZE`` at a time.
+    """
+
+    __slots__ = ("_score", "_score_stack")
+
+    def __init__(self, score: Callable[[GrayImage], SimilarityScore],
+                 score_stack: Callable[[list[GrayImage]], list[float]]
+                 | None = None):
+        self._score = score
+        self._score_stack = score_stack
+
+    def __call__(self, test: GrayImage) -> SimilarityScore:
+        return self._score(test)
+
+    def values(self, tests: Iterable[GrayImage]) -> tuple[float, ...]:
+        if self._score_stack is None:
+            return tuple(self._score(test).value for test in tests)
+        tests = iter(tests)
+        out = []
+        while stack := list(itertools.islice(tests, _STACK_SIZE)):
+            out.extend(self._score_stack(stack))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +227,15 @@ def _gauss1d(size: int, sigma: float) -> np.ndarray:
 
 
 def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable correlation, cropped to windows fully inside the image."""
+    """Separable correlation over the last two axes, cropped to windows
+    fully inside the image."""
     r = kernel.size // 2
     # A preallocated output spares correlate1d its dtype-driven allocation.
-    out = ndimage.correlate1d(arr, kernel, axis=0, mode="constant",
+    out = ndimage.correlate1d(arr, kernel, axis=-2, mode="constant",
                               output=np.empty(arr.shape))
-    out = ndimage.correlate1d(out, kernel, axis=1, mode="constant",
+    out = ndimage.correlate1d(out, kernel, axis=-1, mode="constant",
                               output=np.empty(arr.shape))
-    return out[r:arr.shape[0] - r, r:arr.shape[1] - r]
+    return out[..., r:arr.shape[-2] - r, r:arr.shape[-1] - r]
 
 
 class _Moments(NamedTuple):
@@ -269,7 +303,7 @@ def _prepare_mse(ref: GrayImage) -> Scorer:
         require_same_shape(ref, test)
         diff = ref.pixels - test.pixels
         return SimilarityScore("mse", float(np.mean(diff * diff)))
-    return score
+    return Scorer(score)
 
 
 def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
@@ -282,7 +316,7 @@ def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
         if err == 0.0:
             return SimilarityScore("psnr", math.inf)
         return SimilarityScore("psnr", 10.0 * math.log10(peakval ** 2 / err))
-    return score
+    return Scorer(score)
 
 
 def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None) -> Scorer:
@@ -297,7 +331,7 @@ def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None) -> Scorer:
         smap = _powered(lterm, params.alpha) * (
             _powered(cterm, params.beta) * _powered(sterm, params.gamma))
         return SimilarityScore("ssim", float(smap.mean()), smap)
-    return score
+    return Scorer(score)
 
 
 def _prepare_ms_ssim(ref: GrayImage,
@@ -327,7 +361,7 @@ def _prepare_ms_ssim(ref: GrayImage,
             if m < last:
                 y = downsample2(y)
         return SimilarityScore("msssim", value)
-    return score
+    return Scorer(score)
 
 
 def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
@@ -350,28 +384,39 @@ def _prepare_cw_ssim(ref: GrayImage,
                 f"{size}x{size} window; reduce levels or window_size")
         power_x = wx.real ** 2 + wx.imag ** 2
         bands.append((band.level, wx, _window_sums(power_x, size)))
+    count = sum(sums_x.size for _, _, sums_x in bands)  # windows per test
 
-    def score(test: GrayImage) -> SimilarityScore:
-        require_same_shape(ref, test)
-        total = 0.0
-        count = 0
+    def pooled(tests: list[GrayImage]):
+        """Each test's value, and the finest level's band maps of them all."""
+        for test in tests:
+            require_same_shape(ref, test)
+        stack = np.stack([test.pixels for test in tests])
+        totals = [0.0] * len(tests)
         finest = []
-        pyr_test = decompose(test, params.pyramid)
-        for (level, wx, sums_x), band_test in zip(bands, pyr_test.subbands):
-            wy = band_test.coeffs
+        for (level, wx, sums_x), wy in zip(bands,
+                                           band_stack(stack, params.pyramid)):
             cross = wx * np.conj(wy)
             power_y = wy.real ** 2 + wy.imag ** 2
             num = 2.0 * np.hypot(_window_sums(cross.real, size),
                                  _window_sums(cross.imag, size)) + k
             den = sums_x + _window_sums(power_y, size) + k
             smap = num / den
-            total += float(smap.sum())
-            count += smap.size
+            for i, frame_map in enumerate(smap):
+                totals[i] += float(frame_map.sum())
             if level == 0:
                 finest.append(smap)
-        return SimilarityScore("cwssim", total / count,
-                               np.mean(finest, axis=0))
-    return score
+        return [total / count for total in totals], finest
+
+    def score(test: GrayImage) -> SimilarityScore:
+        (value,), finest = pooled([test])
+        return SimilarityScore("cwssim", value,
+                               np.mean([smap[0] for smap in finest], axis=0))
+
+    def score_stack(tests: list[GrayImage]) -> list[float]:
+        # checked as SimilarityScore checks score's value, so both raise alike
+        return [SimilarityScore("cwssim", value).value
+                for value in pooled(tests)[0]]
+    return Scorer(score, score_stack)
 
 
 _VIF_EPS = 1e-10
@@ -412,12 +457,14 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
             numerator += float(np.sum(np.log2(
                 1.0 + gain * gain * sxx / (resid + params.sigma_n2))))
         return SimilarityScore("vif", numerator / denominator)
-    return score
+    return Scorer(score)
 
 
 def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest")
-    out = ndimage.correlate1d(out, kernel, axis=1, mode="nearest")
+    out = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest",
+                              output=np.empty(arr.shape))
+    out = ndimage.correlate1d(out, kernel, axis=1, mode="nearest",
+                              output=np.empty(arr.shape))
     return out[::2, ::2]
 
 

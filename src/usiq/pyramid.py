@@ -28,6 +28,7 @@ __all__ = [
     "Pyramid",
     "PyramidParams",
     "band_energy",
+    "band_stack",
     "decompose",
     "min_dimension",
     "shift_magnitude_stability",
@@ -173,6 +174,31 @@ def _plan(shape: tuple[int, int], levels: int, orientations: int) -> _Plan:
     return _Plan(_freeze(hi0), _freeze(lo0), tuple(out))
 
 
+def _spectrum(pixels: np.ndarray, params: PyramidParams):
+    """Centred 2-D DFT of every image in a ``(..., h, w)`` stack, and the
+    plan of its grid."""
+    dft = np.fft.fftshift(np.fft.fft2(pixels), axes=(-2, -1))
+    return dft, _plan(dft.shape[-2:], params.levels, params.orientations)
+
+
+def _band_loop(dft: np.ndarray, plan: _Plan, orientations: int):
+    """Oriented bands of a stack of centred spectra, in ``Pyramid.subbands``
+    order, each ``(..., h_level, w_level)``; also returns the lowpass
+    spectrum left after the last level."""
+    size = dft.shape[-2] * dft.shape[-1]
+    lodft = dft * plan.lo0
+    phase = (-1j) ** (orientations - 1)
+    bands = []
+    for masks in plan.levels:
+        factor = math.sqrt(lodft.shape[-2] * lodft.shape[-1] / size)
+        radial = phase * lodft * masks.himask
+        for amask in masks.angle_masks:
+            bands.append(np.fft.ifft2(np.fft.ifftshift(
+                radial * amask, axes=(-2, -1))) * factor)
+        lodft = lodft[(..., *masks.keep)] * masks.lomask
+    return bands, lodft
+
+
 def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
     """Analyze ``image`` into oriented complex subbands plus residuals.
 
@@ -187,31 +213,30 @@ def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
             f"{image.width}x{image.height} image is too small for "
             f"{params.levels} levels; min dimension is {need}")
 
-    total = image.height * image.width
-    dft = np.fft.fftshift(np.fft.fft2(image.pixels))
-    plan = _plan(dft.shape, params.levels, params.orientations)
-
+    dft, plan = _spectrum(image.pixels, params)
     highpass = np.fft.ifft2(np.fft.ifftshift(dft * plan.hi0)).real
-    lodft = dft * plan.lo0
-
-    phase = (-1j) ** (params.orientations - 1)
-    subbands = []
-    for level, masks in enumerate(plan.levels):
-        factor = math.sqrt(lodft.size / total)
-        radial = phase * lodft * masks.himask
-        for b, amask in enumerate(masks.angle_masks):
-            coeffs = np.fft.ifft2(np.fft.ifftshift(radial * amask)) * factor
-            subbands.append(ComplexSubband(level, b, _freeze(coeffs)))
-        lodft = lodft[masks.keep] * masks.lomask
-
-    factor = math.sqrt(lodft.size / total)
+    coeffs, lodft = _band_loop(dft, plan, params.orientations)
+    factor = math.sqrt(lodft.size / dft.size)
     lowpass = np.fft.ifft2(np.fft.ifftshift(lodft)).real * factor
 
-    return Pyramid(subbands=tuple(subbands),
+    k = params.orientations
+    return Pyramid(subbands=tuple(ComplexSubband(j // k, j % k, _freeze(c))
+                                  for j, c in enumerate(coeffs)),
                    highpass_residual=_freeze(highpass),
                    lowpass_residual=_freeze(lowpass),
                    params=params,
                    source_shape=image.pixels.shape)
+
+
+def band_stack(pixels: np.ndarray, params: PyramidParams) -> list[np.ndarray]:
+    """The oriented band coefficients ``decompose`` gives, for every image
+    of an ``(n, h, w)`` stack in one pass: band ``j`` is an ``(n, h_j, w_j)``
+    array whose ``[i]`` equals ``decompose(image i).subbands[j].coeffs``.
+
+    No residual is computed and the image size is not checked.
+    """
+    dft, plan = _spectrum(pixels, params)
+    return _band_loop(dft, plan, params.orientations)[0]
 
 
 def band_energy(pyramid: Pyramid) -> float:

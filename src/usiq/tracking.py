@@ -365,7 +365,7 @@ def _kernel_window(plane: np.ndarray, cx: float, cy: float, radius: float):
     gx = np.arange(xlo, xhi + 1, dtype=np.float64)[None, :]
     gy = np.arange(ylo, yhi + 1, dtype=np.float64)[:, None]
     r2 = ((gx - cx) ** 2 + (gy - cy) ** 2) / (radius * radius)
-    kernel = np.clip(1.0 - r2, 0.0, None)
+    kernel = np.maximum(1.0 - r2, 0.0)
     return gx, gy, kernel, plane[ylo:yhi + 1, xlo:xhi + 1]
 
 
@@ -545,7 +545,8 @@ def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
     """Check ``reset`` against ``seq`` and return its trace and threshold.
 
     The trace scores every frame against the reference frame's crop, which
-    is prepared once. A calibrated threshold is the maximum minus one
+    is prepared once; frames are cropped as the scorer's ``values`` reads
+    them. A calibrated threshold is the maximum minus one
     population standard deviation of the ``calibration_frames`` values
     directly following the reference, and must lie in (0, 1].
     """
@@ -557,9 +558,9 @@ def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
     if reset.threshold is None and ref + reset.calibration_frames >= n_frames:
         raise InvalidParamsError("calibration window extends past the sequence")
     roi = reset.similarity_roi
-    score = prepare(reset.metric, crop(seq.frames[ref], roi),
-                    reset.metric_params)
-    trace = tuple(score(crop(frame, roi)).value for frame in seq.frames)
+    scorer = prepare(reset.metric, crop(seq.frames[ref], roi),
+                     reset.metric_params)
+    trace = scorer.values(crop(frame, roi) for frame in seq.frames)
     if reset.threshold is not None:
         return trace, reset.threshold
     window = np.asarray(trace[ref + 1:ref + reset.calibration_frames + 1])

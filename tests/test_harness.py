@@ -180,19 +180,26 @@ def test_trace_periodic_maxima_near_period_multiples():
 
 def test_cwssim_trace_decomposes_reference_once(monkeypatch):
     seq = bench_sequence(seed=1, n_frames=12)
-    calls = []
-    real = metrics.decompose
+    calls, stacks = [], []
+    decompose, band_stack = metrics.decompose, metrics.band_stack
 
     def counting(image, params=None):
         calls.append(image.shape)
-        return real(image, params)
+        return decompose(image, params)
+
+    def counting_stack(pixels, params):
+        stacks.append(pixels.shape)
+        return band_stack(pixels, params)
 
     monkeypatch.setattr(metrics, "decompose", counting)
+    monkeypatch.setattr(metrics, "band_stack", counting_stack)
     params = {"cwssim": CwSsimParams(
         pyramid=PyramidParams(levels=3, orientations=6))}
     run_trace(seq, ["cwssim"], roi=SMALL_ROI, metric_params=params)
-    # every frame once, plus the reference crop once
-    assert calls == [(65, 65)] * (12 + 1)
+    # the reference crop once, and every frame once in some stack
+    assert calls == [(65, 65)]
+    assert all(shape[1:] == (65, 65) for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == 12
 
 
 def test_trace_respects_roi_and_metric_order():

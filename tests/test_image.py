@@ -406,9 +406,15 @@ def test_frame_sequence_rejects_spacing_the_manifest_cannot_hold(spacing):
 
 
 def test_write_sequence_serializes_the_manifest_before_any_frame(tmp_path):
-    seq = FrameSequence((GrayImage(np.zeros((3, 4))),) * 2,
-                        pixel_spacing_mm=np.float32(0.5))
-    out = tmp_path / "seq"
-    with pytest.raises(TypeError):  # float32 is not JSON serializable
-        write_sequence(seq, out)
-    assert not out.exists()
+    # JSON cannot hold a float32, as the spacing or as a landmark coordinate
+    frames = (GrayImage(np.zeros((3, 4))),) * 2
+    for i, (spacing, mark) in enumerate((
+            (np.float32(0.5), Landmark(1.0, 2.0)),
+            (0.5, Landmark(np.float32(1.0), 2.0)),
+            (0.5, Landmark(1.0, np.float32(2.0))))):
+        seq = FrameSequence(frames, pixel_spacing_mm=spacing,
+                            landmarks=((Landmark(0.0, 0.0), mark),) * 2)
+        out = tmp_path / f"seq{i}"
+        with pytest.raises(errors.ManifestError):
+            write_sequence(seq, out)
+        assert not out.exists()

@@ -1,5 +1,6 @@
 """Metric tests: arithmetic oracles, double-loop moment oracle, invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from usiq import errors, metrics
-from usiq.image import GrayImage
+from usiq.image import GrayImage, Landmark, Roi, crop, downsample2
 from usiq.metrics import (
     METRICS,
     CwSsimParams,
@@ -27,7 +28,13 @@ from usiq.metrics import (
     ssim,
     vif,
 )
-from usiq.pyramid import PyramidParams
+from usiq.pyramid import PyramidParams, decompose
+from usiq.synth import (
+    SpeckleSpec,
+    benchmark_motion_spec,
+    benchmark_phantom_spec,
+    periodic_sequence,
+)
 
 
 def noise_image(seed, shape=(64, 64), low=0.0, high=255.0):
@@ -538,9 +545,127 @@ def test_reused_scorer_matches_fresh_prepare_in_any_order(name):
 
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_shape_mismatch_error_kind(name):
+    ref, wrong = noise_image(22), noise_image(23, shape=(64, 72))
+    params = SMALL_PARAMS.get(name)
     with pytest.raises(errors.DimensionMismatchError):
-        compute_metric(name, noise_image(22), noise_image(23, shape=(64, 72)),
-                       SMALL_PARAMS.get(name))
+        compute_metric(name, ref, wrong, params)
+    # the batch entry point, wherever in a stack the odd image sits
+    scorer = prepare(name, ref, params)
+    for position in (0, 3, 4, 8):
+        tests = [ref] * 9
+        tests[position] = wrong
+        with pytest.raises(errors.DimensionMismatchError):
+            scorer.values(tests)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_cw_ssim_values_reject_the_value_the_scorer_rejects():
+    # squared coefficients overflow, so the pooled map is inf / inf = nan
+    huge = GrayImage(noise_image(26).pixels * 1e160)
+    scorer = prepare("cwssim", huge, SMALL_PARAMS["cwssim"])
+    with pytest.raises(errors.InvalidParamsError):
+        scorer(huge)
+    with pytest.raises(errors.InvalidParamsError):
+        scorer.values([huge, huge, huge])
+
+
+# ---------------------------------------------------------------------------
+# Batch scoring: ``scorer.values`` against the per-image scorer
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_values_equal_the_per_image_loop(name):
+    ref = noise_image(20)
+    tests = [ref, noise_image(21), rolled(ref, dx=2), rolled(ref, dy=3),
+             GrayImage(np.clip(ref.pixels + 30.0, 0, 255))]
+    scorer = prepare(name, ref, SMALL_PARAMS.get(name))
+    want = [scorer(t).value for t in tests]
+    assert hexes(scorer.values(tests)) == hexes(want)
+    assert hexes(scorer.values(iter(tests))) == hexes(want)
+    assert scorer.values([]) == ()
+
+
+def image_loop_cw_ssim(ref, test, params):
+    """Oracle: the CW-SSIM value as scored one test image at a time, with
+    the test's own ``decompose`` call, before tests were stacked."""
+    pyr_ref = decompose(ref, params.pyramid)
+    pyr_test = decompose(test, params.pyramid)
+    size, k = params.window_size, params.k_stab
+    total, count = 0.0, 0
+    for band_ref, band_test in zip(pyr_ref.subbands, pyr_test.subbands):
+        wx, wy = band_ref.coeffs, band_test.coeffs
+        cross = wx * np.conj(wy)
+        num = 2.0 * np.hypot(metrics._window_sums(cross.real, size),
+                             metrics._window_sums(cross.imag, size)) + k
+        den = (metrics._window_sums(wx.real ** 2 + wx.imag ** 2, size)
+               + metrics._window_sums(wy.real ** 2 + wy.imag ** 2, size) + k)
+        smap = num / den
+        total += float(smap.sum())
+        count += smap.size
+    return total / count
+
+
+RESET_CWSSIM = CwSsimParams(pyramid=PyramidParams(levels=3, orientations=6))
+
+
+@functools.lru_cache(maxsize=None)
+def cw_ssim_frames(case):
+    """Reference and nine test frames: the reset gate's 65x65 ROI crops of a
+    speckled sequence, or 128x128 textures for the default params."""
+    if case == "reset":
+        seq = periodic_sequence(benchmark_phantom_spec(),
+                                benchmark_motion_spec(n_frames=10),
+                                speckle=SpeckleSpec(alpha=0.3, seed=3), seed=3)
+        roi = Roi(Landmark(108.0, 128.0), 32, 32)
+        frames = [crop(frame, roi) for frame in seq.frames]
+        return frames[0], tuple(frames[1:])
+    ref = noise_image(60, shape=(128, 128))
+    tests = [ref] + [rolled(ref, dx=i) for i in (1, 2, 5)] + [
+        noise_image(61 + i, shape=(128, 128)) for i in range(5)]
+    return ref, tuple(tests)
+
+
+@pytest.mark.parametrize("case, params", [("reset", RESET_CWSSIM),
+                                          ("defaults", None)])
+@pytest.mark.parametrize("n_frames", [1, 3, 4, 5, 9])
+def test_cw_ssim_values_equal_the_image_loop_oracle(case, params, n_frames):
+    ref, tests = cw_ssim_frames(case)
+    tests = tests[:n_frames]
+    oracle_params = params if params is not None else CwSsimParams()
+    want = [image_loop_cw_ssim(ref, t, oracle_params) for t in tests]
+    scorer = prepare("cwssim", ref, params)
+    assert hexes(scorer.values(tests)) == hexes(want)
+    assert hexes(scorer.values(iter(tests))) == hexes(want)
+    assert hexes(scorer(t).value for t in tests) == hexes(want)
+
+
+SPLIT_PARAMS = CwSsimParams(pyramid=PyramidParams(levels=2, orientations=4))
+SPLIT_POOL = tuple(noise_image(70 + i, shape=(32, 32)) for i in range(5))
+
+
+@functools.lru_cache(maxsize=None)
+def split_scorer():
+    scorer = prepare("cwssim", SPLIT_POOL[0], SPLIT_PARAMS)
+    return scorer, tuple(scorer(img).value for img in SPLIT_POOL)
+
+
+@given(picks=st.lists(st.integers(0, len(SPLIT_POOL) - 1),
+                      min_size=1, max_size=9),
+       cuts=st.lists(st.integers(0, 9), max_size=3))
+def test_stacked_value_ignores_neighbours_and_splits(picks, cuts):
+    scorer, alone = split_scorer()
+    tests = [SPLIT_POOL[i] for i in picks]
+    want = hexes(alone[i] for i in picks)
+    assert hexes(scorer.values(tests)) == want
+    bounds = sorted({0, len(tests), *(min(c, len(tests)) for c in cuts)})
+    parts = [v for lo, hi in zip(bounds, bounds[1:])
+             for v in scorer.values(tests[lo:hi])]
+    assert hexes(parts) == want
 
 
 @pytest.mark.parametrize("name, size, params", [
@@ -589,3 +714,24 @@ def test_valid_smooth_equals_plain_correlate1d(size, sigma, box, extra,
         arr = (arr + 1j * rng.uniform(-255.0, 255.0, shape)).imag
     assert np.array_equal(metrics._valid_smooth(arr, kernel),
                           plain_valid_smooth(arr, kernel))
+
+
+def plain_decimate2(arr, kernel):
+    """Oracle: edge-replicating smoothing then 2x decimation, with
+    correlate1d allocating its own outputs."""
+    out = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest")
+    out = ndimage.correlate1d(out, kernel, axis=1, mode="nearest")
+    return out[::2, ::2]
+
+
+@given(size=st.integers(1, 6).map(lambda k: 2 * k + 1),
+       shape=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decimation_equals_plain_correlate1d(size, shape, seed):
+    arr = np.random.default_rng(seed).uniform(0.0, 255.0, shape)
+    kernel = metrics._gauss1d(size, size / 5.0)
+    assert hexes(metrics._decimate2(arr, kernel).ravel()) == hexes(
+        plain_decimate2(arr, kernel).ravel())
+    binomial = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    assert hexes(downsample2(GrayImage(arr)).pixels.ravel()) == hexes(
+        plain_decimate2(arr, binomial).ravel())

@@ -10,7 +10,8 @@ PUBLIC_NAMES = [
     "SimilarityScore", "SpeckleSpec", "SsimParams",
     "SweepResult", "SweepRow", "TraceReport", "TrackResult", "TrackingArm",
     "TrackingComparison", "VifParams", "__version__", "apply_speckle",
-    "band_energy", "benchmark_motion_spec", "benchmark_phantom_spec",
+    "band_energy", "band_stack", "benchmark_motion_spec",
+    "benchmark_phantom_spec",
     "compute_metric", "crop", "cw_ssim", "decompose",
     "displacement", "downsample2", "format_number",
     "load_pgm", "load_sequence", "make_phantom", "mean_shift_track",

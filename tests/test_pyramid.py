@@ -11,6 +11,7 @@ from usiq.pyramid import (
     Pyramid,
     PyramidParams,
     band_energy,
+    band_stack,
     decompose,
     min_dimension,
     shift_magnitude_stability,
@@ -277,6 +278,56 @@ def test_decompose_bit_equal_with_warm_and_cleared_plan(shape):
         assert np.array_equal(s1.coeffs, s2.coeffs)
     assert np.array_equal(warm.highpass_residual, cold.highpass_residual)
     assert np.array_equal(warm.lowpass_residual, cold.lowpass_residual)
+
+
+# ---------------------------------------------------------------------------
+# Stacked band loop
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def image_loop_decompose(image, params):
+    """Oracle: ``decompose`` as a loop over one 2-D image, before the band
+    loop took stacks. Returns (bands, highpass, lowpass)."""
+    total = image.height * image.width
+    dft = np.fft.fftshift(np.fft.fft2(image.pixels))
+    plan = pyramid._plan(dft.shape, params.levels, params.orientations)
+    highpass = np.fft.ifft2(np.fft.ifftshift(dft * plan.hi0)).real
+    lodft = dft * plan.lo0
+    phase = (-1j) ** (params.orientations - 1)
+    bands = []
+    for masks in plan.levels:
+        factor = math.sqrt(lodft.size / total)
+        radial = phase * lodft * masks.himask
+        for amask in masks.angle_masks:
+            bands.append(np.fft.ifft2(np.fft.ifftshift(radial * amask)) * factor)
+        lodft = lodft[masks.keep] * masks.lomask
+    factor = math.sqrt(lodft.size / total)
+    lowpass = np.fft.ifft2(np.fft.ifftshift(lodft)).real * factor
+    return bands, highpass, lowpass
+
+
+@pytest.mark.parametrize("shape, params", [
+    ((65, 65), PyramidParams(levels=3, orientations=6)),
+    ((64, 64), PyramidParams(levels=3, orientations=6)),
+    ((77, 90), PyramidParams(levels=2, orientations=4)),
+    ((33, 40), PyramidParams(levels=1, orientations=1)),
+    ((128, 128), PyramidParams()),
+])
+def test_decompose_and_band_stack_equal_the_image_loop(shape, params):
+    images = [noise_image(40 + i, shape=shape) for i in range(3)]
+    stacked = band_stack(np.stack([img.pixels for img in images]), params)
+    assert len(stacked) == params.levels * params.orientations
+    for i, img in enumerate(images):
+        bands, highpass, lowpass = image_loop_decompose(img, params)
+        pyr = decompose(img, params)
+        assert same_bits(pyr.highpass_residual, highpass)
+        assert same_bits(pyr.lowpass_residual, lowpass)
+        for band, stack, want in zip(pyr.subbands, stacked, bands):
+            assert same_bits(band.coeffs, want)
+            assert same_bits(stack[i], want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tracker tests: NCC and mean-shift steps, reset wrapper, error scoring."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -515,13 +516,15 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
     prepared, scored = [], []
 
     def counting(name, ref, params=None):
+        # the gate may score only through the batch entry point
         prepared.append(name)
-        score = prepare(name, ref, params)
+        scorer = prepare(name, ref, params)
 
-        def scorer(test):
-            scored.append(name)
-            return score(test)
-        return scorer
+        def values(tests):
+            tests = list(tests)
+            scored.extend(name for _ in tests)
+            return scorer.values(tests)
+        return SimpleNamespace(values=values)
 
     monkeypatch.setattr(tracking, "prepare", counting)
     res = track_with_reset("ncc", seq, reset=cfg)
@@ -542,17 +545,24 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
 
 def test_calibrated_cwssim_reset_decomposes_reference_once(monkeypatch):
     seq = bench_sequence(seed=5, n_frames=30)
-    calls = []
-    real = metrics.decompose
+    calls, stacks = [], []
+    decompose, band_stack = metrics.decompose, metrics.band_stack
 
     def counting(image, params=None):
         calls.append(image.shape)
-        return real(image, params)
+        return decompose(image, params)
+
+    def counting_stack(pixels, params):
+        stacks.append(pixels.shape)
+        return band_stack(pixels, params)
 
     monkeypatch.setattr(metrics, "decompose", counting)
+    monkeypatch.setattr(metrics, "band_stack", counting_stack)
     track_with_reset("meanshift", seq, reset=reset_cfg(calibration_frames=10))
-    # every frame once, plus the reference crop once
-    assert calls == [(65, 65)] * (30 + 1)
+    # the reference crop once, and every frame once in some stack
+    assert calls == [(65, 65)]
+    assert all(shape[1:] == (65, 65) for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == 30
 
 
 def test_drift_injection_reset_beats_bare_tracker():
