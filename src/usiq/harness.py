@@ -172,12 +172,12 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     """
     names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
-    view = (lambda img: crop(img, roi)) if roi is not None else (lambda img: img)
-    ref = view(seq.frames[seq.reference_frame])
+    views = (seq.frames if roi is None
+             else tuple(crop(frame, roi) for frame in seq.frames))
     raw = {}
     for name in names:
-        scorer = prepare(name, ref, params.get(name))
-        raw[name] = scorer.values(view(frame) for frame in seq.frames)
+        scorer = prepare(name, views[seq.reference_frame], params.get(name))
+        raw[name] = scorer.values(views)
     normalized, notes = _normalized_or_noted(raw)
     return TraceReport(metrics=names, raw=raw, normalized=normalized,
                        notes=notes, reference_frame=seq.reference_frame)

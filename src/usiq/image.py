@@ -200,15 +200,18 @@ def load_pgm(path) -> GrayImage:
     if arr.min() < 0 or arr.max() > maxval:
         raise PgmDataError("sample value outside [0, maxval]")
 
-    pixels = arr.astype(np.float64).reshape(height, width) * 255.0 / maxval
+    pixels = arr.astype(np.float64).reshape(height, width)
+    pixels *= 255.0
+    pixels /= maxval
     return GrayImage(pixels)
 
 
 def save_pgm(image: GrayImage, path) -> None:
     """Write an 8-bit binary (P5) PGM; values are rounded half-away-from-zero
     and clamped to [0, 255]."""
-    clipped = np.clip(image.pixels, 0.0, 255.0)
-    quantized = np.floor(clipped + 0.5)
+    quantized = np.clip(image.pixels, 0.0, 255.0)
+    quantized += 0.5
+    np.floor(quantized, out=quantized)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -231,7 +234,7 @@ def crop(image: GrayImage, roi: Roi) -> GrayImage:
                  0, image.width - 1)
     ys = np.clip(np.arange(cy - roi.half_height, cy + roi.half_height + 1),
                  0, image.height - 1)
-    return GrayImage(image.pixels[np.ix_(ys, xs)])
+    return GrayImage(image.pixels.take(ys, axis=0).take(xs, axis=1))
 
 
 def downsample2(image: GrayImage) -> GrayImage:

@@ -136,7 +136,7 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> GrayImage:
     makes the rendered centroid track fractional centers.
     """
     _require_discs_in_frame(spec)
-    return _draw_discs(_background(spec, seed), spec.landmarks)
+    return GrayImage(_draw_discs(_background(spec, seed), spec.landmarks))
 
 
 def _background(spec: PhantomSpec, seed: int) -> np.ndarray:
@@ -150,9 +150,10 @@ def _background(spec: PhantomSpec, seed: int) -> np.ndarray:
     return np.full((spec.height, spec.width), spec.background_mean)
 
 
-def _draw_discs(background: np.ndarray, discs) -> GrayImage:
+def _draw_discs(background: np.ndarray, discs) -> np.ndarray:
     """Composite ``discs`` over a copy of ``background`` in order, each only
-    inside centre +- (radius + 0.5), outside which its coverage is exactly 0."""
+    inside centre +- (radius + 0.5), outside which its coverage is exactly 0;
+    returns the composited array."""
     ys, xs = (np.arange(n, dtype=np.float64) for n in background.shape)
     img = background.copy()
     for disc in discs:
@@ -163,7 +164,7 @@ def _draw_discs(background: np.ndarray, discs) -> GrayImage:
         cov = np.clip(reach - dist, 0.0, 1.0)
         box = img[rows, cols]
         box[...] = box * (1.0 - cov) + disc.intensity * cov
-    return GrayImage(img)
+    return img
 
 
 def apply_speckle(image: GrayImage, spec: SpeckleSpec) -> GrayImage:
@@ -172,11 +173,19 @@ def apply_speckle(image: GrayImage, spec: SpeckleSpec) -> GrayImage:
     output = clamp(image * ((1 - alpha) + alpha * r), 0, 255) with
     E[r] = 1. alpha = 0 returns the input bit for bit.
     """
+    return GrayImage(_speckled(image.pixels, spec))
+
+
+def _speckled(pixels: np.ndarray, spec: SpeckleSpec) -> np.ndarray:
+    """``apply_speckle``'s arithmetic on a pixel array, computed in place in
+    the Rayleigh draw's buffer, which is returned; ``pixels`` is only read."""
     rng = np.random.default_rng(spec.seed)
-    raw = rng.rayleigh(scale=spec.rayleigh_sigma, size=image.pixels.shape)
-    unit = raw / (spec.rayleigh_sigma * math.sqrt(math.pi / 2.0))
-    mult = (1.0 - spec.alpha) + spec.alpha * unit
-    return GrayImage(np.clip(image.pixels * mult, 0.0, 255.0))
+    out = rng.rayleigh(scale=spec.rayleigh_sigma, size=pixels.shape)
+    out /= spec.rayleigh_sigma * math.sqrt(math.pi / 2.0)
+    out *= spec.alpha
+    out += 1.0 - spec.alpha
+    out *= pixels
+    return np.clip(out, 0.0, 255.0, out=out)
 
 
 def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
@@ -202,14 +211,14 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
         dx, dy = (d, 0.0) if motion.axis == "x" else (0.0, d)
         centers = tuple(Landmark(disc.center.x + dx, disc.center.y + dy)
                         for disc in phantom.landmarks)
-        frame = _draw_discs(background, (
+        pixels = _draw_discs(background, (
             Disc(c, disc.radius, disc.intensity)
             for c, disc in zip(centers, phantom.landmarks)))
         if speckle is not None:
-            frame = apply_speckle(frame, SpeckleSpec(
+            pixels = _speckled(pixels, SpeckleSpec(
                 alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,
                 seed=speckle.seed + t))
-        frames.append(frame)
+        frames.append(GrayImage(pixels))
         tracks.append(centers)
     return FrameSequence(frames=tuple(frames),
                          pixel_spacing_mm=pixel_spacing_mm,

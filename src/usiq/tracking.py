@@ -545,10 +545,11 @@ def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
     """Check ``reset`` against ``seq`` and return its trace and threshold.
 
     The trace scores every frame against the reference frame's crop, which
-    is prepared once; frames are cropped as the scorer's ``values`` reads
-    them. A calibrated threshold is the maximum minus one
-    population standard deviation of the ``calibration_frames`` values
-    directly following the reference, and must lie in (0, 1].
+    is cropped once, prepared and scored at its own position; the other
+    frames are cropped as the scorer's ``values`` reads them. A calibrated
+    threshold is the maximum minus one population standard deviation of the
+    ``calibration_frames`` values directly following the reference, and must
+    lie in (0, 1].
     """
     if reset is None:
         raise InvalidParamsError("a ResetConfig is required")
@@ -558,9 +559,10 @@ def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
     if reset.threshold is None and ref + reset.calibration_frames >= n_frames:
         raise InvalidParamsError("calibration window extends past the sequence")
     roi = reset.similarity_roi
-    scorer = prepare(reset.metric, crop(seq.frames[ref], roi),
-                     reset.metric_params)
-    trace = scorer.values(crop(frame, roi) for frame in seq.frames)
+    ref_view = crop(seq.frames[ref], roi)
+    scorer = prepare(reset.metric, ref_view, reset.metric_params)
+    trace = scorer.values(ref_view if t == ref else crop(frame, roi)
+                          for t, frame in enumerate(seq.frames))
     if reset.threshold is not None:
         return trace, reset.threshold
     window = np.asarray(trace[ref + 1:ref + reset.calibration_frames + 1])

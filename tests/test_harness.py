@@ -7,7 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
-from usiq import errors, metrics
+from usiq import errors, harness, metrics
 from usiq.harness import (
     CorrelationEntry,
     CorrelationReport,
@@ -25,8 +25,8 @@ from usiq.harness import (
     write_tracking_frames_csv,
     write_tracking_summary_csv,
 )
-from usiq.image import FrameSequence, GrayImage, Landmark, Roi
-from usiq.metrics import CwSsimParams, MsSsimParams
+from usiq.image import FrameSequence, GrayImage, Landmark, Roi, crop
+from usiq.metrics import CwSsimParams, MsSsimParams, VifParams
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
     Disc,
@@ -200,6 +200,54 @@ def test_cwssim_trace_decomposes_reference_once(monkeypatch):
     assert calls == [(65, 65)]
     assert all(shape[1:] == (65, 65) for shape in stacks)
     assert sum(shape[0] for shape in stacks) == 12
+
+
+# The benchmark trace's params, which every metric accepts on a 65 x 65 ROI.
+TRACE_PARAMS = {
+    "msssim": MsSsimParams(scales=3, weights=(0.0448, 0.2856, 0.3001)),
+    "vif": VifParams(scales=3),
+    "cwssim": CwSsimParams(pyramid=PyramidParams(levels=3, orientations=6)),
+}
+
+
+def per_metric_generator_trace(seq, names, roi, metric_params):
+    """Oracle: every metric crops the reference and every frame afresh, from
+    a generator."""
+    view = (lambda img: crop(img, roi)) if roi is not None else (lambda img: img)
+    ref = view(seq.frames[seq.reference_frame])
+    return {name: metrics.prepare(name, ref, metric_params.get(name)).values(
+                view(frame) for frame in seq.frames)
+            for name in names}
+
+
+@pytest.mark.parametrize("roi", [None, SMALL_ROI])
+def test_trace_equals_the_per_metric_generator_oracle(roi):
+    # a reference inside the sequence, so its position in the crops matters
+    seq = FrameSequence(frames=bench_sequence(seed=8, n_frames=6).frames,
+                        reference_frame=2)
+    names = ("mse", "psnr", "ssim", "msssim", "vif", "cwssim")
+    report = run_trace(seq, names, roi=roi, metric_params=TRACE_PARAMS)
+    want = per_metric_generator_trace(seq, names, roi, TRACE_PARAMS)
+    for name in names:
+        assert ([v.hex() for v in report.raw[name]]
+                == [v.hex() for v in want[name]]), name
+
+
+def test_five_metric_trace_crops_each_frame_once(monkeypatch):
+    seq = bench_sequence(seed=9, n_frames=10)
+    cropped = []
+
+    def counting(image, roi):
+        cropped.append(image)
+        return crop(image, roi)
+
+    monkeypatch.setattr(harness, "crop", counting)
+    names = ["mse", "psnr", "ssim", "msssim", "vif"]
+    report = run_trace(seq, names, roi=SMALL_ROI, metric_params={
+        name: TRACE_PARAMS[name] for name in ("msssim", "vif")})
+    assert len(cropped) == 10
+    assert all(got is frame for got, frame in zip(cropped, seq.frames))
+    assert all(len(col) == 10 for col in report.raw.values())
 
 
 def test_trace_respects_roi_and_metric_order():

@@ -152,6 +152,50 @@ def test_pgm_round_trip_error_below_half(tmp_path):
     assert np.max(np.abs(back.pixels - img.pixels)) < 0.5
 
 
+def old_pgm_scaling(samples, maxval):
+    """Oracle: the scaling as one expression with fresh temporaries."""
+    return samples.astype(np.float64) * 255.0 / maxval
+
+
+@pytest.mark.parametrize("maxval", [255, 1000, 65535])
+@pytest.mark.parametrize("magic", ["P5", "P2"])
+def test_load_pgm_scaling_equals_the_expression_oracle(tmp_path, magic, maxval):
+    rng = np.random.default_rng(maxval)
+    samples = rng.integers(0, maxval + 1, (7, 11))
+    samples[0, :3] = (0, 1, maxval)
+    header = f"{magic}\n11 7\n{maxval}\n".encode("ascii")
+    if magic == "P5":
+        body = samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+    else:
+        body = " ".join(map(str, samples.ravel())).encode("ascii") + b"\n"
+    path = tmp_path / "a.pgm"
+    path.write_bytes(header + body)
+    got = load_pgm(path).pixels
+    assert np.array_equal(got, old_pgm_scaling(samples, maxval))
+
+
+def old_pgm_bytes(image):
+    """Oracle: the P5 file as written with a fresh temporary per step."""
+    clipped = np.clip(image.pixels, 0.0, 255.0)
+    quantized = np.floor(clipped + 0.5)
+    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
+    return header + quantized.astype(np.uint8).tobytes()
+
+
+def test_save_pgm_bytes_equal_the_expression_oracle(tmp_path):
+    rng = np.random.default_rng(11)
+    pixels = rng.uniform(-40.0, 300.0, (9, 14))
+    # exact .5 ties, both clamps and values that round to the edges
+    pixels[0, :8] = (0.5, 1.5, 254.5, 127.5, -0.5, 255.5, 254.49, -1e9)
+    pixels[1, :3] = (1e9, 0.49999999999999994, 255.0)
+    image = GrayImage(pixels)
+    kept = image.pixels.copy()
+    path = tmp_path / "a.pgm"
+    save_pgm(image, path)
+    assert path.read_bytes() == old_pgm_bytes(image)
+    assert np.array_equal(image.pixels, kept)
+
+
 def test_save_pgm_unwritable_path(tmp_path):
     img = GrayImage(np.zeros((2, 2)))
     with pytest.raises(OSError):

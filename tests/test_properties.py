@@ -9,14 +9,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from usiq.errors import InvalidParamsError
 from usiq.harness import format_number, run_tracking_study
 from usiq.image import (FrameSequence, GrayImage, Landmark, Roi, crop,
-                        downsample2, load_pgm, load_sequence, save_pgm,
-                        write_sequence)
+                        downsample2, load_pgm, load_sequence, round_half_away,
+                        save_pgm, write_sequence)
 from usiq.metrics import CwSsimParams, MsSsimParams, prepare
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
@@ -90,6 +90,35 @@ def test_pgm_round_trips_integer_images_as_p5_and_p2(image):
 def test_crop_shape_is_the_roi_shape(image, x, y, half_width, half_height):
     out = crop(image, Roi(Landmark(x, y), half_width, half_height))
     assert out.shape == (2 * half_height + 1, 2 * half_width + 1)
+
+
+def ix_crop(pixels, roi):
+    """Oracle: the crop as one ``np.ix_`` fancy-index gather."""
+    cx, cy = round_half_away(roi.center.x), round_half_away(roi.center.y)
+    height, width = pixels.shape
+    xs = np.clip(np.arange(cx - roi.half_width, cx + roi.half_width + 1),
+                 0, width - 1)
+    ys = np.clip(np.arange(cy - roi.half_height, cy + roi.half_height + 1),
+                 0, height - 1)
+    return pixels[np.ix_(ys, xs)]
+
+
+# The explicit examples place a 10 x 12 image's ROI inside it, across each of
+# its four borders, and around it; the drawn ones cover the rest.
+@given(SEEDS, st.integers(1, 12), st.integers(1, 12), st.floats(-20.0, 32.0),
+       st.floats(-20.0, 32.0), st.integers(0, 15), st.integers(0, 15))
+@example(1, 10, 12, 6.0, 4.5, 3, 2)       # inside
+@example(2, 10, 12, 1.0, 5.0, 3, 2)       # across the left border
+@example(3, 10, 12, 10.4, 5.0, 3, 2)      # across the right border
+@example(4, 10, 12, 6.0, 1.0, 3, 2)       # across the top border
+@example(5, 10, 12, 6.0, 9.0, 3, 4)       # across the bottom border
+@example(6, 10, 12, 5.5, 4.5, 9, 8)       # larger than the image
+def test_crop_equals_the_ix_gather_oracle(seed, height, width, x, y,
+                                          half_width, half_height):
+    image = GrayImage(np.random.default_rng(seed).uniform(0.0, 255.0,
+                                                          (height, width)))
+    roi = Roi(Landmark(x, y), half_width, half_height)
+    assert np.array_equal(crop(image, roi).pixels, ix_crop(image.pixels, roi))
 
 
 @given(st.integers(2, 40), st.integers(2, 40))

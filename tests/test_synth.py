@@ -178,6 +178,29 @@ def test_speckle_determinism():
                           apply_speckle(img, spec).pixels)
 
 
+def speckle_expression(image, spec):
+    """Oracle: the speckle step as one expression with fresh temporaries."""
+    rng = np.random.default_rng(spec.seed)
+    raw = rng.rayleigh(scale=spec.rayleigh_sigma, size=image.pixels.shape)
+    unit = raw / (spec.rayleigh_sigma * math.sqrt(math.pi / 2.0))
+    mult = (1.0 - spec.alpha) + spec.alpha * unit
+    return GrayImage(np.clip(image.pixels * mult, 0.0, 255.0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 13), (31, 5)])
+def test_speckle_equals_the_expression_oracle(alpha, shape):
+    # a bright texture, so alpha 1 clips some pixels at 255
+    pixels = np.random.default_rng(5).uniform(0.0, 250.0, shape)
+    image = GrayImage(pixels)
+    kept = image.pixels.copy()
+    for spec in (SpeckleSpec(alpha=alpha, seed=3),
+                 SpeckleSpec(alpha=alpha, rayleigh_sigma=2.5, seed=8)):
+        got = apply_speckle(image, spec)
+        assert np.array_equal(got.pixels, speckle_expression(image, spec).pixels)
+    assert np.array_equal(image.pixels, kept)
+
+
 # ---------------------------------------------------------------------------
 # Cross-module: metric means degrade monotonically with speckle level
 
@@ -353,9 +376,48 @@ def overlapping_discs(draw, width=24, height=20):
 def test_bounding_box_compositing_equals_the_full_frame_oracle(discs, seed):
     background = np.random.default_rng(seed).uniform(0.0, 255.0, (20, 24))
     kept = background.copy()
-    got = synth._draw_discs(background, discs).pixels
+    got = synth._draw_discs(background, discs)
     assert np.array_equal(got, full_frame_draw_discs(background, discs))
     assert np.array_equal(background, kept)
+
+
+def per_step_periodic_sequence(phantom, motion, speckle, seed):
+    """Oracle: one full-frame composite, then one speckle expression, each
+    wrapped as an image, per frame."""
+    background = synth._background(phantom, seed)
+    frames, tracks = [], []
+    for t in range(motion.n_frames):
+        d = displacement(motion, t)
+        dx, dy = (d, 0.0) if motion.axis == "x" else (0.0, d)
+        discs = tuple(Disc(Landmark(c.center.x + dx, c.center.y + dy),
+                           c.radius, c.intensity) for c in phantom.landmarks)
+        frame = GrayImage(full_frame_draw_discs(background, discs))
+        if speckle is not None:
+            frame = speckle_expression(frame, SpeckleSpec(
+                alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,
+                seed=speckle.seed + t))
+        frames.append(frame)
+        tracks.append(tuple(disc.center for disc in discs))
+    return frames, tracks
+
+
+@pytest.mark.parametrize("speckle", [None, SpeckleSpec(alpha=0.0, seed=2),
+                                     SpeckleSpec(alpha=0.45, seed=6),
+                                     SpeckleSpec(alpha=1.0, seed=1)])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_periodic_sequence_equals_the_per_step_oracle(speckle, axis):
+    # overlapping discs on an odd-sized textured frame
+    phantom = PhantomSpec(width=61, height=47, background_texture_sigma=12.0,
+                          landmarks=(Disc(Landmark(24.0, 22.5), 6.0, 250.0),
+                                     Disc(Landmark(30.5, 25.0), 4.25, 20.0)))
+    motion = MotionSpec(amplitude=5.5, period=7.0, n_frames=9, phase=0.3,
+                        axis=axis)
+    seq = periodic_sequence(phantom, motion, speckle=speckle, seed=13)
+    frames, tracks = per_step_periodic_sequence(phantom, motion, speckle, 13)
+    assert len(seq.frames) == len(frames)
+    for got, want in zip(seq.frames, frames):
+        assert np.array_equal(got.pixels, want.pixels)
+    assert seq.landmarks == tuple(tracks)
 
 
 def test_sequence_determinism_and_speckle_decorrelation():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from usiq import errors, metrics, tracking
-from usiq.image import FrameSequence, GrayImage, Landmark, Roi
+from usiq.image import FrameSequence, GrayImage, Landmark, Roi, crop
 from usiq.metrics import CwSsimParams, prepare
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
@@ -541,6 +541,27 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
     assert fixed.estimates == res.estimates
     assert fixed.similarity_trace == res.similarity_trace
     assert fixed.reset_threshold == threshold
+
+
+def test_calibrated_reset_crops_each_frame_once(monkeypatch):
+    seq = bench_sequence(seed=5, n_frames=20)
+    cfg = reset_cfg(calibration_frames=6, reference_frame=3)
+    cropped = []
+
+    def counting(image, roi):
+        cropped.append(image)
+        return crop(image, roi)
+
+    monkeypatch.setattr(tracking, "crop", counting)
+    res = track_with_reset("ncc", seq, reset=cfg)
+    assert len(cropped) == len(seq.frames)
+    assert {id(image) for image in cropped} == {id(f) for f in seq.frames}
+    monkeypatch.undo()
+    # the reference's one crop is still scored at its own position
+    roi = cfg.similarity_roi
+    scorer = prepare(cfg.metric, crop(seq.frames[3], roi), cfg.metric_params)
+    want = scorer.values(crop(frame, roi) for frame in seq.frames)
+    assert [v.hex() for v in res.similarity_trace] == [v.hex() for v in want]
 
 
 def test_calibrated_cwssim_reset_decomposes_reference_once(monkeypatch):
