@@ -35,7 +35,7 @@ from .image import (
     save_pgm,
     write_sequence,
 )
-from .metrics import METRICS, PARAMS_CLASSES, compute_metric
+from .metrics import METRICS, compute_metric
 from .pyramid import PyramidParams
 from .synth import (
     SpeckleSpec,
@@ -102,18 +102,19 @@ def build_metric_params(metric: str, assignments: dict):
     if metric == "psnr":
         if set(kv) != {"peakval"}:
             raise InvalidParamsError("psnr accepts only peakval=<value>")
+        if not isinstance(kv["peakval"], (int, float)):
+            raise InvalidParamsError(
+                f"peakval must be a number, got {assignments['peakval']!r}")
         return float(kv["peakval"])
-    params_class = PARAMS_CLASSES.get(metric)
+    params_class = METRICS[metric].params
     if params_class is None:
         raise InvalidParamsError(f"{metric} takes no parameters")
-    if metric == "cwssim":
-        pyramid_kv = {}
-        for key in ("levels", "orientations"):
-            if key in kv:
-                pyramid_kv[key] = kv.pop(key)
-        if pyramid_kv:
-            kv["pyramid"] = PyramidParams(**pyramid_kv)
     try:
+        if metric == "cwssim":
+            pyramid_kv = {key: kv.pop(key)
+                          for key in ("levels", "orientations") if key in kv}
+            if pyramid_kv:
+                kv["pyramid"] = PyramidParams(**pyramid_kv)
         return params_class(**kv)
     except TypeError as exc:
         raise InvalidParamsError(f"bad {metric} parameter: {exc}") from None
@@ -391,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     correlation.add_argument("--seed", type=int, default=0)
     correlation.add_argument("--frames", type=int, default=90)
     correlation.add_argument("--alpha", type=float, default=0.3)
-    correlation.add_argument("--metrics",
-                             default="mse,psnr,ssim,msssim,cwssim,vif")
+    correlation.add_argument("--metrics", default=",".join(METRICS))
     correlation.add_argument("--roi", help="x,y,half_w,half_h")
     correlation.add_argument("--param", action="append",
                              metavar="METRIC:KEY=VALUE")
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="metric means across speckle levels")
     noise.add_argument("--alphas",
                        default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    noise.add_argument("--metrics", default="mse,psnr,ssim,msssim,cwssim,vif")
+    noise.add_argument("--metrics", default=",".join(METRICS))
     noise.add_argument("--seeds", type=int, default=5)
     noise.add_argument("--seed", type=int, default=0)
     noise.add_argument("--out", required=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ConstantSeriesError,
@@ -316,8 +316,8 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
         speckled = [apply_speckle(base, SpeckleSpec(alpha=alpha, seed=seed + i))
                     for i in range(seeds)]
         for name in names:
-            values = [scorers[name](img).value for img in speckled]
-            means[name].append(math.fsum(values) / len(values))
+            means[name].append(math.fsum(scorers[name].values(speckled))
+                               / len(speckled))
     normalized, notes = _normalized_or_noted(means)
     rows = tuple(
         SweepRow(alpha=alpha, metric=name, mean_value=means[name][i],

@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -119,6 +119,21 @@ def require_same_shape(a: GrayImage, b: GrayImage) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(
             f"operands must share dimensions, got {a.shape} and {b.shape}")
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bools and floats (even 2.0) are not."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+def require_integers(params, *names: str) -> None:
+    """Raise InvalidParamsError unless each named field of ``params`` is an
+    integer."""
+    for name in names:
+        value = getattr(params, name)
+        if not _is_int(value):
+            raise InvalidParamsError(
+                f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +282,7 @@ def _checked_fields(n_frames: int, pixel_spacing_mm, reference_frame,
         raise ManifestError("sequence must contain at least one frame")
     if not (math.isfinite(pixel_spacing_mm) and pixel_spacing_mm > 0):
         raise ManifestError("pixel_spacing_mm must be finite and > 0")
-    if (isinstance(reference_frame, bool)
-            or not hasattr(type(reference_frame), "__index__")):
+    if not _is_int(reference_frame):
         raise ManifestError(
             f"reference_frame must be an integer, got {reference_frame!r}")
     reference_frame = operator.index(reference_frame)

@@ -25,7 +25,7 @@ from .errors import (
     ImageTooSmallError,
     InvalidParamsError,
 )
-from .image import GrayImage, downsample2, require_same_shape
+from .image import GrayImage, downsample2, require_integers, require_same_shape
 from .pyramid import PyramidParams, band_stack, decompose
 
 __all__ = [
@@ -70,6 +70,7 @@ class SsimParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        require_integers(self, "window_size")
         if self.k1 <= 0 or self.k2 <= 0:
             raise InvalidParamsError("k1 and k2 must be positive")
         if self.dynamic_range <= 0:
@@ -101,6 +102,7 @@ class MsSsimParams:
     base: SsimParams = field(default_factory=SsimParams)
 
     def __post_init__(self):
+        require_integers(self, "scales")
         if self.scales < 1:
             raise InvalidParamsError("scales must be >= 1")
         weights = self.weights
@@ -130,6 +132,7 @@ class CwSsimParams:
     k_stab: float = 0.03
 
     def __post_init__(self):
+        require_integers(self, "window_size")
         if self.window_size < 1 or self.window_size % 2 == 0:
             raise InvalidParamsError(
                 f"window_size must be odd and >= 1, got {self.window_size}")
@@ -146,6 +149,7 @@ class VifParams:
     block_size: int = 9
 
     def __post_init__(self):
+        require_integers(self, "scales", "block_size")
         if self.sigma_n2 <= 0:
             raise InvalidParamsError("sigma_n2 must be positive")
         if self.scales < 1:
@@ -555,53 +559,42 @@ def normalize_series(values) -> list[float]:
     return [((top if math.isinf(v) else v) - bot) / span for v in vals]
 
 
+class _Metric(NamedTuple):
+    """One metric: its preparer, the type of the params it takes (None: it
+    takes none; psnr's params is its peak value), and its public function."""
+
+    prepare: Callable[..., Scorer]
+    params: type | None
+    function: Callable[..., SimilarityScore]
+
+
 METRICS = {
-    "mse": mse,
-    "psnr": psnr,
-    "ssim": ssim,
-    "msssim": ms_ssim,
-    "cwssim": cw_ssim,
-    "vif": vif,
-}
-
-# Type of the params argument each metric takes; None means it takes none.
-# psnr's params is its peak value.
-PARAMS_CLASSES = {
-    "mse": None,
-    "psnr": Real,
-    "ssim": SsimParams,
-    "msssim": MsSsimParams,
-    "cwssim": CwSsimParams,
-    "vif": VifParams,
-}
-
-_PREPARERS = {
-    "mse": _prepare_mse,
-    "psnr": _prepare_psnr,
-    "ssim": _prepare_ssim,
-    "msssim": _prepare_ms_ssim,
-    "cwssim": _prepare_cw_ssim,
-    "vif": _prepare_vif,
+    "mse": _Metric(_prepare_mse, None, mse),
+    "psnr": _Metric(_prepare_psnr, Real, psnr),
+    "ssim": _Metric(_prepare_ssim, SsimParams, ssim),
+    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams, ms_ssim),
+    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams, cw_ssim),
+    "vif": _Metric(_prepare_vif, VifParams, vif),
 }
 
 
 def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
     """Do a metric's reference-only work once and return ``scorer(test)``.
 
-    ``params`` must match the metric (see PARAMS_CLASSES); None selects its
-    defaults. Errors that depend only on the reference and the params (too
-    small, degenerate) are raised here; a test of another shape is rejected
-    by the scorer. The scorer keeps no state between calls, so reusing it
-    over many tests gives the same values as preparing afresh for each.
+    ``params`` must be of the metric's ``METRICS[name].params`` type; None
+    selects its defaults. Errors that depend only on the reference and the
+    params (too small, degenerate) are raised here; a test of another shape
+    is rejected by the scorer. The scorer keeps no state between calls, so
+    reusing it over many tests gives the same values as preparing afresh for
+    each.
     """
     try:
-        preparer = _PREPARERS[name]
+        preparer, expected, _ = METRICS[name]
     except KeyError:
         raise InvalidParamsError(
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")
     if params is None:
         return preparer(ref)
-    expected = PARAMS_CLASSES[name]
     if expected is None or not isinstance(params, expected):
         wanted = "no params" if expected is None else expected.__name__
         raise InvalidParamsError(

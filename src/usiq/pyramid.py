@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ImageTooSmallError, InvalidParamsError
-from .image import GrayImage
+from .image import GrayImage, require_integers
 
 __all__ = [
     "ComplexSubband",
@@ -43,6 +43,7 @@ class PyramidParams:
     orientations: int = 6
 
     def __post_init__(self):
+        require_integers(self, "levels", "orientations")
         if self.levels < 1:
             raise InvalidParamsError(f"levels must be >= 1, got {self.levels}")
         if self.orientations < 1:

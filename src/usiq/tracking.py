@@ -29,7 +29,15 @@ from .errors import (
     OutOfFrameError,
     ZeroVarianceTemplateError,
 )
-from .image import FrameSequence, GrayImage, Landmark, Roi, crop, round_half_away
+from .image import (
+    FrameSequence,
+    GrayImage,
+    Landmark,
+    Roi,
+    crop,
+    require_integers,
+    round_half_away,
+)
 from .metrics import METRICS, prepare
 
 __all__ = [
@@ -67,6 +75,7 @@ class NccConfig:
     subpixel: bool = True
 
     def __post_init__(self):
+        require_integers(self, "roi_half", "search_half")
         if self.roi_half < 1:
             raise InvalidParamsError("roi_half must be >= 1")
         if self.search_half <= self.roi_half:
@@ -90,6 +99,7 @@ class MeanShiftConfig:
     scale_steps: tuple[float, ...] = (0.9, 1.0, 1.1)
 
     def __post_init__(self):
+        require_integers(self, "roi_half", "bins", "max_iters")
         if self.roi_half < 1:
             raise InvalidParamsError("roi_half must be >= 1")
         if self.bins < 2:

@@ -10,7 +10,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from usiq.harness import (
@@ -37,9 +36,7 @@ from usiq.metrics import _covariance, _gauss1d, _moments
 from usiq.pyramid import PyramidParams, band_energy, decompose
 from usiq.synth import (
     Disc,
-    MotionSpec,
     PhantomSpec,
-    SpeckleSpec,
     benchmark_motion_spec,
     benchmark_phantom_spec,
     make_phantom,
@@ -47,18 +44,13 @@ from usiq.synth import (
 )
 from usiq.tracking import ResetConfig
 
+from builders import bench_sequence
+
 
 def report(num: int, ok: bool, detail: str) -> str:
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'} {detail}"
     print(line)
     return line
-
-
-def bench_sequence(seed, n_frames=90, decoy=False, alpha=0.3):
-    return periodic_sequence(benchmark_phantom_spec(decoy=decoy),
-                             benchmark_motion_spec(n_frames=n_frames),
-                             speckle=SpeckleSpec(alpha=alpha, seed=seed),
-                             seed=seed)
 
 
 # 64x64 inputs cannot host the full default decompositions (five msssim

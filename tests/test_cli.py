@@ -56,6 +56,28 @@ def test_compare_bad_param_reports_kind(workdir, run_cli):
     assert proc.stderr.startswith("invalid-params:")
 
 
+@pytest.mark.parametrize("metric, param", [
+    ("psnr", "peakval=abc"),
+    ("psnr", "peakval=1:2"),
+    ("cwssim", "levels=2.0"),
+    ("cwssim", "levels=abc"),
+    ("vif", "scales=2.0"),
+    ("ssim", "window_size=7.5"),
+])
+def test_compare_malformed_param_reports_kind(workdir, run_cli, metric, param):
+    proc = run_cli("compare", "clean.pgm", "noisy.pgm", "--metric", metric,
+                   "--param", param, cwd=workdir)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid-params:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("study", ["correlation", "noise-sweep"])
+def test_study_metrics_default_is_every_metric(study):
+    args = cli.build_parser().parse_args(["study", study, "--out", "x"])
+    assert args.metrics == "mse,psnr,ssim,msssim,cwssim,vif"
+
+
 def test_trace_and_track_over_manifest(workdir, run_cli):
     proc = run_cli("synth", "sequence", "--out-dir", "seq", "--seed", "0",
                    "--frames", "10", "--alpha", "0.3", cwd=workdir)

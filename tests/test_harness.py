@@ -25,7 +25,7 @@ from usiq.harness import (
     write_tracking_frames_csv,
     write_tracking_summary_csv,
 )
-from usiq.image import FrameSequence, GrayImage, Landmark, Roi, crop
+from usiq.image import FrameSequence, Landmark, Roi, crop
 from usiq.metrics import CwSsimParams, MsSsimParams, VifParams
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
@@ -33,12 +33,15 @@ from usiq.synth import (
     MotionSpec,
     PhantomSpec,
     SpeckleSpec,
+    apply_speckle,
     benchmark_motion_spec,
     benchmark_phantom_spec,
     make_phantom,
     periodic_sequence,
 )
 from usiq.tracking import ResetConfig, TrackResult, track_with_reset
+
+from builders import bench_sequence
 
 
 def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
@@ -51,13 +54,6 @@ def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
 def static_sequence(image, n, marks):
     return FrameSequence(frames=tuple(image for _ in range(n)),
                          landmarks=tuple(marks for _ in range(n)))
-
-
-def bench_sequence(seed, n_frames=90, decoy=False, alpha=0.3):
-    return periodic_sequence(benchmark_phantom_spec(decoy=decoy),
-                             benchmark_motion_spec(n_frames=n_frames),
-                             speckle=SpeckleSpec(alpha=alpha, seed=seed),
-                             seed=seed)
 
 
 SMALL_ROI = Roi(Landmark(108.0, 128.0), 32, 32)
@@ -396,7 +392,6 @@ def test_noise_sweep_monotone_and_normalized():
 
 def test_noise_sweep_mean_matches_per_seed_oracle():
     from usiq.metrics import compute_metric
-    from usiq.synth import apply_speckle
 
     phantom = small_phantom()
     sweep = run_noise_sweep(phantom, [0.5], ["mse"], seeds=3, seed=9)
@@ -406,6 +401,44 @@ def test_noise_sweep_mean_matches_per_seed_oracle():
                                                            seed=9 + i))).value
             for i in range(3)]
     assert sweep.rows[0].mean_value == math.fsum(vals) / 3.0
+
+
+def per_image_sweep_means(phantom, alphas, names, seeds, seed, metric_params):
+    """Oracle: the sweep's mean column in row order, each speckled draw
+    scored on its own by ``scorer(img).value``."""
+    base = make_phantom(phantom, seed=seed)
+    scorers = {name: metrics.prepare(name, base, metric_params.get(name))
+               for name in names}
+    means = []
+    for alpha in alphas:
+        speckled = [apply_speckle(base, SpeckleSpec(alpha=alpha, seed=seed + i))
+                    for i in range(seeds)]
+        for name in names:
+            values = [scorers[name](img).value for img in speckled]
+            means.append(math.fsum(values) / len(values))
+    return means
+
+
+@pytest.mark.parametrize("seeds, depths", [(1, [1]), (2, [2]), (5, [4, 1])])
+def test_noise_sweep_equals_the_per_image_oracle(monkeypatch, seeds, depths):
+    names = tuple(metrics.METRICS)
+    alphas = (0.0, 0.4, 0.9)
+    stacks, band_stack = [], metrics.band_stack
+
+    def counting_stack(pixels, params):
+        stacks.append(len(pixels))
+        return band_stack(pixels, params)
+
+    monkeypatch.setattr(metrics, "band_stack", counting_stack)
+    sweep = run_noise_sweep(small_phantom(), alphas, names, seeds=seeds,
+                            seed=4, metric_params=TRACE_PARAMS)
+    monkeypatch.undo()
+    # CW-SSIM scores each alpha's draws as stacks of at most four
+    assert stacks == depths * len(alphas)
+    oracle = per_image_sweep_means(small_phantom(), alphas, names, seeds, 4,
+                                   TRACE_PARAMS)
+    assert [row.mean_value.hex() for row in sweep.rows] == [
+        value.hex() for value in oracle]
 
 
 def test_noise_sweep_deterministic_and_validated():

@@ -36,10 +36,7 @@ from usiq.synth import (
     periodic_sequence,
 )
 
-
-def noise_image(seed, shape=(64, 64), low=0.0, high=255.0):
-    rng = np.random.default_rng(seed)
-    return GrayImage(rng.uniform(low, high, size=shape))
+from builders import noise_image
 
 
 def smooth_scene(size=128):
@@ -424,6 +421,18 @@ def test_identity_maximality():
 
 def test_registry_names():
     assert set(METRICS) == {"mse", "psnr", "ssim", "msssim", "cwssim", "vif"}
+    # each entry holds the public function and the type its params have
+    public = {"mse": (mse, None), "psnr": (psnr, 255.0),
+              "ssim": (ssim, SsimParams()), "msssim": (ms_ssim, MsSsimParams()),
+              "cwssim": (cw_ssim, CwSsimParams()), "vif": (vif, VifParams())}
+    assert list(METRICS) == list(public)
+    for name, entry in METRICS.items():
+        function, default = public[name]
+        assert entry.function is function
+        if default is None:
+            assert entry.params is None
+        else:
+            assert isinstance(default, entry.params)
 
 
 def test_compute_metric_dispatch():
@@ -513,9 +522,9 @@ def test_values_match_the_unprepared_implementation(seed):
     got = {name: compute_metric(name, ref, test, params.get(name)).value.hex()
            for name in METRICS}
     assert got == PINNED_HEX[seed]
-    for name, fn in METRICS.items():
+    for name, entry in METRICS.items():
         extra = (params[name],) if name in params else ()
-        assert fn(ref, test, *extra).value.hex() == PINNED_HEX[seed][name]
+        assert entry.function(ref, test, *extra).value.hex() == PINNED_HEX[seed][name]
 
 
 SMALL_PARAMS = {

@@ -17,12 +17,13 @@ from usiq.harness import format_number, run_tracking_study
 from usiq.image import (FrameSequence, GrayImage, Landmark, Roi, crop,
                         downsample2, load_pgm, load_sequence, round_half_away,
                         save_pgm, write_sequence)
-from usiq.metrics import CwSsimParams, MsSsimParams, prepare
+from usiq.metrics import (CwSsimParams, MsSsimParams, SsimParams, VifParams,
+                          prepare)
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
                         periodic_sequence)
-from usiq.tracking import (TRACKERS, NccConfig, ResetConfig, ncc_track,
-                           track_with_reset)
+from usiq.tracking import (TRACKERS, MeanShiftConfig, NccConfig, ResetConfig,
+                           ncc_track, track_with_reset)
 
 # Image-layer properties write to a fresh temporary directory per example.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -277,6 +278,35 @@ def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
             seq, disturbances=hit)
         assert cmp.reset.result == track_with_reset(
             cmp.tracker, seq, reset=reset, disturbances=hit)
+
+
+# ---------------------------------------------------------------------------
+# Integer fields of the params and config types
+
+INTEGER_FIELDS = [
+    (SsimParams, "window_size"), (MsSsimParams, "scales"),
+    (CwSsimParams, "window_size"), (VifParams, "scales"),
+    (VifParams, "block_size"), (PyramidParams, "levels"),
+    (PyramidParams, "orientations"), (NccConfig, "roi_half"),
+    (NccConfig, "search_half"), (MeanShiftConfig, "roi_half"),
+    (MeanShiftConfig, "bins"), (MeanShiftConfig, "max_iters"),
+]
+
+
+@pytest.mark.parametrize("cls, name", INTEGER_FIELDS)
+@given(value=st.one_of(st.floats(), st.booleans(), st.text(max_size=3)))
+@example(value=7.5)
+@example(value=2.0)
+def test_integer_fields_reject_every_non_integer(cls, name, value):
+    with pytest.raises(InvalidParamsError):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", INTEGER_FIELDS)
+@pytest.mark.parametrize("int_type", [int, np.int32, np.int64, np.uint8])
+def test_integer_fields_accept_python_and_numpy_integers(cls, name, int_type):
+    default = getattr(cls(), name)
+    assert getattr(cls(**{name: int_type(default)}), name) == default
 
 
 # ---------------------------------------------------------------------------

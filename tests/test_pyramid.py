@@ -17,10 +17,7 @@ from usiq.pyramid import (
     shift_magnitude_stability,
 )
 
-
-def noise_image(seed, shape=(64, 64)):
-    rng = np.random.default_rng(seed)
-    return GrayImage(rng.uniform(0.0, 255.0, size=shape))
+from builders import noise_image
 
 
 def image_energy(image):

@@ -15,7 +15,6 @@ from usiq.metrics import CwSsimParams, prepare
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
     Disc,
-    MotionSpec,
     PhantomSpec,
     SpeckleSpec,
     benchmark_motion_spec,
@@ -33,6 +32,8 @@ from usiq.tracking import (
     track_with_reset,
     tracking_error,
 )
+
+from builders import bench_sequence
 
 
 def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
@@ -446,13 +447,6 @@ def reset_cfg(**kw):
                 similarity_roi=Roi(Landmark(108.0, 128.0), 32, 32))
     args.update(kw)
     return ResetConfig(**args)
-
-
-def bench_sequence(seed, n_frames=90, decoy=False, alpha=0.3):
-    return periodic_sequence(benchmark_phantom_spec(decoy=decoy),
-                             benchmark_motion_spec(n_frames=n_frames),
-                             speckle=SpeckleSpec(alpha=alpha, seed=seed),
-                             seed=seed)
 
 
 def test_wrapper_transparency_with_unreachable_threshold():
