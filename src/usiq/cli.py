@@ -309,8 +309,8 @@ def _cmd_study_tracking(args) -> int:
 # Parser wiring
 
 
-def _add_reset_options(parser, tau_default=None, calibrate_default=None,
-                       roi_default=None, levels_default=None):
+def _add_reset_options(parser, calibrate_default=None, roi_default=None,
+                       levels_default=None):
     parser.add_argument("--reset-roi", default=roi_default,
                         help="similarity window as x,y,half_w,half_h")
     parser.add_argument("--reset-metric", default="cwssim",
@@ -320,7 +320,7 @@ def _add_reset_options(parser, tau_default=None, calibrate_default=None,
     parser.add_argument("--reset-param", action="append",
                         default=default_param, metavar="KEY=VALUE",
                         help="reset-metric parameter (repeatable)")
-    parser.add_argument("--tau", type=float, default=tau_default,
+    parser.add_argument("--tau", type=float,
                         help="fixed reset threshold in (0, 1]")
     parser.add_argument("--calibrate", type=int, default=calibrate_default,
                         metavar="C",

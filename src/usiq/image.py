@@ -261,12 +261,19 @@ def downsample2(image: GrayImage) -> GrayImage:
     if image.width < 2 or image.height < 2:
         raise ImageTooSmallError(
             f"cannot downsample a {image.width}x{image.height} image")
-    shape = image.shape
-    a = ndimage.correlate1d(image.pixels, _BINOMIAL5, axis=0, mode="nearest",
-                            output=np.empty(shape))
-    a = ndimage.correlate1d(a, _BINOMIAL5, axis=1, mode="nearest",
-                            output=np.empty(shape))
-    return GrayImage(a[::2, ::2])
+    smoothed = correlate_separable(image.pixels, _BINOMIAL5, "nearest")
+    return GrayImage(smoothed[::2, ::2])
+
+
+def correlate_separable(arr: np.ndarray, kernel: np.ndarray,
+                        mode: str) -> np.ndarray:
+    """Correlate ``arr`` with ``kernel`` along each of its last two axes,
+    extending the edges by ``mode`` (a ``scipy.ndimage`` boundary mode)."""
+    # A preallocated output spares correlate1d its dtype-driven allocation.
+    out = ndimage.correlate1d(arr, kernel, axis=-2, mode=mode,
+                              output=np.empty(arr.shape))
+    return ndimage.correlate1d(out, kernel, axis=-1, mode=mode,
+                               output=np.empty(arr.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from numbers import Real
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     ConstantSeriesError,
@@ -25,7 +24,13 @@ from .errors import (
     ImageTooSmallError,
     InvalidParamsError,
 )
-from .image import GrayImage, downsample2, require_integers, require_same_shape
+from .image import (
+    GrayImage,
+    correlate_separable,
+    downsample2,
+    require_integers,
+    require_same_shape,
+)
 from .pyramid import PyramidParams, band_stack, decompose
 
 __all__ = [
@@ -234,11 +239,7 @@ def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Separable correlation over the last two axes, cropped to windows
     fully inside the image."""
     r = kernel.size // 2
-    # A preallocated output spares correlate1d its dtype-driven allocation.
-    out = ndimage.correlate1d(arr, kernel, axis=-2, mode="constant",
-                              output=np.empty(arr.shape))
-    out = ndimage.correlate1d(out, kernel, axis=-1, mode="constant",
-                              output=np.empty(arr.shape))
+    out = correlate_separable(arr, kernel, "constant")
     return out[..., r:arr.shape[-2] - r, r:arr.shape[-1] - r]
 
 
@@ -311,8 +312,8 @@ def _prepare_mse(ref: GrayImage) -> Scorer:
 
 
 def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
-    if peakval <= 0:
-        raise InvalidParamsError("peakval must be positive")
+    if not (math.isfinite(peakval) and peakval > 0):
+        raise InvalidParamsError("peakval must be positive and finite")
     squared_error = _prepare_mse(ref)
 
     def score(test: GrayImage) -> SimilarityScore:
@@ -465,11 +466,7 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
 
 
 def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    out = ndimage.correlate1d(arr, kernel, axis=0, mode="nearest",
-                              output=np.empty(arr.shape))
-    out = ndimage.correlate1d(out, kernel, axis=1, mode="nearest",
-                              output=np.empty(arr.shape))
-    return out[::2, ::2]
+    return correlate_separable(arr, kernel, "nearest")[::2, ::2]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import (
     CountMismatchError,
@@ -52,7 +53,7 @@ __all__ = [
     "tracking_error",
 ]
 
-# Peaks at least this close to a perfect match skip subpixel refinement, so
+# Peaks at least this close to a perfect match skip parabolic refinement, so
 # exact translations are recovered exactly instead of picking up vertex noise.
 _EXACT_PEAK = 1.0 - 1e-9
 
@@ -72,7 +73,6 @@ class NccConfig:
 
     roi_half: int = 12
     search_half: int = 24
-    subpixel: bool = True
 
     def __post_init__(self):
         require_integers(self, "roi_half", "search_half")
@@ -208,27 +208,15 @@ def _parabolic_offset(a: float, b: float, c: float) -> float:
     return min(0.5, max(-0.5, 0.5 * (a - c) / denom))
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: a size the FFT splits into small
-    factors instead of a slow prime-length transform."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def _correlate_valid(values: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Cross-correlation of ``values`` with ``template`` at every position
     where the template fits, by FFT.
 
-    The transforms span ``values`` (padded to a fast length), so the circular
-    correlation they give wraps only at positions outside the valid ones.
+    The transforms span ``values``, padded to a length the FFT splits into
+    small factors, so the circular correlation they give wraps only at
+    positions outside the valid ones.
     """
-    shape = tuple(_fast_len(n) for n in values.shape)
+    shape = tuple(next_fast_len(n, real=True) for n in values.shape)
     spectrum = (np.fft.rfft2(values, shape)
                 * np.conj(np.fft.rfft2(template, shape)))
     rows, cols = (n - t + 1 for n, t in zip(values.shape, template.shape))
@@ -269,12 +257,7 @@ class _NccStepper:
                     f"template at ({mark.x}, {mark.y}) has zero variance")
             self.templates.append((centered, norm))
 
-    has_scales = False
-
     def initial_state(self):
-        return None
-
-    def scales_from(self, state):
         return None
 
     def _corr_grid(self, pixels, centered, norm, ylo, yhi, xlo, xhi):
@@ -340,7 +323,7 @@ class _NccStepper:
                 key=lambda p: ((ylo + p[0] - cy) ** 2 + (xlo + p[1] - cx) ** 2,
                                p[0], p[1]))
             px, py = float(xlo + ix), float(ylo + iy)
-            if self.cfg.subpixel and top < _EXACT_PEAK:
+            if top < _EXACT_PEAK:
                 if 0 < ix < corr.shape[1] - 1:
                     px += _parabolic_offset(
                         float(corr[iy, ix - 1]), top, float(corr[iy, ix + 1]))
@@ -398,25 +381,16 @@ class _MeanShiftStepper:
         self.scale_order = tuple(sorted(cfg.scale_steps,
                                         key=lambda s: (abs(s - 1.0), s)))
         first = self._binned(0)
+        radius = float(cfg.roi_half)
         self.models = []
         for mark in init:
-            window = _kernel_window(first, mark.x, mark.y, float(cfg.roi_half))
-            if window is None:
+            if _kernel_window(first, mark.x, mark.y, radius) is None:
                 raise OutOfFrameError(
                     f"model window at ({mark.x}, {mark.y}) misses the frame")
-            _, _, kernel, idx = window
-            hist, total = _kernel_histogram(idx, kernel, cfg.bins)
-            if total <= 0.0:
-                raise EmptyHistogramError("model window has no kernel mass")
-            self.models.append(hist / total)
-
-    has_scales = True
+            self.models.append(self._candidate(first, mark.x, mark.y, radius)[1])
 
     def initial_state(self):
         return tuple(1.0 for _ in self.models)
-
-    def scales_from(self, state):
-        return state
 
     def _binned(self, t):
         return _bin_indices(self.frames[t].pixels, self.cfg.bins)
@@ -514,20 +488,17 @@ def _resolve_init(seq: FrameSequence, init) -> tuple[Landmark, ...]:
 def _run(seq: FrameSequence, init, stepper, disturbances,
          trace: tuple[float, ...] | None, threshold: float | None
          ) -> TrackResult:
-    frames = seq.frames
     estimates, scores, events, clamped = [], [], [], []
-    scale_log = [] if stepper.has_scales else None
-    state = stepper.initial_state()
+    # a stepper's state is its per-target scale record, or None if it has none
+    scale_log = None if stepper.initial_state() is None else []
     prev = init
-    for t in range(len(frames)):
-        if trace is not None and trace[t] > threshold:
-            marks = init
-            state = stepper.initial_state()
+    for t in range(len(seq.frames)):
+        gated = trace is not None and trace[t] > threshold
+        if gated or t == 0:
+            marks, state = init, stepper.initial_state()
             frame_scores = stepper.score_at(t, marks, state)
-            events.append(t)
-        elif t == 0:
-            marks = init
-            frame_scores = stepper.score_at(t, marks, state)
+            if gated:
+                events.append(t)
         else:
             marks, frame_scores, state, hit_border = stepper.step(t, prev, state)
             if hit_border:
@@ -538,7 +509,7 @@ def _run(seq: FrameSequence, init, stepper, disturbances,
         estimates.append(marks)
         scores.append(frame_scores)
         if scale_log is not None:
-            scale_log.append(stepper.scales_from(state))
+            scale_log.append(state)
         prev = marks
     return TrackResult(
         estimates=tuple(estimates),
@@ -608,10 +579,10 @@ def ncc_track(seq: FrameSequence, init=None, cfg: NccConfig | None = None,
 
     Each frame searches integer offsets within ``search_half`` of the previous
     estimate, picks the correlation peak (ties resolve to the smallest
-    displacement), and optionally refines with per-axis parabolic
-    interpolation. ``init`` defaults to the sequence's first-frame landmarks.
-    ``disturbances`` maps frame index to an (dx, dy) corruption added to every
-    estimate of that frame, for drift-injection experiments.
+    displacement), and refines it by per-axis parabolic interpolation unless
+    it is an exact match. ``init`` defaults to the sequence's first-frame
+    landmarks. ``disturbances`` maps frame index to an (dx, dy) corruption
+    added to every estimate of that frame, for drift-injection experiments.
     """
     return _track("ncc", seq, init, cfg, disturbances)
 

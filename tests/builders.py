@@ -2,13 +2,19 @@
 
 import numpy as np
 
-from usiq.image import GrayImage
+from usiq.image import FrameSequence, GrayImage, Landmark, Roi
+from usiq.metrics import CwSsimParams
+from usiq.pyramid import PyramidParams
 from usiq.synth import (
+    Disc,
+    PhantomSpec,
     SpeckleSpec,
     benchmark_motion_spec,
     benchmark_phantom_spec,
+    make_phantom,
     periodic_sequence,
 )
+from usiq.tracking import ResetConfig
 
 
 def bench_sequence(seed, n_frames=90, decoy=False, alpha=0.3):
@@ -23,3 +29,28 @@ def noise_image(seed, shape=(64, 64), low=0.0, high=255.0):
     """Uniform white noise on [low, high)."""
     rng = np.random.default_rng(seed)
     return GrayImage(rng.uniform(low, high, size=shape))
+
+
+def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
+    """A square textured phantom with one disc landmark."""
+    cx, cy, r = disc
+    spec = PhantomSpec(width=size, height=size, background_texture_sigma=sigma,
+                       landmarks=(Disc(Landmark(cx, cy), radius=r),))
+    return make_phantom(spec, seed=seed)
+
+
+def static_sequence(image, n, marks):
+    """``n`` copies of ``image``, each annotated with ``marks``."""
+    return FrameSequence(frames=tuple(image for _ in range(n)),
+                         landmarks=tuple(marks for _ in range(n)))
+
+
+def reset_cfg(**kw):
+    """A CW-SSIM reset policy on the benchmark disc's 65x65 window, with a
+    3-level, 6-orientation pyramid; ``kw`` sets or overrides fields."""
+    args = dict(metric="cwssim",
+                metric_params=CwSsimParams(
+                    pyramid=PyramidParams(levels=3, orientations=6)),
+                similarity_roi=Roi(Landmark(108.0, 128.0), 32, 32))
+    args.update(kw)
+    return ResetConfig(**args)

@@ -59,6 +59,8 @@ def test_compare_bad_param_reports_kind(workdir, run_cli):
 @pytest.mark.parametrize("metric, param", [
     ("psnr", "peakval=abc"),
     ("psnr", "peakval=1:2"),
+    ("psnr", "peakval=inf"),
+    ("psnr", "peakval=nan"),
     ("cwssim", "levels=2.0"),
     ("cwssim", "levels=abc"),
     ("vif", "scales=2.0"),

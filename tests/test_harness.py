@@ -41,19 +41,12 @@ from usiq.synth import (
 )
 from usiq.tracking import ResetConfig, TrackResult, track_with_reset
 
-from builders import bench_sequence
-
-
-def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
-    cx, cy, r = disc
-    spec = PhantomSpec(width=size, height=size, background_texture_sigma=sigma,
-                       landmarks=(Disc(Landmark(cx, cy), radius=r),))
-    return make_phantom(spec, seed=seed)
-
-
-def static_sequence(image, n, marks):
-    return FrameSequence(frames=tuple(image for _ in range(n)),
-                         landmarks=tuple(marks for _ in range(n)))
+from builders import (
+    bench_sequence,
+    reset_cfg,
+    static_sequence,
+    textured_phantom,
+)
 
 
 SMALL_ROI = Roi(Landmark(108.0, 128.0), 32, 32)
@@ -455,15 +448,6 @@ def test_noise_sweep_deterministic_and_validated():
 
 # ---------------------------------------------------------------------------
 # Tracking experiments
-
-
-def reset_cfg(**kw):
-    kw.setdefault("metric", "cwssim")
-    kw.setdefault("metric_params",
-                  CwSsimParams(pyramid=PyramidParams(levels=3,
-                                                     orientations=6)))
-    kw.setdefault("similarity_roi", Roi(Landmark(108.0, 128.0), 32, 32))
-    return ResetConfig(**kw)
 
 
 def test_tracking_experiment_static_is_zero_error():

@@ -116,6 +116,15 @@ def test_psnr_unit_peak_zero_db():
     assert psnr(ref, test, peakval=1.0).value == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("peakval", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_psnr_rejects_a_peak_that_is_not_positive_and_finite(peakval):
+    ref = GrayImage(np.array([[0.0, 2.0]]))
+    with pytest.raises(errors.InvalidParamsError):
+        prepare("psnr", ref, peakval)
+    with pytest.raises(errors.InvalidParamsError):
+        psnr(ref, GrayImage(np.array([[1.0, 1.0]])), peakval=peakval)
+
+
 # ---------------------------------------------------------------------------
 # SSIM: closed-form and brute-force oracles
 

@@ -1,5 +1,7 @@
 """Tracker tests: NCC and mean-shift steps, reset wrapper, error scoring."""
 
+import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import next_fast_len
 
 from usiq import errors, metrics, tracking
 from usiq.image import FrameSequence, GrayImage, Landmark, Roi, crop
-from usiq.metrics import CwSsimParams, prepare
-from usiq.pyramid import PyramidParams
+from usiq.metrics import prepare
 from usiq.synth import (
     Disc,
     PhantomSpec,
@@ -23,6 +25,7 @@ from usiq.synth import (
     periodic_sequence,
 )
 from usiq.tracking import (
+    TRACKERS,
     MeanShiftConfig,
     NccConfig,
     ResetConfig,
@@ -33,19 +36,12 @@ from usiq.tracking import (
     tracking_error,
 )
 
-from builders import bench_sequence
-
-
-def textured_phantom(size=96, disc=(48.0, 48.0, 9.0), seed=0, sigma=10.0):
-    cx, cy, r = disc
-    spec = PhantomSpec(width=size, height=size, background_texture_sigma=sigma,
-                       landmarks=(Disc(Landmark(cx, cy), radius=r),))
-    return make_phantom(spec, seed=seed)
-
-
-def static_sequence(image, n, marks):
-    return FrameSequence(frames=tuple(image for _ in range(n)),
-                         landmarks=tuple(marks for _ in range(n)))
+from builders import (
+    bench_sequence,
+    reset_cfg,
+    static_sequence,
+    textured_phantom,
+)
 
 
 def rolled_frame(image, dx, dy=0):
@@ -284,6 +280,24 @@ def test_ncc_flat_region_scores_minus_one():
     assert stepper.score_at(0, (Landmark(50.0, 50.0),), None) == (-1.0,)
 
 
+def smooth_235_len(n):
+    """Oracle: the smallest 2^a 3^b 5^c >= n, found by trial division."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def test_fft_length_is_the_smallest_235_smooth_length():
+    # the NCC correlation pads each axis to scipy's real-FFT fast length
+    assert all(next_fast_len(n, real=True) == smooth_235_len(n)
+               for n in range(1, 4097))
+
+
 # ---------------------------------------------------------------------------
 # Mean-shift tracker
 
@@ -440,15 +454,6 @@ def test_meanshift_determinism():
 # Reset wrapper
 
 
-def reset_cfg(**kw):
-    args = dict(metric="cwssim",
-                metric_params=CwSsimParams(
-                    pyramid=PyramidParams(levels=3, orientations=6)),
-                similarity_roi=Roi(Landmark(108.0, 128.0), 32, 32))
-    args.update(kw)
-    return ResetConfig(**args)
-
-
 def test_wrapper_transparency_with_unreachable_threshold():
     seq = bench_sequence(seed=2, n_frames=20)
     for tracker, bare in (("ncc", ncc_track), ("meanshift", mean_shift_track)):
@@ -595,6 +600,48 @@ def test_drift_injection_reset_beats_bare_tracker():
         calibration_frames=28), disturbances=hit)
     wrapped_err = tracking_error(wrapped, truth, 1.0)
     assert wrapped_err.mean_mm < bare_err.mean_mm
+
+
+def hexed(value):
+    """``value`` with every float spelled by ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Landmark):
+        return [value.x.hex(), value.y.hex()]
+    if isinstance(value, tuple):
+        return [hexed(v) for v in value]
+    return repr(value)
+
+
+# sha256 of the hexed TrackResult fields, recorded while the driving loop
+# still had separate frame-0 and reset branches and per-stepper scale hooks
+TRACK_DIGESTS = {
+    ("ncc", False):
+        "a83723a44ee525265aaf66f022539842d57af10511fdf0b9198d63c94c087e0a",
+    ("ncc", True):
+        "eff30361de3d8f56be463ecf68458822f932bab61b8b96a0f9651a2f0f7cb440",
+    ("meanshift", False):
+        "1d0fd5716ac0c2f0467fa489e89d4795d783805e33cfed470ab05024f7349301",
+    ("meanshift", True):
+        "357eef24a8209cba9f617804bb94b5c6c7bc6e712904bf4b9936ff3cf34bb1d7",
+}
+
+
+@pytest.mark.parametrize("tracker, wrapped", sorted(TRACK_DIGESTS))
+def test_track_result_digest_is_pinned(tracker, wrapped):
+    seq = bench_sequence(seed=7, n_frames=30, decoy=True)
+    hit = {12: (6.0, -4.0)}
+    if wrapped:
+        res = track_with_reset(tracker, seq, reset=reset_cfg(
+            calibration_frames=28), disturbances=hit)
+        # frame 0 and both ends of the period re-anchor
+        assert res.reset_events[0] == 0 and res.reset_events[-1] == 29
+    else:
+        res = TRACKERS[tracker].track(seq, disturbances=hit)
+    fields = (res.estimates, res.match_scores, res.scales, res.reset_events,
+              res.clamped_frames, res.reset_threshold)
+    digest = hashlib.sha256(json.dumps(hexed(fields)).encode()).hexdigest()
+    assert digest == TRACK_DIGESTS[tracker, wrapped]
 
 
 def test_unknown_tracker_id():
