@@ -200,8 +200,9 @@ def _cmd_trace(args) -> int:
     roi = _parse_roi(args.roi) if args.roi else None
     metrics = _parse_list(args.metrics)
     params = _collect_params(args.param, metrics)
-    seq = load_sequence(args.manifest)
-    report = run_trace(seq, metrics, roi=roi, metric_params=params)
+    # the ROI is cut from each integer raster: only the windows become floats
+    seq = load_sequence(args.manifest, roi)
+    report = run_trace(seq, metrics, metric_params=params)
     write_trace_csv(report, args.out)
     for name, kind in sorted(report.notes.items()):
         print(f"note: {name} column not normalized ({kind})")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -136,6 +137,17 @@ def require_integers(params, *names: str) -> None:
                 f"{name} must be an integer, got {value!r}")
 
 
+def require_reals(params, *names: str) -> None:
+    """Raise InvalidParamsError unless each named field of ``params`` is a
+    real number (a Python or numpy int or float); bools and strings are
+    not."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParamsError(
+                f"{name} must be a real number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # PGM I/O
 
@@ -183,12 +195,10 @@ def _parse_pgm_header(data: bytes):
     return magic, width, height, maxval, pos
 
 
-def load_pgm(path) -> GrayImage:
-    """Read a binary (P5) or ASCII (P2) PGM file.
-
-    Samples are scaled linearly so that ``maxval`` maps to 255.0; 8-bit files
-    therefore load with their values unchanged.
-    """
+def _read_pgm(path) -> tuple[np.ndarray, int]:
+    """Read a binary (P5) or ASCII (P2) PGM file into its integer raster,
+    shaped (height, width), and its ``maxval``; every header and sample
+    check happens here."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic, width, height, maxval, pos = _parse_pgm_header(data)
@@ -214,11 +224,24 @@ def load_pgm(path) -> GrayImage:
             raise PgmDataError("non-numeric sample in ASCII raster") from None
     if arr.min() < 0 or arr.max() > maxval:
         raise PgmDataError("sample value outside [0, maxval]")
+    return arr.reshape(height, width), maxval
 
-    pixels = arr.astype(np.float64).reshape(height, width)
+
+def _to_gray(raster: np.ndarray, maxval: int) -> GrayImage:
+    """Scale integer samples linearly so that ``maxval`` maps to 255.0."""
+    pixels = raster.astype(np.float64)
     pixels *= 255.0
     pixels /= maxval
     return GrayImage(pixels)
+
+
+def load_pgm(path) -> GrayImage:
+    """Read a binary (P5) or ASCII (P2) PGM file.
+
+    Samples are scaled linearly so that ``maxval`` maps to 255.0; 8-bit files
+    therefore load with their values unchanged.
+    """
+    return _to_gray(*_read_pgm(path))
 
 
 def save_pgm(image: GrayImage, path) -> None:
@@ -237,19 +260,25 @@ def save_pgm(image: GrayImage, path) -> None:
 # Geometry ops
 
 
+def _window(arr: np.ndarray, roi: Roi) -> np.ndarray:
+    """The ROI window of a 2-D array, as :func:`crop` describes it."""
+    cx = round_half_away(roi.center.x)
+    cy = round_half_away(roi.center.y)
+    height, width = arr.shape
+    xs = np.clip(np.arange(cx - roi.half_width, cx + roi.half_width + 1),
+                 0, width - 1)
+    ys = np.clip(np.arange(cy - roi.half_height, cy + roi.half_height + 1),
+                 0, height - 1)
+    return arr.take(ys, axis=0).take(xs, axis=1)
+
+
 def crop(image: GrayImage, roi: Roi) -> GrayImage:
     """Extract the ROI window around the rounded center.
 
     Rows/columns falling outside the image replicate the nearest edge, so the
     output always has the full (2*half_width+1) x (2*half_height+1) shape.
     """
-    cx = round_half_away(roi.center.x)
-    cy = round_half_away(roi.center.y)
-    xs = np.clip(np.arange(cx - roi.half_width, cx + roi.half_width + 1),
-                 0, image.width - 1)
-    ys = np.clip(np.arange(cy - roi.half_height, cy + roi.half_height + 1),
-                 0, image.height - 1)
-    return GrayImage(image.pixels.take(ys, axis=0).take(xs, axis=1))
+    return GrayImage(_window(image.pixels, roi))
 
 
 def downsample2(image: GrayImage) -> GrayImage:
@@ -388,11 +417,20 @@ def _json_number(value, name: str) -> float:
     raise ManifestError(f"{name} must be a finite JSON number, got {value!r}")
 
 
-def load_sequence(manifest_path) -> FrameSequence:
+def load_sequence(manifest_path, roi: Roi | None = None) -> FrameSequence:
     """Read a sequence written by :func:`write_sequence`.
 
     Every manifest field is checked, ``reference_frame`` as a JSON integer,
     before any frame is read; a malformed manifest raises ManifestError.
+    Every frame is read and checked, and the frames' full shapes compared,
+    before any is converted to float.
+
+    With ``roi``, each frame is the :func:`crop` of its file's image, cut
+    from the integer raster before conversion, so only the windows are
+    converted and kept; the pixels equal ``crop(load_pgm(path), roi)`` bit
+    for bit. Landmarks move into window coordinates: x less
+    ``round_half_away(roi.center.x) - roi.half_width``, y less
+    ``round_half_away(roi.center.y) - roi.half_height``.
     """
     with open(manifest_path, "r", encoding="ascii") as fh:
         try:
@@ -424,6 +462,19 @@ def load_sequence(manifest_path) -> FrameSequence:
                   for lm in per_frame] for per_frame in marks]
     ref, marks = _checked_fields(len(paths), spacing, ref, marks)
     base = os.path.dirname(os.path.abspath(manifest_path))
+    rasters = [_read_pgm(os.path.join(base, p)) for p in paths]
+    shape = rasters[0][0].shape
+    for i, (raster, _) in enumerate(rasters):
+        if raster.shape != shape:
+            raise DimensionMismatchError(
+                f"frame {i} has shape {raster.shape}, frame 0 has {shape}")
+    if roi is not None:
+        rasters = [(_window(raster, roi), maxval) for raster, maxval in rasters]
+        if marks is not None:
+            x0 = round_half_away(roi.center.x) - roi.half_width
+            y0 = round_half_away(roi.center.y) - roi.half_height
+            marks = [[Landmark(lm.x - x0, lm.y - y0) for lm in per_frame]
+                     for per_frame in marks]
     return FrameSequence(
-        frames=tuple(load_pgm(os.path.join(base, p)) for p in paths),
+        frames=tuple(_to_gray(raster, maxval) for raster, maxval in rasters),
         pixel_spacing_mm=spacing, landmarks=marks, reference_frame=ref)

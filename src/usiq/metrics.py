@@ -29,6 +29,7 @@ from .image import (
     correlate_separable,
     downsample2,
     require_integers,
+    require_reals,
     require_same_shape,
 )
 from .pyramid import PyramidParams, band_stack, decompose
@@ -76,6 +77,8 @@ class SsimParams:
 
     def __post_init__(self):
         require_integers(self, "window_size")
+        require_reals(self, "k1", "k2", "dynamic_range", "window_sigma",
+                      "alpha", "beta", "gamma")
         if self.k1 <= 0 or self.k2 <= 0:
             raise InvalidParamsError("k1 and k2 must be positive")
         if self.dynamic_range <= 0:
@@ -138,6 +141,7 @@ class CwSsimParams:
 
     def __post_init__(self):
         require_integers(self, "window_size")
+        require_reals(self, "k_stab")
         if self.window_size < 1 or self.window_size % 2 == 0:
             raise InvalidParamsError(
                 f"window_size must be odd and >= 1, got {self.window_size}")
@@ -155,6 +159,7 @@ class VifParams:
 
     def __post_init__(self):
         require_integers(self, "scales", "block_size")
+        require_reals(self, "sigma_n2")
         if self.sigma_n2 <= 0:
             raise InvalidParamsError("sigma_n2 must be positive")
         if self.scales < 1:
@@ -188,10 +193,12 @@ class SimilarityScore:
             self.map.setflags(write=False)
 
 
-# Tests per stack of a stacked scorer. CW-SSIM's working memory grows by
+# Pixels per stack of a stacked scorer. CW-SSIM's working memory grows by
 # about 1 MB per 65x65 frame in a stack, while its time stops falling at 4
-# frames: by then the per-call cost of its many small FFTs is mostly spared.
-_STACK_SIZE = 4
+# such frames: by then the per-call cost of its many small FFTs is mostly
+# spared. Frames of more than a quarter of this budget are scored one at a
+# time: a stack of 256x256 frames saves no time and holds about 16 MB each.
+_STACK_PIXELS = 4 * 65 * 65
 
 
 class Scorer:
@@ -201,16 +208,18 @@ class Scorer:
     ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
     ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
     errors. A metric that scores a stack of tests at once (CW-SSIM: one
-    pyramid pass per stack) reads ``tests`` lazily, ``_STACK_SIZE`` at a time.
+    pyramid pass per stack) reads ``tests`` lazily, as many at a time as fit
+    ``_STACK_PIXELS`` at the reference's size ``ref_pixels`` (at least one).
     """
 
-    __slots__ = ("_score", "_score_stack")
+    __slots__ = ("_score", "_score_stack", "_stack_size")
 
     def __init__(self, score: Callable[[GrayImage], SimilarityScore],
                  score_stack: Callable[[list[GrayImage]], list[float]]
-                 | None = None):
+                 | None = None, ref_pixels: int = 1):
         self._score = score
         self._score_stack = score_stack
+        self._stack_size = max(1, _STACK_PIXELS // ref_pixels)
 
     def __call__(self, test: GrayImage) -> SimilarityScore:
         return self._score(test)
@@ -220,7 +229,7 @@ class Scorer:
             return tuple(self._score(test).value for test in tests)
         tests = iter(tests)
         out = []
-        while stack := list(itertools.islice(tests, _STACK_SIZE)):
+        while stack := list(itertools.islice(tests, self._stack_size)):
             out.extend(self._score_stack(stack))
         return tuple(out)
 
@@ -421,7 +430,7 @@ def _prepare_cw_ssim(ref: GrayImage,
         # checked as SimilarityScore checks score's value, so both raise alike
         return [SimilarityScore("cwssim", value).value
                 for value in pooled(tests)[0]]
-    return Scorer(score, score_stack)
+    return Scorer(score, score_stack, ref.pixels.size)
 
 
 _VIF_EPS = 1e-10

@@ -37,6 +37,7 @@ from .image import (
     Roi,
     crop,
     require_integers,
+    require_reals,
     round_half_away,
 )
 from .metrics import METRICS, prepare
@@ -100,6 +101,7 @@ class MeanShiftConfig:
 
     def __post_init__(self):
         require_integers(self, "roi_half", "bins", "max_iters")
+        require_reals(self, "epsilon")
         if self.roi_half < 1:
             raise InvalidParamsError("roi_half must be >= 1")
         if self.bins < 2:
@@ -137,12 +139,15 @@ class ResetConfig:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidParamsError(f"unknown metric '{self.metric}'")
+        require_integers(self, "calibration_frames", "reference_frame")
         if self.threshold is None:
             if self.calibration_frames < 1:
                 raise InvalidParamsError(
                     "either threshold or calibration_frames is required")
-        elif not (0.0 < self.threshold <= 1.0):
-            raise InvalidParamsError("threshold must lie in (0, 1]")
+        else:
+            require_reals(self, "threshold")
+            if not 0.0 < self.threshold <= 1.0:
+                raise InvalidParamsError("threshold must lie in (0, 1]")
         if self.calibration_frames < 0:
             raise InvalidParamsError("calibration_frames must be >= 0")
         if self.reference_frame < 0:

@@ -1,5 +1,8 @@
 """Input builders shared by several test modules."""
 
+import json
+import os
+
 import numpy as np
 
 from usiq.image import FrameSequence, GrayImage, Landmark, Roi
@@ -54,3 +57,28 @@ def reset_cfg(**kw):
                 similarity_roi=Roi(Landmark(108.0, 128.0), 32, 32))
     args.update(kw)
     return ResetConfig(**args)
+
+
+def write_pgm_sequence(directory, magic, maxval, rasters, landmarks=None):
+    """Write each integer raster as a PGM of the given magic ("P5" or "P2")
+    and ``maxval``, plus a manifest naming them; returns the manifest path.
+
+    Unlike ``write_sequence`` this writes 16-bit and ASCII files too, and
+    rasters of differing shapes."""
+    names = []
+    for t, raster in enumerate(rasters):
+        raster = np.asarray(raster)
+        height, width = raster.shape
+        header = f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
+        if magic == "P5":
+            body = raster.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+        else:
+            body = "".join(" ".join(map(str, row)) + "\n"
+                           for row in raster.tolist()).encode("ascii")
+        names.append(f"f{t}.pgm")
+        with open(os.path.join(directory, names[-1]), "wb") as fh:
+            fh.write(header + body)
+    path = os.path.join(directory, "seq.json")
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump({"frames": names, "landmarks": landmarks}, fh)
+    return path

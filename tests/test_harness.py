@@ -1,5 +1,6 @@
 """Harness tests: Pearson scoring, traces, studies, sweeps, report emitters."""
 
+import functools
 import json
 import math
 import statistics
@@ -25,7 +26,7 @@ from usiq.harness import (
     write_tracking_frames_csv,
     write_tracking_summary_csv,
 )
-from usiq.image import FrameSequence, Landmark, Roi, crop
+from usiq.image import FrameSequence, Landmark, Roi, crop, load_sequence
 from usiq.metrics import CwSsimParams, MsSsimParams, VifParams
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
@@ -46,6 +47,7 @@ from builders import (
     reset_cfg,
     static_sequence,
     textured_phantom,
+    write_pgm_sequence,
 )
 
 
@@ -220,6 +222,32 @@ def test_trace_equals_the_per_metric_generator_oracle(roi):
     for name in names:
         assert ([v.hex() for v in report.raw[name]]
                 == [v.hex() for v in want[name]]), name
+
+
+@functools.lru_cache(maxsize=None)
+def bench_rasters(maxval):
+    """Four 256x256 benchmark frames quantized to integer samples."""
+    return tuple(np.floor(frame.pixels * (maxval / 255.0) + 0.5).astype(int)
+                 for frame in bench_sequence(seed=6, n_frames=4).frames)
+
+
+@pytest.mark.parametrize("roi", [
+    SMALL_ROI, Roi(Landmark(10.0, 250.5), 32, 32),
+    Roi(Landmark(300.0, 128.0), 32, 32),
+], ids=["inside", "edge", "outside"])
+@pytest.mark.parametrize("magic, maxval", [("P5", 255), ("P5", 1000),
+                                           ("P2", 255)])
+def test_trace_of_a_windowed_load_equals_the_cropped_trace(tmp_path, magic,
+                                                           maxval, roi):
+    path = write_pgm_sequence(tmp_path, magic, maxval, bench_rasters(maxval))
+    names = ("mse", "psnr", "ssim", "msssim", "vif", "cwssim")
+    got = run_trace(load_sequence(path, roi), names, metric_params=TRACE_PARAMS)
+    want = run_trace(load_sequence(path), names, roi=roi,
+                     metric_params=TRACE_PARAMS)
+    for name in names:
+        assert ([v.hex() for v in got.raw[name]]
+                == [v.hex() for v in want.raw[name]]), name
+    assert got == want
 
 
 def test_five_metric_trace_crops_each_frame_once(monkeypatch):

@@ -21,6 +21,8 @@ from usiq.image import (
     write_sequence,
 )
 
+from builders import write_pgm_sequence
+
 
 # ---------------------------------------------------------------------------
 # GrayImage invariants
@@ -390,12 +392,79 @@ def test_manifest_accepts_integer_and_fractional_numbers(manifest):
         assert seq.landmarks == ((Landmark(1.0, 2.5),),) * 3
 
 
+# windows of a 15-wide, 12-high frame: inside it, across its left and bottom
+# borders, and wholly to its right
+WINDOWS = {
+    "inside": Roi(Landmark(7.5, 5.4), 3, 2),
+    "edge": Roi(Landmark(1.0, 10.5), 4, 3),
+    "outside": Roi(Landmark(40.0, 6.0), 2, 5),
+}
+
+
 def test_load_sequence_checks_frame_dims(tmp_path):
     save_pgm(GrayImage(np.zeros((4, 4))), tmp_path / "f0.pgm")
     save_pgm(GrayImage(np.zeros((4, 5))), tmp_path / "f1.pgm")
     (tmp_path / "seq.json").write_text('{"frames": ["f0.pgm", "f1.pgm"]}')
-    with pytest.raises(errors.DimensionMismatchError):
-        load_sequence(tmp_path / "seq.json")
+    # the frames' 7x5 windows would match; their full shapes do not
+    for roi in (None, WINDOWS["inside"]):
+        with pytest.raises(errors.DimensionMismatchError, match=(
+                r"^frame 1 has shape \(4, 5\), frame 0 has \(4, 4\)$")):
+            load_sequence(tmp_path / "seq.json", roi)
+
+
+@pytest.mark.parametrize("roi", list(WINDOWS.values()), ids=list(WINDOWS))
+@pytest.mark.parametrize("magic, maxval", [("P5", 255), ("P5", 1000),
+                                           ("P2", 255)])
+def test_windowed_load_equals_the_crop_of_each_file(tmp_path, magic, maxval,
+                                                    roi):
+    rng = np.random.default_rng(maxval)
+    rasters = [rng.integers(0, maxval + 1, (12, 15)) for _ in range(3)]
+    marks = [[{"x": 2.0 + t, "y": 9.25}, {"x": -1.5, "y": 0.0}]
+             for t in range(3)]
+    path = write_pgm_sequence(tmp_path, magic, maxval, rasters, marks)
+    full = load_sequence(path)
+    seq = load_sequence(path, roi)
+    assert len(seq) == 3
+    assert seq.reference_frame == full.reference_frame
+    assert seq.pixel_spacing_mm == full.pixel_spacing_mm
+    for t, frame in enumerate(seq.frames):
+        assert frame.shape == (2 * roi.half_height + 1, 2 * roi.half_width + 1)
+        want = crop(load_pgm(tmp_path / f"f{t}.pgm"), roi).pixels
+        assert frame.pixels.tobytes() == want.tobytes()
+        assert frame.pixels.tobytes() == crop(full.frames[t], roi).pixels.tobytes()
+    x0 = round_half_away(roi.center.x) - roi.half_width
+    y0 = round_half_away(roi.center.y) - roi.half_height
+    assert seq.landmarks == tuple(
+        tuple(Landmark(lm.x - x0, lm.y - y0) for lm in per_frame)
+        for per_frame in full.landmarks)
+
+
+def test_windowed_load_shifts_landmarks_into_window_coordinates(tmp_path):
+    rasters = [np.zeros((12, 15), dtype=int)] * 2
+    marks = [[{"x": 8.0, "y": 4.0}], [{"x": 9.5, "y": 6.25}]]
+    path = write_pgm_sequence(tmp_path, "P5", 255, rasters, marks)
+    # the window's top-left pixel is (8 - 3, 5 - 2) = (5, 3)
+    seq = load_sequence(path, WINDOWS["inside"])
+    assert seq.landmarks == ((Landmark(3.0, 1.0),), (Landmark(4.5, 3.25),))
+    assert load_sequence(write_pgm_sequence(tmp_path, "P5", 255, rasters),
+                         WINDOWS["inside"]).landmarks is None
+
+
+@pytest.mark.parametrize("bad, kind", [
+    # one byte short of the 12x15 raster
+    (b"P5\n15 12\n255\n" + bytes(179), errors.PgmDataError),
+    # a sample above maxval, at pixel (0, 0), far from the window
+    (b"P5\n15 12\n100\n" + bytes([200]) + bytes(179), errors.PgmDataError),
+    (b"P2\n15 12\n100\n200" + b" 0" * 179 + b"\n", errors.PgmDataError),
+    (b"P5\n15 x\n255\n" + bytes(180), errors.PgmHeaderError),
+], ids=["truncated", "p5-above-maxval", "p2-above-maxval", "header"])
+def test_windowed_load_keeps_every_frame_check(tmp_path, bad, kind):
+    path = write_pgm_sequence(tmp_path, "P5", 255,
+                              [np.zeros((12, 15), dtype=int)] * 2)
+    (tmp_path / "f1.pgm").write_bytes(bad)
+    for roi in (None, WINDOWS["inside"]):
+        with pytest.raises(kind):
+            load_sequence(path, roi)
 
 
 def test_load_sequence_round_trip(tmp_path):

@@ -662,6 +662,28 @@ def test_cw_ssim_values_equal_the_image_loop_oracle(case, params, n_frames):
     assert hexes(scorer(t).value for t in tests) == hexes(want)
 
 
+@pytest.mark.parametrize("side, params, n_tests, depths", [
+    (65, RESET_CWSSIM, 9, [4, 4, 1]),
+    (256, None, 3, [1, 1, 1]),
+])
+def test_cw_ssim_stacks_hold_a_fixed_pixel_budget(monkeypatch, side, params,
+                                                  n_tests, depths):
+    # four 65x65 frames fill a stack; a 256x256 frame is scored alone
+    ref = noise_image(80, shape=(side, side))
+    tests = [noise_image(81 + i, shape=(side, side)) for i in range(n_tests)]
+    scorer = prepare("cwssim", ref, params)
+    want = [scorer(t).value for t in tests]
+    stacks, band_stack = [], metrics.band_stack
+
+    def counting_stack(pixels, pyramid_params):
+        stacks.append(len(pixels))
+        return band_stack(pixels, pyramid_params)
+
+    monkeypatch.setattr(metrics, "band_stack", counting_stack)
+    assert hexes(scorer.values(tests)) == hexes(want)
+    assert stacks == depths
+
+
 SPLIT_PARAMS = CwSsimParams(pyramid=PyramidParams(levels=2, orientations=4))
 SPLIT_POOL = tuple(noise_image(70 + i, shape=(32, 32)) for i in range(5))
 

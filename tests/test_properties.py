@@ -71,6 +71,25 @@ def test_write_then_load_sequence_is_exact(seq):
     assert back.landmarks == seq.landmarks
 
 
+@given(sequences(), st.floats(-12.0, 20.0), st.floats(-12.0, 20.0),
+       st.integers(0, 6), st.integers(0, 6))
+def test_windowed_load_equals_the_crop_of_the_full_load(seq, x, y, half_width,
+                                                        half_height):
+    roi = Roi(Landmark(x, y), half_width, half_height)
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_sequence(seq, directory)
+        full, windowed = load_sequence(path), load_sequence(path, roi)
+    for got, frame in zip(windowed.frames, full.frames):
+        assert got.pixels.tobytes() == crop(frame, roi).pixels.tobytes()
+    x0 = round_half_away(x) - half_width
+    y0 = round_half_away(y) - half_height
+    assert windowed.landmarks == (None if full.landmarks is None else tuple(
+        tuple(Landmark(lm.x - x0, lm.y - y0) for lm in per_frame)
+        for per_frame in full.landmarks))
+    assert windowed.reference_frame == full.reference_frame
+    assert windowed.pixel_spacing_mm == full.pixel_spacing_mm
+
+
 @given(integer_images())
 def test_pgm_round_trips_integer_images_as_p5_and_p2(image):
     values = image.pixels.astype(int)
@@ -281,7 +300,13 @@ def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
 
 
 # ---------------------------------------------------------------------------
-# Integer fields of the params and config types
+# Integer and real fields of the params and config types
+
+
+def gated_reset(**fields):
+    """A fixed-threshold ResetConfig on RESET_ROI; ``fields`` override."""
+    return ResetConfig(RESET_ROI, **{"threshold": 0.5, **fields})
+
 
 INTEGER_FIELDS = [
     (SsimParams, "window_size"), (MsSsimParams, "scales"),
@@ -290,6 +315,15 @@ INTEGER_FIELDS = [
     (PyramidParams, "orientations"), (NccConfig, "roi_half"),
     (NccConfig, "search_half"), (MeanShiftConfig, "roi_half"),
     (MeanShiftConfig, "bins"), (MeanShiftConfig, "max_iters"),
+    (gated_reset, "calibration_frames"), (gated_reset, "reference_frame"),
+]
+
+REAL_FIELDS = [
+    *((SsimParams, name) for name in ("k1", "k2", "dynamic_range",
+                                      "window_sigma", "alpha", "beta",
+                                      "gamma")),
+    (CwSsimParams, "k_stab"), (VifParams, "sigma_n2"),
+    (MeanShiftConfig, "epsilon"), (gated_reset, "threshold"),
 ]
 
 
@@ -307,6 +341,24 @@ def test_integer_fields_reject_every_non_integer(cls, name, value):
 def test_integer_fields_accept_python_and_numpy_integers(cls, name, int_type):
     default = getattr(cls(), name)
     assert getattr(cls(**{name: int_type(default)}), name) == default
+
+
+@pytest.mark.parametrize("cls, name", REAL_FIELDS)
+@given(value=st.one_of(st.booleans(), st.text(max_size=3), st.binary(max_size=2),
+                       st.complex_numbers(), st.lists(FINITE, max_size=1)))
+@example(value=np.True_)
+@example(value="0.5")
+@example(value=complex(0.5, 0.0))
+def test_real_fields_reject_every_non_real(cls, name, value):
+    with pytest.raises(InvalidParamsError):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", REAL_FIELDS)
+@pytest.mark.parametrize("real_type", [float, np.float32, np.float64])
+def test_real_fields_accept_python_and_numpy_floats(cls, name, real_type):
+    value = real_type(getattr(cls(), name))
+    assert getattr(cls(**{name: value}), name) == value
 
 
 # ---------------------------------------------------------------------------

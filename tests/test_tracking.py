@@ -76,6 +76,16 @@ def test_config_validation():
         ResetConfig(similarity_roi=roi)  # neither threshold nor calibration
 
 
+@pytest.mark.parametrize("fields", [
+    {"calibration_frames": 2.5},
+    {"threshold": 0.9, "reference_frame": 1.0},
+], ids=["calibration-frames-float", "reference-frame-float"])
+def test_reset_config_rejects_non_integer_frame_counts(fields):
+    # both once built, then failed with a bare TypeError inside the gate
+    with pytest.raises(errors.InvalidParamsError):
+        ResetConfig(similarity_roi=Roi(Landmark(48, 48), 20, 20), **fields)
+
+
 # ---------------------------------------------------------------------------
 # tracking_error oracles
 
