@@ -33,7 +33,6 @@ from .image import (
     load_pgm,
     load_sequence,
     save_pgm,
-    write_sequence,
 )
 from .metrics import METRICS, compute_metric
 from .pyramid import PyramidParams
@@ -44,6 +43,7 @@ from .synth import (
     benchmark_phantom_spec,
     make_phantom,
     periodic_sequence,
+    write_periodic_sequence,
 )
 from .tracking import TRACKERS, ResetConfig, track_with_reset
 
@@ -176,10 +176,17 @@ def _speckle(alpha, seed) -> SpeckleSpec | None:
     return speckle if alpha > 0 else None
 
 
+def _benchmark_specs(seed, frames, alpha, decoy=False):
+    """``(phantom, motion)`` and the keyword arguments of the benchmark
+    sequence, shared by ``synth sequence`` and the studies."""
+    return ((benchmark_phantom_spec(decoy=decoy),
+             benchmark_motion_spec(n_frames=frames)),
+            dict(speckle=_speckle(alpha, seed), seed=seed))
+
+
 def _benchmark_sequence(seed, frames, alpha, decoy=False):
-    return periodic_sequence(benchmark_phantom_spec(decoy=decoy),
-                             benchmark_motion_spec(n_frames=frames),
-                             speckle=_speckle(alpha, seed), seed=seed)
+    specs, kwargs = _benchmark_specs(seed, frames, alpha, decoy=decoy)
+    return periodic_sequence(*specs, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +229,10 @@ def _cmd_synth_phantom(args) -> int:
 
 
 def _cmd_synth_sequence(args) -> int:
-    seq = _benchmark_sequence(args.seed, args.frames, args.alpha,
-                              decoy=args.decoy)
-    manifest = write_sequence(seq, args.out_dir, stem=args.stem)
+    specs, kwargs = _benchmark_specs(args.seed, args.frames, args.alpha,
+                                     decoy=args.decoy)
+    manifest = write_periodic_sequence(*specs, args.out_dir, stem=args.stem,
+                                       **kwargs)
     print(manifest)
     return 0
 

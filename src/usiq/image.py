@@ -290,12 +290,12 @@ def downsample2(image: GrayImage) -> GrayImage:
     if image.width < 2 or image.height < 2:
         raise ImageTooSmallError(
             f"cannot downsample a {image.width}x{image.height} image")
-    smoothed = correlate_separable(image.pixels, _BINOMIAL5, "nearest")
+    smoothed = _correlate_separable(image.pixels, _BINOMIAL5, "nearest")
     return GrayImage(smoothed[::2, ::2])
 
 
-def correlate_separable(arr: np.ndarray, kernel: np.ndarray,
-                        mode: str) -> np.ndarray:
+def _correlate_separable(arr: np.ndarray, kernel: np.ndarray,
+                         mode: str) -> np.ndarray:
     """Correlate ``arr`` with ``kernel`` along each of its last two axes,
     extending the edges by ``mode`` (a ``scipy.ndimage`` boundary mode)."""
     # A preallocated output spares correlate1d its dtype-driven allocation.
@@ -380,25 +380,47 @@ def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> s
          "landmarks": [[{"x": number, "y": number}, ...] per frame] | null}
 
     :func:`load_sequence` reads frame paths relative to the manifest's
-    directory unless absolute. The manifest text is built before any file
-    is written, so a sequence it cannot hold leaves no partial output.
+    directory unless absolute. ``stem`` must be a non-empty file-name
+    prefix, without a path separator or a NUL. The stem is checked and the
+    manifest text built before any file is written, so a sequence it cannot
+    hold leaves no partial output.
     """
+    return _write_frames(sequence.frames, len(sequence), directory, stem,
+                         pixel_spacing_mm=sequence.pixel_spacing_mm,
+                         reference_frame=sequence.reference_frame,
+                         landmarks=sequence.landmarks)
+
+
+def _write_frames(frames, n_frames: int, directory, stem: str,
+                  pixel_spacing_mm: float, landmarks,
+                  reference_frame: int = 0) -> str:
+    """:func:`write_sequence` for ``n_frames`` images drawn one at a time
+    from the iterable ``frames``, each written and dropped before the next
+    is drawn; the fields are checked as :class:`FrameSequence` checks them.
+    """
+    if not stem or any(c in stem for c in ("/", os.sep, "\0")):
+        raise InvalidParamsError(
+            f"stem must be a non-empty file-name prefix, got {stem!r}")
+    reference_frame, landmarks = _checked_fields(
+        n_frames, pixel_spacing_mm, reference_frame, landmarks)
     directory = os.fspath(directory)
-    names = [f"{stem}_{t:04d}.pgm" for t in range(len(sequence))]
+    names = [f"{stem}_{t:04d}.pgm" for t in range(n_frames)]
     marks = None
-    if sequence.landmarks is not None:
+    if landmarks is not None:
         marks = [[{"x": lm.x, "y": lm.y} for lm in per_frame]
-                 for per_frame in sequence.landmarks]
+                 for per_frame in landmarks]
     try:
         text = json.dumps({"frames": names,
-                           "pixel_spacing_mm": sequence.pixel_spacing_mm,
-                           "reference_frame": sequence.reference_frame,
+                           "pixel_spacing_mm": pixel_spacing_mm,
+                           "reference_frame": reference_frame,
                            "landmarks": marks}, indent=2, allow_nan=False)
     except TypeError as exc:  # a number type JSON cannot hold, e.g. float32
         raise ManifestError(f"sequence cannot be written: {exc}") from None
     os.makedirs(directory, exist_ok=True)
-    for name, frame in zip(names, sequence.frames):
-        save_pgm(frame, os.path.join(directory, name))
+    frames = iter(frames)
+    for name in names:
+        # no name keeps the frame alive while the next one is drawn
+        save_pgm(next(frames), os.path.join(directory, name))
     path = os.path.join(directory, f"{stem}_manifest.json")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
@@ -426,11 +448,11 @@ def load_sequence(manifest_path, roi: Roi | None = None) -> FrameSequence:
     before any is converted to float.
 
     With ``roi``, each frame is the :func:`crop` of its file's image, cut
-    from the integer raster before conversion, so only the windows are
-    converted and kept; the pixels equal ``crop(load_pgm(path), roi)`` bit
-    for bit. Landmarks move into window coordinates: x less
-    ``round_half_away(roi.center.x) - roi.half_width``, y less
-    ``round_half_away(roi.center.y) - roi.half_height``.
+    from the integer raster as soon as the file is read, so only the
+    windows are kept and converted; the pixels equal
+    ``crop(load_pgm(path), roi)`` bit for bit. Landmarks move into window
+    coordinates: x less ``round_half_away(roi.center.x) - roi.half_width``,
+    y less ``round_half_away(roi.center.y) - roi.half_height``.
     """
     with open(manifest_path, "r", encoding="ascii") as fh:
         try:
@@ -462,19 +484,22 @@ def load_sequence(manifest_path, roi: Roi | None = None) -> FrameSequence:
                   for lm in per_frame] for per_frame in marks]
     ref, marks = _checked_fields(len(paths), spacing, ref, marks)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    rasters = [_read_pgm(os.path.join(base, p)) for p in paths]
-    shape = rasters[0][0].shape
-    for i, (raster, _) in enumerate(rasters):
-        if raster.shape != shape:
+    rasters, shapes = [], []
+    for p in paths:
+        raster, maxval = _read_pgm(os.path.join(base, p))
+        shapes.append(raster.shape)
+        if roi is not None:
+            raster = _window(raster, roi)
+        rasters.append((raster, maxval))
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
             raise DimensionMismatchError(
-                f"frame {i} has shape {raster.shape}, frame 0 has {shape}")
-    if roi is not None:
-        rasters = [(_window(raster, roi), maxval) for raster, maxval in rasters]
-        if marks is not None:
-            x0 = round_half_away(roi.center.x) - roi.half_width
-            y0 = round_half_away(roi.center.y) - roi.half_height
-            marks = [[Landmark(lm.x - x0, lm.y - y0) for lm in per_frame]
-                     for per_frame in marks]
+                f"frame {i} has shape {shape}, frame 0 has {shapes[0]}")
+    if roi is not None and marks is not None:
+        x0 = round_half_away(roi.center.x) - roi.half_width
+        y0 = round_half_away(roi.center.y) - roi.half_height
+        marks = [[Landmark(lm.x - x0, lm.y - y0) for lm in per_frame]
+                 for per_frame in marks]
     return FrameSequence(
         frames=tuple(_to_gray(raster, maxval) for raster, maxval in rasters),
         pixel_spacing_mm=spacing, landmarks=marks, reference_frame=ref)

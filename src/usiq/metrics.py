@@ -26,7 +26,7 @@ from .errors import (
 )
 from .image import (
     GrayImage,
-    correlate_separable,
+    _correlate_separable,
     downsample2,
     require_integers,
     require_reals,
@@ -248,7 +248,7 @@ def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Separable correlation over the last two axes, cropped to windows
     fully inside the image."""
     r = kernel.size // 2
-    out = correlate_separable(arr, kernel, "constant")
+    out = _correlate_separable(arr, kernel, "constant")
     return out[..., r:arr.shape[-2] - r, r:arr.shape[-1] - r]
 
 
@@ -475,7 +475,7 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
 
 
 def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return correlate_separable(arr, kernel, "nearest")[::2, ::2]
+    return _correlate_separable(arr, kernel, "nearest")[::2, ::2]
 
 
 # ---------------------------------------------------------------------------

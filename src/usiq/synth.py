@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, OutOfFrameError
-from .image import FrameSequence, GrayImage, Landmark
+from .image import FrameSequence, GrayImage, Landmark, _write_frames
 
 __all__ = [
     "Disc",
@@ -33,6 +33,7 @@ __all__ = [
     "displacement",
     "make_phantom",
     "periodic_sequence",
+    "write_periodic_sequence",
 ]
 
 
@@ -188,6 +189,49 @@ def _speckled(pixels: np.ndarray, spec: SpeckleSpec) -> np.ndarray:
     return np.clip(out, 0.0, 255.0, out=out)
 
 
+def _tracks(phantom: PhantomSpec, motion: MotionSpec):
+    """The exact disc centers of every frame, from :func:`displacement`
+    alone; raises OutOfFrameError first if the motion envelope of a disc
+    leaves the frame."""
+    margin = motion.amplitude
+    _require_discs_in_frame(phantom,
+                            margin_x=margin if motion.axis == "x" else 0.0,
+                            margin_y=margin if motion.axis == "y" else 0.0)
+    tracks = []
+    for t in range(motion.n_frames):
+        d = displacement(motion, t)
+        dx, dy = (d, 0.0) if motion.axis == "x" else (0.0, d)
+        tracks.append(tuple(Landmark(disc.center.x + dx, disc.center.y + dy)
+                            for disc in phantom.landmarks))
+    return tuple(tracks)
+
+
+def _frames(phantom: PhantomSpec, tracks, speckle: SpeckleSpec | None,
+            seed: int):
+    """Yield frame ``t`` of the sequence whose disc centers are
+    ``tracks[t]``, rendering each only when it is asked for. The generator
+    keeps no frame it has yielded, so a consumer that drops each frame
+    before asking for the next holds, besides the background, only the
+    frame being rendered (and its Rayleigh draw while it is speckled)."""
+    background = _background(phantom, seed)
+    for t, centers in enumerate(tracks):
+        yield GrayImage(_render(background, phantom, centers, speckle, t))
+
+
+def _render(background: np.ndarray, phantom: PhantomSpec, centers,
+            speckle: SpeckleSpec | None, t: int) -> np.ndarray:
+    """The pixels of frame ``t``: ``phantom``'s discs moved to ``centers``
+    over ``background``, speckled with seed ``speckle.seed + t``."""
+    pixels = _draw_discs(background, (
+        Disc(c, disc.radius, disc.intensity)
+        for c, disc in zip(centers, phantom.landmarks)))
+    if speckle is None:
+        return pixels
+    return _speckled(pixels, SpeckleSpec(
+        alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,
+        seed=speckle.seed + t))
+
+
 def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
                       speckle: SpeckleSpec | None = None, seed: int = 0,
                       pixel_spacing_mm: float = 1.0) -> FrameSequence:
@@ -199,31 +243,29 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
     noise (decorrelated speckle). The returned sequence embeds the exact
     real-valued disc centers as per-frame landmarks.
     """
-    margin = motion.amplitude
-    _require_discs_in_frame(phantom,
-                            margin_x=margin if motion.axis == "x" else 0.0,
-                            margin_y=margin if motion.axis == "y" else 0.0)
-    background = _background(phantom, seed)
-    frames = []
-    tracks = []
-    for t in range(motion.n_frames):
-        d = displacement(motion, t)
-        dx, dy = (d, 0.0) if motion.axis == "x" else (0.0, d)
-        centers = tuple(Landmark(disc.center.x + dx, disc.center.y + dy)
-                        for disc in phantom.landmarks)
-        pixels = _draw_discs(background, (
-            Disc(c, disc.radius, disc.intensity)
-            for c, disc in zip(centers, phantom.landmarks)))
-        if speckle is not None:
-            pixels = _speckled(pixels, SpeckleSpec(
-                alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,
-                seed=speckle.seed + t))
-        frames.append(GrayImage(pixels))
-        tracks.append(centers)
-    return FrameSequence(frames=tuple(frames),
+    tracks = _tracks(phantom, motion)
+    return FrameSequence(frames=tuple(_frames(phantom, tracks, speckle, seed)),
                          pixel_spacing_mm=pixel_spacing_mm,
-                         landmarks=tuple(tracks),
-                         reference_frame=0)
+                         landmarks=tracks, reference_frame=0)
+
+
+def write_periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
+                            directory, stem: str = "frame",
+                            speckle: SpeckleSpec | None = None,
+                            seed: int = 0) -> str:
+    """Write ``periodic_sequence(phantom, motion, speckle, seed)`` to
+    ``directory`` as :func:`write_sequence` would, byte for byte, and
+    return the manifest path.
+
+    Each frame is rendered, quantized and written before the next is
+    rendered, so no float frame outlives its own write. Every check, the
+    manifest text included, runs before the directory or any file is
+    created.
+    """
+    tracks = _tracks(phantom, motion)
+    return _write_frames(_frames(phantom, tracks, speckle, seed),
+                         motion.n_frames, directory, stem,
+                         pixel_spacing_mm=1.0, landmarks=tracks)
 
 
 # Shared benchmark geometry: one bright disc mid-left on a 256x256 textured

@@ -299,3 +299,11 @@ def test_sweep_checks_every_alpha_before_writing(bad, tmp_path, capsys):
                      "--alphas", f"0.5,{bad}"]) == 2
     assert capsys.readouterr().err.startswith("invalid-params:")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_synth_sequence_rejects_a_bad_stem_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["synth", "sequence", "--frames", "2", "--out-dir",
+                     str(out), "--stem", "a/b"]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not out.exists()

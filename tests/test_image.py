@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,3 +532,43 @@ def test_write_sequence_serializes_the_manifest_before_any_frame(tmp_path):
         with pytest.raises(errors.ManifestError):
             write_sequence(seq, out)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", sorted({"", "a/b", f"a{os.sep}b", "/",
+                                         "a\0b"}))
+def test_write_sequence_rejects_a_bad_stem_before_writing(tmp_path, stem):
+    # "a/b" once failed on opening its first frame, after making the directory
+    out = tmp_path / "seq"
+    seq = FrameSequence((GrayImage(np.zeros((3, 4))),) * 2)
+    with pytest.raises(errors.InvalidParamsError):
+        write_sequence(seq, out, stem=stem)
+    assert not out.exists()
+
+
+def test_load_sequence_reads_every_frame_before_comparing_shapes(tmp_path):
+    # frame 1 has another shape, frame 3 is cut short: the read error wins
+    rasters = [np.zeros((12, 15), dtype=int)] * 4
+    rasters[1] = np.zeros((12, 16), dtype=int)
+    path = write_pgm_sequence(tmp_path, "P5", 255, rasters)
+    (tmp_path / "f3.pgm").write_bytes(b"P5\n15 12\n255\n" + bytes(179))
+    for roi in (None, WINDOWS["inside"]):
+        with pytest.raises(errors.PgmDataError):
+            load_sequence(path, roi)
+
+
+def test_windowed_load_keeps_only_the_windows(tmp_path):
+    rng = np.random.default_rng(5)
+    rasters = [rng.integers(0, 256, (256, 256)) for _ in range(30)]
+    path = write_pgm_sequence(tmp_path, "P5", 255, rasters)
+    roi = Roi(Landmark(108.0, 128.0), 32, 32)
+    load_sequence(path, roi)
+    tracemalloc.start()
+    try:
+        seq = load_sequence(path, roi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding every full raster until the shape check took 2.1 MB
+    assert peak < sum(raster.size for raster in rasters)
+    assert seq.frames[29].pixels.tobytes() == crop(
+        GrayImage(rasters[29]), roi).pixels.tobytes()

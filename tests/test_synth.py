@@ -1,13 +1,16 @@
 """Synthetic-data tests: phantom geometry, speckle statistics, sequences."""
 
+import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from usiq import errors, synth
+from usiq import cli, errors, synth
 from usiq.image import (
     FrameSequence,
     GrayImage,
@@ -35,6 +38,7 @@ from usiq.synth import (
     displacement,
     make_phantom,
     periodic_sequence,
+    write_periodic_sequence,
 )
 
 
@@ -492,3 +496,111 @@ def test_periodic_sequence_type():
     assert isinstance(seq, FrameSequence)
     assert len(seq.frames) == 2
     assert len(seq.landmarks[0]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Streaming a sequence to disk
+
+
+def sequence_digest(seq):
+    """SHA-256 of every frame's float64 bytes, then every landmark's
+    ``float.hex`` coordinates."""
+    h = hashlib.sha256()
+    for frame in seq.frames:
+        h.update(frame.pixels.tobytes())
+    for per_frame in seq.landmarks:
+        for lm in per_frame:
+            h.update(f"{lm.x.hex()},{lm.y.hex()};".encode())
+    return h.hexdigest()
+
+
+# digests of the five-frame benchmark sequence at seed 7, taken from the
+# renderer that built the whole sequence in one loop before frames streamed
+PERIODIC_DIGESTS = {
+    (0.0, False): "c968f81c6afdcc7280a83a108527938214be12b966fed338ed689a9eeaaa1eb7",
+    (0.0, True): "ef66ba93ad55398384935cd82529f6892e612dadea5945497519d67fec01ab74",
+    (0.45, False): "834b5532435ae5577c63ab26e6685271690f78905cbe17b2fd7e8d66c258b277",
+    (0.45, True): "193d935c80d652bb7fef4d67664d4b8e99b9519d81f7473390f17de73c8c22bd",
+}
+
+
+def bench_args(alpha, decoy, n_frames=5, seed=7):
+    """``(phantom, motion)`` and the keyword arguments the CLI passes for
+    the benchmark sequence at ``alpha``."""
+    speckle = SpeckleSpec(alpha=alpha, seed=seed) if alpha > 0 else None
+    return ((benchmark_phantom_spec(decoy=decoy),
+             benchmark_motion_spec(n_frames=n_frames)),
+            dict(speckle=speckle, seed=seed))
+
+
+@pytest.mark.parametrize("alpha, decoy", list(PERIODIC_DIGESTS))
+def test_periodic_sequence_is_pinned(alpha, decoy):
+    specs, kw = bench_args(alpha, decoy)
+    seq = periodic_sequence(*specs, **kw)
+    assert sequence_digest(seq) == PERIODIC_DIGESTS[alpha, decoy]
+
+
+def directory_bytes(directory):
+    return {name: (directory / name).read_bytes()
+            for name in sorted(os.listdir(directory))}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.45])
+@pytest.mark.parametrize("decoy", [False, True])
+def test_streamed_directory_equals_write_sequence_of_periodic_sequence(
+        tmp_path, alpha, decoy):
+    specs, kw = bench_args(alpha, decoy)
+    want_dir, got_dir = tmp_path / "whole", tmp_path / "streamed"
+    want = write_sequence(periodic_sequence(*specs, **kw), want_dir,
+                          stem="run")
+    got = write_periodic_sequence(*specs, got_dir, stem="run", **kw)
+    assert got == os.path.join(got_dir, "run_manifest.json")
+    assert want == os.path.join(want_dir, "run_manifest.json")
+    files = directory_bytes(got_dir)
+    assert sorted(files) == [f"run_{t:04d}.pgm" for t in range(5)] + [
+        "run_manifest.json"]
+    assert files == directory_bytes(want_dir)
+
+
+FLOAT_FRAME_BYTES = 256 * 256 * 8
+
+
+def test_synth_sequence_holds_fewer_than_four_float_frames(tmp_path):
+    argv = ["synth", "sequence", "--frames", "30", "--seed", "2"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "seq")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole sequence in memory was 30 float frames, about 16 MB
+    assert peak < 4 * FLOAT_FRAME_BYTES
+    assert len(os.listdir(tmp_path / "seq")) == 31
+
+
+def out_of_frame_phantom():
+    return PhantomSpec(width=48, height=48, landmarks=(
+        Disc(Landmark(6.0, 24.0), radius=5.0),))
+
+
+@pytest.mark.parametrize("call, kind", [
+    # the disc fits the frame, but its 4 px swing does not
+    (lambda out: write_periodic_sequence(
+        out_of_frame_phantom(), small_motion(amplitude=4.0), out),
+     errors.OutOfFrameError),
+    # JSON cannot hold a float32 disc coordinate
+    (lambda out: write_periodic_sequence(
+        PhantomSpec(width=48, height=48, landmarks=(
+            Disc(Landmark(24.0, np.float32(20.0)), radius=5.0),)),
+        small_motion(), out), errors.ManifestError),
+    (lambda out: write_periodic_sequence(
+        small_phantom(), small_motion(), out, stem="a/b"),
+     errors.InvalidParamsError),
+], ids=["out-of-frame", "center-float32", "stem-separator"])
+def test_write_periodic_sequence_checks_everything_before_writing(
+        tmp_path, call, kind):
+    out = tmp_path / "seq"
+    with pytest.raises(kind):
+        call(out)
+    assert not out.exists()
