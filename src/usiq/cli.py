@@ -154,6 +154,19 @@ def _collect_params(items, metrics, default_metric=None):
     return built
 
 
+def _reject_nul(args) -> None:
+    """No path can hold a NUL byte: reject one in any string argument, list
+    items included, before any file is read or any directory is made."""
+    for name, value in vars(args).items():
+        for text in value if isinstance(value, list) else (value,):
+            if isinstance(text, str) and "\0" in text:
+                raise InvalidParamsError(f"argument {name} holds a NUL byte")
+
+
+# the options that only ``--reset`` reads
+_RESET_ONLY = ("reset_roi", "reset_param", "tau", "calibrate")
+
+
 def _reset_config_from(args) -> ResetConfig:
     if args.reset_roi is None:
         raise InvalidParamsError("--reset needs --reset-roi x,y,hw,hh")
@@ -166,8 +179,7 @@ def _reset_config_from(args) -> ResetConfig:
         metric=args.reset_metric,
         metric_params=params.get(args.reset_metric),
         threshold=args.tau,
-        calibration_frames=args.calibrate or 0,
-        reference_frame=args.ref_frame)
+        calibration_frames=args.calibrate or 0)
 
 
 def _speckle(alpha, seed) -> SpeckleSpec | None:
@@ -257,6 +269,10 @@ def _cmd_synth_sweep(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    stray = [f"--{name.replace('_', '-')}" for name in _RESET_ONLY
+             if getattr(args, name) is not None]
+    if stray and not args.reset:
+        raise InvalidParamsError(f"{', '.join(stray)}: used only with --reset")
     reset = _reset_config_from(args) if args.reset else None
     seq = load_sequence(args.manifest)
     if reset is not None:
@@ -334,7 +350,6 @@ def _add_reset_options(parser, calibrate_default=None, roi_default=None,
     parser.add_argument("--calibrate", type=int, default=calibrate_default,
                         metavar="C",
                         help="derive the threshold from the first C frames")
-    parser.add_argument("--ref-frame", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _reject_nul(args)
         return args.fn(args)
     except UsiqError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)

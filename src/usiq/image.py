@@ -112,6 +112,7 @@ class Roi:
     half_height: int
 
     def __post_init__(self):
+        require_integers(self, "half_width", "half_height")
         if self.half_width < 0 or self.half_height < 0:
             raise InvalidParamsError("ROI half extents must be >= 0")
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, OutOfFrameError
-from .image import FrameSequence, GrayImage, Landmark, _write_frames
+from .image import (FrameSequence, GrayImage, Landmark, _write_frames,
+                    require_integers, require_reals)
 
 __all__ = [
     "Disc",
@@ -62,12 +63,16 @@ class PhantomSpec:
     landmarks: tuple[Disc, ...] = ()
 
     def __post_init__(self):
+        require_integers(self, "width", "height")
+        require_reals(self, "background_mean", "background_texture_sigma")
         if self.width < 1 or self.height < 1:
             raise InvalidParamsError("frame dimensions must be >= 1")
         if not (0.0 <= self.background_mean <= 255.0):
             raise InvalidParamsError("background_mean must lie in [0, 255]")
-        if self.background_texture_sigma < 0:
-            raise InvalidParamsError("background_texture_sigma must be >= 0")
+        if not (math.isfinite(self.background_texture_sigma)
+                and self.background_texture_sigma >= 0):
+            raise InvalidParamsError(
+                "background_texture_sigma must be finite and >= 0")
         object.__setattr__(self, "landmarks", tuple(self.landmarks))
 
 
@@ -78,11 +83,13 @@ class SpeckleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_reals(self, "alpha", "rayleigh_sigma")
+        require_integers(self, "seed")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParamsError(
                 f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.rayleigh_sigma > 0:
-            raise InvalidParamsError("rayleigh_sigma must be > 0")
+        if not (math.isfinite(self.rayleigh_sigma) and self.rayleigh_sigma > 0):
+            raise InvalidParamsError("rayleigh_sigma must be finite and > 0")
         if self.seed < 0:
             raise InvalidParamsError("seed must be >= 0")
 
@@ -98,11 +105,15 @@ class MotionSpec:
     axis: str = "x"
 
     def __post_init__(self):
+        require_reals(self, "amplitude", "period", "phase")
+        require_integers(self, "n_frames")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise InvalidParamsError("amplitude must be >= 0")
-        if not self.period >= 2:
+        if not (math.isfinite(self.period) and self.period >= 2):
             raise InvalidParamsError(
-                f"period must be >= 2 frames, got {self.period}")
+                f"period must be finite and >= 2 frames, got {self.period}")
+        if not math.isfinite(self.phase):
+            raise InvalidParamsError(f"phase must be finite, got {self.phase}")
         if self.n_frames < 1:
             raise InvalidParamsError("n_frames must be >= 1")
         if self.axis not in ("x", "y"):
@@ -233,9 +244,11 @@ def _render(background: np.ndarray, phantom: PhantomSpec, centers,
 
 
 def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
-                      speckle: SpeckleSpec | None = None, seed: int = 0,
-                      pixel_spacing_mm: float = 1.0) -> FrameSequence:
-    """Render frames with sinusoidally displaced discs; frame 0 is the reference.
+                      speckle: SpeckleSpec | None = None, seed: int = 0
+                      ) -> FrameSequence:
+    """Render frames with sinusoidally displaced discs; frame 0 is the
+    reference and the pixel spacing is 1 mm, the :class:`FrameSequence`
+    defaults.
 
     The background texture is drawn once from ``seed``, and every frame
     composites its moved discs over it; speckle, when given, is re-seeded per
@@ -245,8 +258,7 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
     """
     tracks = _tracks(phantom, motion)
     return FrameSequence(frames=tuple(_frames(phantom, tracks, speckle, seed)),
-                         pixel_spacing_mm=pixel_spacing_mm,
-                         landmarks=tracks, reference_frame=0)
+                         landmarks=tracks)
 
 
 def write_periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,

@@ -121,12 +121,12 @@ class MeanShiftConfig:
 class ResetConfig:
     """Similarity-gated reset policy.
 
-    Each frame is compared to the reference frame on ``similarity_roi`` crops
-    with the named metric; a value strictly above the threshold snaps every
-    estimate back to its first-frame annotation. Leave ``threshold`` unset to
-    derive it from the first ``calibration_frames`` frames after the
-    reference: the maximum observed similarity minus one population standard
-    deviation.
+    Each frame is compared to the sequence's reference frame on
+    ``similarity_roi`` crops with the named metric; a value strictly above the
+    threshold snaps every estimate back to its first-frame annotation. Leave
+    ``threshold`` unset to derive it from the first ``calibration_frames``
+    frames after the reference: the maximum observed similarity minus one
+    population standard deviation.
     """
 
     similarity_roi: Roi
@@ -134,12 +134,11 @@ class ResetConfig:
     metric_params: object = None
     threshold: float | None = None
     calibration_frames: int = 0
-    reference_frame: int = 0
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InvalidParamsError(f"unknown metric '{self.metric}'")
-        require_integers(self, "calibration_frames", "reference_frame")
+        require_integers(self, "calibration_frames")
         if self.threshold is None:
             if self.calibration_frames < 1:
                 raise InvalidParamsError(
@@ -150,8 +149,6 @@ class ResetConfig:
                 raise InvalidParamsError("threshold must lie in (0, 1]")
         if self.calibration_frames < 0:
             raise InvalidParamsError("calibration_frames must be >= 0")
-        if self.reference_frame < 0:
-            raise InvalidParamsError("reference_frame must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -530,8 +527,8 @@ def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
                 ) -> tuple[tuple[float, ...], float]:
     """Check ``reset`` against ``seq`` and return its trace and threshold.
 
-    The trace scores every frame against the reference frame's crop, which
-    is cropped once, prepared and scored at its own position; the other
+    The trace scores every frame against the crop of ``seq.reference_frame``,
+    which is cropped once, prepared and scored at its own position; the other
     frames are cropped as the scorer's ``values`` reads them. A calibrated
     threshold is the maximum minus one population standard deviation of the
     ``calibration_frames`` values directly following the reference, and must
@@ -539,10 +536,8 @@ def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
     """
     if reset is None:
         raise InvalidParamsError("a ResetConfig is required")
-    ref, n_frames = reset.reference_frame, len(seq.frames)
-    if ref >= n_frames:
-        raise InvalidParamsError("reference frame outside the sequence")
-    if reset.threshold is None and ref + reset.calibration_frames >= n_frames:
+    ref = seq.reference_frame
+    if reset.threshold is None and ref + reset.calibration_frames >= len(seq):
         raise InvalidParamsError("calibration window extends past the sequence")
     roi = reset.similarity_roi
     ref_view = crop(seq.frames[ref], roi)
@@ -620,8 +615,8 @@ def track_with_reset(tracker: str, seq: FrameSequence, init=None,
                      ) -> TrackResult:
     """Run a tracker with similarity-gated re-anchoring.
 
-    Every frame is first scored against the reference frame on the
-    configured ROI. Then, before each tracker step, a similarity strictly
+    Every frame is first scored against the sequence's reference frame on
+    the configured ROI. Then, before each tracker step, a similarity strictly
     above the threshold resets every estimate to its first-frame annotation
     (and the mean-shift scale to 1) instead of stepping. The result records
     the full similarity trace and, as ``reset_threshold``, the threshold

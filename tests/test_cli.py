@@ -307,3 +307,74 @@ def test_synth_sequence_rejects_a_bad_stem_before_any_output(tmp_path, capsys):
                      str(out), "--stem", "a/b"]) == 2
     assert capsys.readouterr().err.startswith("invalid-params:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "phantom", "--out", "a\0b.pgm"],
+    ["synth", "sequence", "--frames", "2", "--out-dir", "seq\0dir"],
+    ["trace", "--manifest", "m\0.json", "--metrics", "mse", "--out", "t.csv"],
+    ["compare", "a\0.pgm", "b.pgm", "--metric", "mse"],
+    ["trace", "--manifest", "m.json", "--metrics", "ssim", "--param",
+     "ssim:window_size=7", "--param", "ssim:k1=\0", "--out", "t.csv"],
+], ids=["phantom-out", "sequence-out-dir", "trace-manifest", "compare-ref",
+        "param-list-item"])
+def test_nul_in_a_string_argument_is_rejected_before_any_output(
+        argv, tmp_path, monkeypatch, capsys):
+    # a real argv cannot carry a NUL, so this runs through cli.main
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid-params:")
+    assert "NUL" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", [
+    ["--reset-roi", "108,128,32,32"], ["--reset-param", "levels=3"],
+    ["--tau", "0.9"], ["--calibrate", "3"],
+], ids=lambda option: option[0])
+def test_reset_options_without_reset_are_rejected_before_the_manifest_is_read(
+        option, tmp_path, capsys):
+    # a missing manifest would be an io-error, so the options are checked first
+    out = tmp_path / "x.csv"
+    assert cli.main(["track", "--manifest", str(tmp_path / "missing.json"),
+                     "--tracker", "ncc", *option, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not out.exists()
+
+
+def test_track_reset_gates_on_the_manifest_reference_frame(tmp_path):
+    # the reset trace and the plain trace score against the same frame: the
+    # one the manifest names, here frame 2
+    manifest = tmp_path / "seq" / "frame_manifest.json"
+    assert cli.main(["synth", "sequence", "--seed", "3", "--frames", "12",
+                     "--out-dir", str(manifest.parent)]) == 0
+    fields = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**fields, "reference_frame": 2}))
+    roi, param = "108,128,32,32", "levels=3"
+    trace_csv, track_csv = tmp_path / "trace.csv", tmp_path / "track.csv"
+    assert cli.main(["trace", "--manifest", str(manifest), "--metrics",
+                     "cwssim", "--roi", roi, "--param", f"cwssim:{param}",
+                     "--out", str(trace_csv)]) == 0
+    assert cli.main(["track", "--manifest", str(manifest), "--tracker", "ncc",
+                     "--reset", "--reset-roi", roi, "--reset-param", param,
+                     "--tau", "0.99", "--out", str(track_csv)]) == 0
+    raw = [line.split(",")[1]
+           for line in trace_csv.read_text().splitlines()[1:]]
+    gated = [line.split(",")[5]
+             for line in track_csv.read_text().splitlines()[1:]]
+    assert len(raw) == 12
+    assert gated == raw
+    assert raw[2] == "1" and raw[0] != "1"
+
+
+@pytest.mark.parametrize("command", [
+    ["track", "--manifest", "m.json", "--tracker", "ncc", "--out", "x.csv"],
+    ["study", "tracking", "--out", "x.csv"],
+], ids=["track", "study-tracking"])
+def test_ref_frame_option_is_gone(command, capsys):
+    # the reference frame is the sequence's own, set in its manifest
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--ref-frame", "2"])
+    assert exc.value.code == 2
+    assert "--ref-frame" in capsys.readouterr().err

@@ -232,26 +232,27 @@ TRACKER_NAMES = st.sampled_from(sorted(TRACKERS))
 
 @st.composite
 def gated_sequences(draw):
-    """A short speckled sequence of one disc swinging along x, a reference
-    frame with at least one frame after it, and one injected jump."""
+    """A short speckled sequence of one disc swinging along x, whose
+    reference frame has at least one frame after it, and one injected
+    jump."""
     n_frames = draw(st.integers(3, 8))
     seed = draw(st.integers(0, 2 ** 16))
     motion = MotionSpec(amplitude=draw(st.floats(0.0, 4.0)),
                         period=draw(st.floats(4.0, 12.0)), n_frames=n_frames)
     seq = periodic_sequence(PHANTOM, motion, seed=seed, speckle=SpeckleSpec(
         alpha=draw(st.floats(0.0, 0.3)), seed=seed))
-    ref = draw(st.integers(0, n_frames - 2))
+    seq = dataclasses.replace(
+        seq, reference_frame=draw(st.integers(0, n_frames - 2)))
     hit = {draw(st.integers(1, n_frames - 1)): (draw(st.floats(-6.0, 6.0)),
                                                 0.0)}
-    return seq, ref, hit
+    return seq, hit
 
 
 @given(gated_sequences(), TRACKER_NAMES)
 def test_unreachable_threshold_gives_the_bare_tracker(drawn, tracker):
-    seq, ref, hit = drawn
+    seq, hit = drawn
     # SSIM is at most 1, and resets fire only strictly above the threshold
-    reset = ResetConfig(RESET_ROI, metric="ssim", threshold=1.0,
-                        reference_frame=ref)
+    reset = ResetConfig(RESET_ROI, metric="ssim", threshold=1.0)
     wrapped = track_with_reset(tracker, seq, reset=reset, disturbances=hit)
     bare = TRACKERS[tracker].track(seq, disturbances=hit)
     assert wrapped.reset_events == ()
@@ -264,10 +265,10 @@ def test_unreachable_threshold_gives_the_bare_tracker(drawn, tracker):
 @given(gated_sequences(), TRACKER_NAMES, st.data())
 def test_calibrated_threshold_is_max_minus_std_of_the_window(drawn, tracker,
                                                              data):
-    seq, ref, hit = drawn
+    seq, hit = drawn
+    ref = seq.reference_frame
     frames = data.draw(st.integers(1, len(seq) - 1 - ref))
-    reset = ResetConfig(RESET_ROI, metric="ssim", calibration_frames=frames,
-                        reference_frame=ref)
+    reset = ResetConfig(RESET_ROI, metric="ssim", calibration_frames=frames)
     score = prepare("ssim", crop(seq.frames[ref], RESET_ROI))
     window = [score(crop(frame, RESET_ROI)).value
               for frame in seq.frames[ref + 1:ref + frames + 1]]
@@ -285,11 +286,12 @@ def test_calibrated_threshold_is_max_minus_std_of_the_window(drawn, tracker,
 
 @given(gated_sequences(), st.none() | st.floats(0.5, 1.0), st.data())
 def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
-    seq, ref, hit = drawn
+    seq, hit = drawn
+    ref = seq.reference_frame
     frames = (data.draw(st.integers(1, len(seq) - 1 - ref))
               if threshold is None else 0)
     reset = ResetConfig(RESET_ROI, metric="ssim", threshold=threshold,
-                        calibration_frames=frames, reference_frame=ref)
+                        calibration_frames=frames)
     study = run_tracking_study(seq, sorted(TRACKERS), reset,
                                disturbances=hit)
     for cmp in study:
@@ -308,6 +310,28 @@ def gated_reset(**fields):
     return ResetConfig(RESET_ROI, **{"threshold": 0.5, **fields})
 
 
+def sized_phantom(**fields):
+    """A 32 x 32 PhantomSpec; ``fields`` override."""
+    return PhantomSpec(**{"width": 32, "height": 32, **fields})
+
+
+def blended_speckle(**fields):
+    """A SpeckleSpec at alpha 0.5; ``fields`` override."""
+    return SpeckleSpec(**{"alpha": 0.5, **fields})
+
+
+def swinging_motion(**fields):
+    """A three-frame MotionSpec; ``fields`` override."""
+    return MotionSpec(**{"amplitude": 2.0, "period": 8.0, "n_frames": 3,
+                         **fields})
+
+
+def square_roi(**fields):
+    """A 5 x 5 Roi at the origin; ``fields`` override."""
+    return Roi(**{"center": Landmark(0.0, 0.0), "half_width": 2,
+                  "half_height": 2, **fields})
+
+
 INTEGER_FIELDS = [
     (SsimParams, "window_size"), (MsSsimParams, "scales"),
     (CwSsimParams, "window_size"), (VifParams, "scales"),
@@ -315,7 +339,10 @@ INTEGER_FIELDS = [
     (PyramidParams, "orientations"), (NccConfig, "roi_half"),
     (NccConfig, "search_half"), (MeanShiftConfig, "roi_half"),
     (MeanShiftConfig, "bins"), (MeanShiftConfig, "max_iters"),
-    (gated_reset, "calibration_frames"), (gated_reset, "reference_frame"),
+    (gated_reset, "calibration_frames"), (sized_phantom, "width"),
+    (sized_phantom, "height"), (blended_speckle, "seed"),
+    (swinging_motion, "n_frames"), (square_roi, "half_width"),
+    (square_roi, "half_height"),
 ]
 
 REAL_FIELDS = [
@@ -324,6 +351,10 @@ REAL_FIELDS = [
                                       "gamma")),
     (CwSsimParams, "k_stab"), (VifParams, "sigma_n2"),
     (MeanShiftConfig, "epsilon"), (gated_reset, "threshold"),
+    (sized_phantom, "background_mean"),
+    (sized_phantom, "background_texture_sigma"), (blended_speckle, "alpha"),
+    (blended_speckle, "rayleigh_sigma"), (swinging_motion, "amplitude"),
+    (swinging_motion, "period"), (swinging_motion, "phase"),
 ]
 
 

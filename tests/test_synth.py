@@ -72,6 +72,17 @@ def test_spec_validation():
         MotionSpec(amplitude=4.0, period=30, n_frames=0)
     with pytest.raises(errors.InvalidParamsError):
         MotionSpec(amplitude=4.0, period=30, n_frames=10, axis="z")
+    # a non-finite real would render a flat or saturated background or NaN
+    # tracks
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(errors.InvalidParamsError):
+            PhantomSpec(width=32, height=32, background_texture_sigma=sigma)
+    with pytest.raises(errors.InvalidParamsError):
+        SpeckleSpec(alpha=0.5, rayleigh_sigma=math.inf, seed=0)
+    with pytest.raises(errors.InvalidParamsError):
+        MotionSpec(amplitude=4.0, period=math.inf, n_frames=10)
+    with pytest.raises(errors.InvalidParamsError):
+        MotionSpec(amplitude=4.0, period=30, n_frames=10, phase=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +507,14 @@ def test_periodic_sequence_type():
     assert isinstance(seq, FrameSequence)
     assert len(seq.frames) == 2
     assert len(seq.landmarks[0]) == 1
+    assert (seq.reference_frame, seq.pixel_spacing_mm) == (0, 1.0)
+
+
+def test_periodic_sequence_takes_no_pixel_spacing():
+    # the spacing is the sequence's own: dataclasses.replace sets another
+    with pytest.raises(TypeError):
+        periodic_sequence(small_phantom(), small_motion(n_frames=2),
+                          pixel_spacing_mm=0.5)
 
 
 # ---------------------------------------------------------------------------

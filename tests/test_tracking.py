@@ -1,5 +1,6 @@
 """Tracker tests: NCC and mean-shift steps, reset wrapper, error scoring."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -78,12 +79,18 @@ def test_config_validation():
 
 @pytest.mark.parametrize("fields", [
     {"calibration_frames": 2.5},
-    {"threshold": 0.9, "reference_frame": 1.0},
-], ids=["calibration-frames-float", "reference-frame-float"])
+], ids=["calibration-frames-float"])
 def test_reset_config_rejects_non_integer_frame_counts(fields):
-    # both once built, then failed with a bare TypeError inside the gate
+    # once built, then failed with a bare TypeError inside the gate
     with pytest.raises(errors.InvalidParamsError):
         ResetConfig(similarity_roi=Roi(Landmark(48, 48), 20, 20), **fields)
+
+
+def test_reset_config_has_no_reference_frame():
+    # the gate reads the sequence's own reference frame
+    with pytest.raises(TypeError):
+        ResetConfig(similarity_roi=Roi(Landmark(48, 48), 20, 20),
+                    threshold=0.9, reference_frame=1)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +560,9 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
 
 
 def test_calibrated_reset_crops_each_frame_once(monkeypatch):
-    seq = bench_sequence(seed=5, n_frames=20)
-    cfg = reset_cfg(calibration_frames=6, reference_frame=3)
+    seq = dataclasses.replace(bench_sequence(seed=5, n_frames=20),
+                              reference_frame=3)
+    cfg = reset_cfg(calibration_frames=6)
     cropped = []
 
     def counting(image, roi):
