@@ -15,11 +15,11 @@ import sys
 
 from .errors import InvalidParamsError, UsiqError
 from .harness import (
+    _tracking_study,
     format_number,
     run_correlation_study,
     run_noise_sweep,
     run_trace,
-    run_tracking_study,
     write_correlation_json,
     write_sweep_csv,
     write_trace_csv,
@@ -38,6 +38,8 @@ from .metrics import METRICS, compute_metric
 from .pyramid import PyramidParams
 from .synth import (
     SpeckleSpec,
+    _frames,
+    _tracks,
     apply_speckle,
     benchmark_motion_spec,
     benchmark_phantom_spec,
@@ -164,7 +166,7 @@ def _reject_nul(args) -> None:
 
 
 # the options that only ``--reset`` reads
-_RESET_ONLY = ("reset_roi", "reset_param", "tau", "calibrate")
+_RESET_ONLY = ("reset_roi", "reset_metric", "reset_param", "tau", "calibrate")
 
 
 def _reset_config_from(args) -> ResetConfig:
@@ -172,12 +174,12 @@ def _reset_config_from(args) -> ResetConfig:
         raise InvalidParamsError("--reset needs --reset-roi x,y,hw,hh")
     if args.tau is None and args.calibrate is None:
         raise InvalidParamsError("--reset needs --tau or --calibrate")
-    params = _collect_params(args.reset_param, None,
-                             default_metric=args.reset_metric)
+    metric = args.reset_metric or "cwssim"
+    params = _collect_params(args.reset_param, None, default_metric=metric)
     return ResetConfig(
         similarity_roi=_parse_roi(args.reset_roi),
-        metric=args.reset_metric,
-        metric_params=params.get(args.reset_metric),
+        metric=metric,
+        metric_params=params.get(metric),
         threshold=args.tau,
         calibration_frames=args.calibrate or 0)
 
@@ -194,11 +196,6 @@ def _benchmark_specs(seed, frames, alpha, decoy=False):
     return ((benchmark_phantom_spec(decoy=decoy),
              benchmark_motion_spec(n_frames=frames)),
             dict(speckle=_speckle(alpha, seed), seed=seed))
-
-
-def _benchmark_sequence(seed, frames, alpha, decoy=False):
-    specs, kwargs = _benchmark_specs(seed, frames, alpha, decoy=decoy)
-    return periodic_sequence(*specs, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,8 @@ def _cmd_study_correlation(args) -> int:
     if args.manifest:
         seq = load_sequence(args.manifest)
     else:
-        seq = _benchmark_sequence(args.seed, args.frames, args.alpha)
+        specs, kwargs = _benchmark_specs(args.seed, args.frames, args.alpha)
+        seq = periodic_sequence(*specs, **kwargs)
     report = run_correlation_study(seq, metrics, roi=roi, metric_params=params)
     write_correlation_json(report, args.out)
     if args.trace_out:
@@ -311,15 +309,19 @@ def _cmd_study_noise_sweep(args) -> int:
 
 
 def _cmd_study_tracking(args) -> int:
-    seq = _benchmark_sequence(args.seed, args.frames, args.alpha, decoy=True)
-    # the decoy disc is scenery for the injected jump; track the true disc
-    init = (seq.landmarks[0][0],)
-    truth = tuple((marks[0],) for marks in seq.landmarks)
-    disturbances = {args.hit_frame: (args.hit_dx, 0.0)}
+    (phantom, motion), kwargs = _benchmark_specs(args.seed, args.frames,
+                                                 args.alpha, decoy=True)
+    tracks = _tracks(phantom, motion)
     reset = _reset_config_from(args)
-    comparisons = run_tracking_study(seq, _parse_list(args.trackers), reset,
-                                     init=init, truth=truth,
-                                     disturbances=disturbances)
+    # the benchmark sequence, rendered a frame at a time as the study reads
+    # it: frame 0 is the reference and a pixel is 1 mm, as in
+    # periodic_sequence; the decoy disc is scenery for the injected jump, so
+    # only the true disc is tracked
+    comparisons = _tracking_study(
+        _frames(phantom, tracks, **kwargs),
+        tuple((marks[0],) for marks in tracks), _parse_list(args.trackers),
+        reset, reference_frame=0, pixel_spacing_mm=1.0,
+        disturbances={args.hit_frame: (args.hit_dx, 0.0)})
     write_tracking_summary_csv(comparisons, args.out)
     if args.frames_out:
         stem, ext = os.path.splitext(args.frames_out)
@@ -338,8 +340,8 @@ def _add_reset_options(parser, calibrate_default=None, roi_default=None,
                        levels_default=None):
     parser.add_argument("--reset-roi", default=roi_default,
                         help="similarity window as x,y,half_w,half_h")
-    parser.add_argument("--reset-metric", default="cwssim",
-                        choices=sorted(METRICS))
+    parser.add_argument("--reset-metric", choices=sorted(METRICS),
+                        help="reset metric (default cwssim)")
     default_param = ([f"levels={levels_default}"]
                      if levels_default is not None else None)
     parser.add_argument("--reset-param", action="append",

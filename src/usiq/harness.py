@@ -26,10 +26,9 @@ from .tracking import (
     ErrorStats,
     ResetConfig,
     TrackResult,
-    _reset_gate,
-    _track,
-    mean_shift_track,
-    ncc_track,
+    _arm,
+    _lockstep,
+    _resolve_init,
     tracking_error,
 )
 
@@ -356,33 +355,42 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
     ``trackers`` must list known tracker names, at least one and none twice.
     ``truth`` defaults to the sequence's ground-truth landmarks; pass an
     explicit per-frame subset when ``init`` tracks fewer landmarks than the
-    sequence annotates. ``disturbances`` perturbs every arm identically. The
-    reset gate (the similarity trace and its threshold) is computed once,
-    before any arm runs, and drives every reset arm: the reset metric scores
+    sequence annotates. ``disturbances`` perturbs every arm identically. One
+    pass over the frames drives every arm in lockstep, behind one reset gate
+    whose threshold is taken before any arm steps: the reset metric scores
     each frame once per study. Each reset arm equals ``track_with_reset``
-    with the same arguments.
+    with the same arguments, and each bare arm the bare tracker.
     """
+    return _tracking_study(iter(seq.frames), seq.landmarks, trackers, reset,
+                           init=init, truth=truth, cfg=cfg,
+                           disturbances=disturbances,
+                           reference_frame=seq.reference_frame,
+                           pixel_spacing_mm=seq.pixel_spacing_mm)
+
+
+def _tracking_study(frames, landmarks, trackers, reset: ResetConfig, *,
+                    reference_frame: int, pixel_spacing_mm: float, init=None,
+                    truth=None, cfg=None, disturbances=None
+                    ) -> tuple[TrackingComparison, ...]:
+    """``run_tracking_study`` over a stream of ``frames`` annotated with
+    ``landmarks``, holding no more of it than the lockstep loop does."""
     trackers = _checked_names(trackers, TRACKERS, "tracker")
     if truth is None:
-        if seq.landmarks is None:
+        if landmarks is None:
             raise InvalidParamsError(
                 "tracking experiment needs ground-truth landmarks")
-        truth = seq.landmarks
-    gate = _reset_gate(seq, reset)
-    spacing = seq.pixel_spacing_mm
-    comparisons = []
-    for tracker in trackers:
-        # the bare arm goes through the module-level public name, not
-        # TRACKERS[tracker].track, so wrappers bound to that name (profilers,
-        # tracers) see it
-        bare_track = ncc_track if tracker == "ncc" else mean_shift_track
-        bare = bare_track(seq, init=init, cfg=cfg, disturbances=disturbances)
-        wrapped = _track(tracker, seq, init, cfg, disturbances, gate)
-        comparisons.append(TrackingComparison(
-            tracker=tracker,
-            bare=TrackingArm(bare, tracking_error(bare, truth, spacing)),
-            reset=TrackingArm(wrapped, tracking_error(wrapped, truth, spacing))))
-    return tuple(comparisons)
+        truth = landmarks
+    results = _lockstep(
+        frames, _resolve_init(landmarks, init),
+        [_arm(tracker, cfg, gated) for tracker in trackers
+         for gated in (False, True)],
+        reset, reference_frame, disturbances)
+    arms = [TrackingArm(result,
+                        tracking_error(result, truth, pixel_spacing_mm))
+            for result in results]
+    return tuple(TrackingComparison(tracker, bare, wrapped)
+                 for tracker, bare, wrapped
+                 in zip(trackers, arms[::2], arms[1::2]))
 
 
 # ---------------------------------------------------------------------------

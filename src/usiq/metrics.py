@@ -201,6 +201,12 @@ class SimilarityScore:
 _STACK_PIXELS = 4 * 65 * 65
 
 
+def _stack_size(ref_pixels: int) -> int:
+    """Tests per stack of a stacked scorer whose reference has ``ref_pixels``
+    pixels: as many as fit ``_STACK_PIXELS``, and at least one."""
+    return max(1, _STACK_PIXELS // ref_pixels)
+
+
 class Scorer:
     """What ``prepare`` returns: scores test images against one prepared
     reference.
@@ -208,8 +214,8 @@ class Scorer:
     ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
     ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
     errors. A metric that scores a stack of tests at once (CW-SSIM: one
-    pyramid pass per stack) reads ``tests`` lazily, as many at a time as fit
-    ``_STACK_PIXELS`` at the reference's size ``ref_pixels`` (at least one).
+    pyramid pass per stack) reads ``tests`` lazily, ``_stack_size(ref_pixels)``
+    at a time.
     """
 
     __slots__ = ("_score", "_score_stack", "_stack_size")
@@ -219,7 +225,7 @@ class Scorer:
                  | None = None, ref_pixels: int = 1):
         self._score = score
         self._score_stack = score_stack
-        self._stack_size = max(1, _STACK_PIXELS // ref_pixels)
+        self._stack_size = _stack_size(ref_pixels)
 
     def __call__(self, test: GrayImage) -> SimilarityScore:
         return self._score(test)

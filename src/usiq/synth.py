@@ -79,17 +79,14 @@ class PhantomSpec:
 @dataclass(frozen=True)
 class SpeckleSpec:
     alpha: float
-    rayleigh_sigma: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        require_reals(self, "alpha", "rayleigh_sigma")
+        require_reals(self, "alpha")
         require_integers(self, "seed")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParamsError(
                 f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (math.isfinite(self.rayleigh_sigma) and self.rayleigh_sigma > 0):
-            raise InvalidParamsError("rayleigh_sigma must be finite and > 0")
         if self.seed < 0:
             raise InvalidParamsError("seed must be >= 0")
 
@@ -192,8 +189,8 @@ def _speckled(pixels: np.ndarray, spec: SpeckleSpec) -> np.ndarray:
     """``apply_speckle``'s arithmetic on a pixel array, computed in place in
     the Rayleigh draw's buffer, which is returned; ``pixels`` is only read."""
     rng = np.random.default_rng(spec.seed)
-    out = rng.rayleigh(scale=spec.rayleigh_sigma, size=pixels.shape)
-    out /= spec.rayleigh_sigma * math.sqrt(math.pi / 2.0)
+    out = rng.rayleigh(size=pixels.shape)
+    out /= math.sqrt(math.pi / 2.0)
     out *= spec.alpha
     out += 1.0 - spec.alpha
     out *= pixels
@@ -238,9 +235,8 @@ def _render(background: np.ndarray, phantom: PhantomSpec, centers,
         for c, disc in zip(centers, phantom.landmarks)))
     if speckle is None:
         return pixels
-    return _speckled(pixels, SpeckleSpec(
-        alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,
-        seed=speckle.seed + t))
+    return _speckled(pixels, SpeckleSpec(alpha=speckle.alpha,
+                                         seed=speckle.seed + t))
 
 
 def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,

@@ -4,10 +4,10 @@ Two trackers share one driving loop: normalized cross-correlation against a
 fixed first-frame template, and mean-shift over Epanechnikov-weighted
 intensity histograms. A similarity-gated wrapper re-anchors either tracker to
 its first-frame annotations whenever a reference-frame comparison metric
-exceeds a threshold, which bounds drift on periodic motion. Its reset gate is
-one value, computed before tracking starts: the metric's trace over every
-frame and the threshold, either fixed or calibrated from the frames after the
-reference.
+exceeds a threshold, which bounds drift on periodic motion. The loop makes one
+pass over a stream of frames and drives any number of tracker runs (arms) in
+lockstep; the reset gate feeds it, after reading ahead only as far as the
+reference frame and, for a calibrated threshold, the frames after it.
 
 Coordinates follow the image-core convention (x = column, y = row); estimates
 are real-valued landmarks. All routines are deterministic: identical inputs
@@ -16,9 +16,11 @@ produce bit-identical results.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -40,7 +42,7 @@ from .image import (
     require_reals,
     round_half_away,
 )
-from .metrics import METRICS, prepare
+from .metrics import METRICS, _stack_size, prepare
 
 __all__ = [
     "NccConfig",
@@ -237,11 +239,10 @@ def _box_sums(values: np.ndarray, side: int) -> np.ndarray:
 class _NccStepper:
     """Correlation search with templates fixed at the first frame."""
 
-    def __init__(self, frames: Sequence[GrayImage], init: tuple[Landmark, ...],
+    def __init__(self, first_frame: GrayImage, init: tuple[Landmark, ...],
                  cfg: NccConfig):
-        self.frames = frames
         self.cfg = cfg
-        first = frames[0].pixels
+        first = first_frame.pixels
         height, width = first.shape
         r = cfg.roi_half
         self.templates = []
@@ -293,8 +294,8 @@ class _NccStepper:
         moved = cx != round_half_away(mark.x) or cy != round_half_away(mark.y)
         return cx, cy, moved
 
-    def score_at(self, t, marks, state):
-        pixels = self.frames[t].pixels
+    def score_at(self, frame, marks, state):
+        pixels = frame.pixels
         height, width = pixels.shape
         out = []
         for (centered, norm), mark in zip(self.templates, marks):
@@ -303,8 +304,8 @@ class _NccStepper:
             out.append(float(corr[0, 0]))
         return tuple(out)
 
-    def step(self, t, prev, state):
-        pixels = self.frames[t].pixels
+    def step(self, frame, prev, state):
+        pixels = frame.pixels
         height, width = pixels.shape
         r, s = self.cfg.roi_half, self.cfg.search_half
         marks, scores = [], []
@@ -374,15 +375,14 @@ class _MeanShiftStepper:
     """Bhattacharyya mean-shift over kernel-weighted intensity histograms;
     each frame is binned once and every window reads its slice of the bins."""
 
-    def __init__(self, frames: Sequence[GrayImage], init: tuple[Landmark, ...],
+    def __init__(self, first_frame: GrayImage, init: tuple[Landmark, ...],
                  cfg: MeanShiftConfig):
-        self.frames = frames
         self.cfg = cfg
         # candidates ordered nearest-to-unit first; a later candidate must win
         # strictly, so a static target keeps scale 1 when 1.0 is offered
         self.scale_order = tuple(sorted(cfg.scale_steps,
                                         key=lambda s: (abs(s - 1.0), s)))
-        first = self._binned(0)
+        first = self._binned(first_frame)
         radius = float(cfg.roi_half)
         self.models = []
         for mark in init:
@@ -394,8 +394,8 @@ class _MeanShiftStepper:
     def initial_state(self):
         return tuple(1.0 for _ in self.models)
 
-    def _binned(self, t):
-        return _bin_indices(self.frames[t].pixels, self.cfg.bins)
+    def _binned(self, frame):
+        return _bin_indices(frame.pixels, self.cfg.bins)
 
     def _candidate(self, binned, cx, cy, radius):
         """Kernel window at (cx, cy) and its normalized histogram."""
@@ -432,15 +432,15 @@ class _MeanShiftStepper:
                 break
         return cx, cy, self._similarity(binned, cx, cy, model, radius)
 
-    def score_at(self, t, marks, state):
-        binned = self._binned(t)
+    def score_at(self, frame, marks, state):
+        binned = self._binned(frame)
         return tuple(
             self._similarity(binned, mark.x, mark.y, model,
                              self.cfg.roi_half * scale)
             for model, mark, scale in zip(self.models, marks, state))
 
-    def step(self, t, prev, state):
-        binned = self._binned(t)
+    def step(self, frame, prev, state):
+        binned = self._binned(frame)
         marks, scores, scales = [], [], []
         for model, mark, prev_scale in zip(self.models, prev, state):
             best = None
@@ -466,7 +466,7 @@ class _MeanShiftStepper:
 
 
 # ---------------------------------------------------------------------------
-# Driving loop shared by the bare trackers and the reset wrapper
+# Driving loop shared by the bare trackers, the reset wrapper and the study
 
 
 class _Tracker(NamedTuple):
@@ -475,101 +475,163 @@ class _Tracker(NamedTuple):
     track: Callable[..., TrackResult]
 
 
-def _resolve_init(seq: FrameSequence, init) -> tuple[Landmark, ...]:
+def _resolve_init(landmarks, init) -> tuple[Landmark, ...]:
+    """``init`` as a tuple, by default ``landmarks[0]``."""
     if init is None:
-        if seq.landmarks is None:
+        if landmarks is None:
             raise InvalidParamsError(
                 "sequence carries no landmarks; pass init explicitly")
-        init = seq.landmarks[0]
+        init = landmarks[0]
     init = tuple(init)
     if not init:
         raise InvalidParamsError("at least one landmark is required")
     return init
 
 
-def _run(seq: FrameSequence, init, stepper, disturbances,
-         trace: tuple[float, ...] | None, threshold: float | None
-         ) -> TrackResult:
-    estimates, scores, events, clamped = [], [], [], []
-    # a stepper's state is its per-target scale record, or None if it has none
-    scale_log = None if stepper.initial_state() is None else []
-    prev = init
-    for t in range(len(seq.frames)):
-        gated = trace is not None and trace[t] > threshold
-        if gated or t == 0:
-            marks, state = init, stepper.initial_state()
-            frame_scores = stepper.score_at(t, marks, state)
-            if gated:
-                events.append(t)
-        else:
-            marks, frame_scores, state, hit_border = stepper.step(t, prev, state)
-            if hit_border:
-                clamped.append(t)
-        if disturbances is not None and t in disturbances:
-            dx, dy = disturbances[t]
-            marks = tuple(Landmark(m.x + dx, m.y + dy) for m in marks)
-        estimates.append(marks)
-        scores.append(frame_scores)
-        if scale_log is not None:
-            scale_log.append(state)
-        prev = marks
-    return TrackResult(
-        estimates=tuple(estimates),
-        match_scores=tuple(scores),
-        reset_events=tuple(events),
-        similarity_trace=trace,
-        clamped_frames=tuple(clamped),
-        scales=tuple(scale_log) if scale_log is not None else None,
-        reset_threshold=threshold)
-
-
-def _reset_gate(seq: FrameSequence, reset: ResetConfig | None
-                ) -> tuple[tuple[float, ...], float]:
-    """Check ``reset`` against ``seq`` and return its trace and threshold.
-
-    The trace scores every frame against the crop of ``seq.reference_frame``,
-    which is cropped once, prepared and scored at its own position; the other
-    frames are cropped as the scorer's ``values`` reads them. A calibrated
-    threshold is the maximum minus one population standard deviation of the
-    ``calibration_frames`` values directly following the reference, and must
-    lie in (0, 1].
-    """
-    if reset is None:
-        raise InvalidParamsError("a ResetConfig is required")
-    ref = seq.reference_frame
-    if reset.threshold is None and ref + reset.calibration_frames >= len(seq):
-        raise InvalidParamsError("calibration window extends past the sequence")
-    roi = reset.similarity_roi
-    ref_view = crop(seq.frames[ref], roi)
-    scorer = prepare(reset.metric, ref_view, reset.metric_params)
-    trace = scorer.values(ref_view if t == ref else crop(frame, roi)
-                          for t, frame in enumerate(seq.frames))
-    if reset.threshold is not None:
-        return trace, reset.threshold
-    window = np.asarray(trace[ref + 1:ref + reset.calibration_frames + 1])
-    threshold = float(window.max() - window.std())
-    if not (0.0 < threshold <= 1.0):
-        raise InvalidParamsError(
-            f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
-    return trace, threshold
-
-
-def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
-           gate: tuple = (None, None)) -> TrackResult:
-    """Build the named tracker's stepper, then drive it over every frame.
-
-    ``gate`` is the reset trace and threshold from ``_reset_gate``; a bare
-    run has neither.
-    """
+def _arm(tracker: str, cfg, gated: bool) -> tuple[type, object, bool]:
+    """The ``_lockstep`` arm of the named tracker: its stepper type, ``cfg``
+    defaulted and checked, and whether the reset gate drives it."""
     stepper_type, config_type, _ = TRACKERS[tracker]
-    init = _resolve_init(seq, init)
     if cfg is None:
         cfg = config_type()
     elif not isinstance(cfg, config_type):
         raise InvalidParamsError(
             f"config for '{tracker}' must be {config_type.__name__}")
-    return _run(seq, init, stepper_type(seq.frames, init, cfg), disturbances,
-                *gate)
+    return stepper_type, cfg, gated
+
+
+def _gate(frames: Iterator[GrayImage], reset: ResetConfig | None,
+          reference_frame: int
+          ) -> tuple[float, Iterator[tuple[GrayImage, float]]]:
+    """The reset gate over a stream of frames: its threshold, and the stream
+    with each frame's similarity to frame ``reference_frame``.
+
+    Before it returns, the gate reads ahead through the reference and, for
+    a calibrated threshold, the ``calibration_frames`` frames after it,
+    scores them and takes the threshold: the maximum minus one population
+    standard deviation of the window's values, which must lie in (0, 1].
+    The rest are read and scored a scorer stack at a time as the stream is
+    consumed, and the stream drops each frame it has yielded. The reference
+    is cropped once, prepared and scored at its own position; every other
+    frame is cropped once.
+    """
+    if reset is None:
+        raise InvalidParamsError("a ResetConfig is required")
+    window = 0 if reset.threshold is not None else reset.calibration_frames
+    ahead = list(itertools.islice(frames, reference_frame + 1 + window))
+    if len(ahead) <= reference_frame + window:
+        raise InvalidParamsError("calibration window extends past the sequence")
+    roi = reset.similarity_roi
+    ref_view = crop(ahead[reference_frame], roi)
+    scorer = prepare(reset.metric, ref_view, reset.metric_params)
+    values = scorer.values(ref_view if t == reference_frame else crop(frame, roi)
+                           for t, frame in enumerate(ahead))
+    threshold = reset.threshold
+    if threshold is None:
+        calibration = np.asarray(values[reference_frame + 1:])
+        threshold = float(calibration.max() - calibration.std())
+        if not (0.0 < threshold <= 1.0):
+            raise InvalidParamsError(
+                f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
+    pending = collections.deque(zip(ahead, values))
+    size = _stack_size(ref_view.pixels.size)
+
+    def scored():
+        while pending:
+            yield pending.popleft()
+        while stack := list(itertools.islice(frames, size)):
+            yield from zip(stack, scorer.values(crop(frame, roi)
+                                                for frame in stack))
+
+    return threshold, scored()
+
+
+class _Run:
+    """One arm's tracker run, fed a frame at a time, and the record it
+    builds."""
+
+    def __init__(self, stepper, init: tuple[Landmark, ...], gated: bool):
+        self.stepper, self.init, self.gated = stepper, init, gated
+        self.estimates, self.scores, self.events, self.clamped = [], [], [], []
+        # a stepper's state is its per-target scale record, or None if it has
+        # none
+        self.scales = None if stepper.initial_state() is None else []
+        self.prev = self.state = None
+
+    def feed(self, t, frame, fired, shift):
+        """Frame ``t``: re-anchor at the first-frame annotations on frame 0
+        or when the gate ``fired``, else step from the previous estimates;
+        then move every estimate by ``shift``, if one is given."""
+        if fired or t == 0:
+            marks, self.state = self.init, self.stepper.initial_state()
+            scores = self.stepper.score_at(frame, marks, self.state)
+            if fired:
+                self.events.append(t)
+        else:
+            marks, scores, self.state, hit_border = self.stepper.step(
+                frame, self.prev, self.state)
+            if hit_border:
+                self.clamped.append(t)
+        if shift is not None:
+            dx, dy = shift
+            marks = tuple(Landmark(m.x + dx, m.y + dy) for m in marks)
+        self.estimates.append(marks)
+        self.scores.append(scores)
+        if self.scales is not None:
+            self.scales.append(self.state)
+        self.prev = marks
+
+    def result(self, trace, threshold) -> TrackResult:
+        return TrackResult(
+            estimates=tuple(self.estimates),
+            match_scores=tuple(self.scores),
+            reset_events=tuple(self.events),
+            similarity_trace=trace if self.gated else None,
+            clamped_frames=tuple(self.clamped),
+            scales=None if self.scales is None else tuple(self.scales),
+            reset_threshold=threshold if self.gated else None)
+
+
+def _lockstep(frames: Iterator[GrayImage], init: tuple[Landmark, ...], arms,
+              reset: ResetConfig | None = None, reference_frame: int = 0,
+              disturbances: Mapping[int, tuple[float, float]] | None = None
+              ) -> list[TrackResult]:
+    """Drive every arm over one pass of ``frames``; their results, in order.
+
+    ``arms`` lists ``(stepper type, config, gated)`` (see ``_arm``). A
+    gated arm re-anchors wherever the reset gate on ``reset`` fires, and
+    with any gated arm the gate's checks and read-ahead come first. Every
+    arm's stepper is then built from the first frame, and each frame goes to
+    every arm in turn and is dropped before the next is read.
+    """
+    if any(gated for *_, gated in arms):
+        threshold, stream = _gate(frames, reset, reference_frame)
+    else:
+        threshold, stream = None, zip(frames, itertools.repeat(None))
+    trace, runs = [], []
+    for t, (frame, value) in enumerate(stream):
+        if t == 0:
+            runs = [_Run(stepper_type(frame, init, cfg), init, gated)
+                    for stepper_type, cfg, gated in arms]
+        fired = value is not None and value > threshold
+        if value is not None:
+            trace.append(value)
+        shift = (disturbances[t]
+                 if disturbances is not None and t in disturbances else None)
+        for run in runs:
+            run.feed(t, frame, fired and run.gated, shift)
+    trace = tuple(trace)
+    return [run.result(trace, threshold) for run in runs]
+
+
+def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
+           reset: ResetConfig | None = None, gated: bool = False
+           ) -> TrackResult:
+    """Drive the named tracker over ``seq``, bare or gated by ``reset``."""
+    result, = _lockstep(iter(seq.frames), _resolve_init(seq.landmarks, init),
+                        [_arm(tracker, cfg, gated)], reset, seq.reference_frame,
+                        disturbances)
+    return result
 
 
 def ncc_track(seq: FrameSequence, init=None, cfg: NccConfig | None = None,
@@ -615,20 +677,20 @@ def track_with_reset(tracker: str, seq: FrameSequence, init=None,
                      ) -> TrackResult:
     """Run a tracker with similarity-gated re-anchoring.
 
-    Every frame is first scored against the sequence's reference frame on
-    the configured ROI. Then, before each tracker step, a similarity strictly
+    Every frame is scored against the sequence's reference frame on the
+    configured ROI. Then, before each tracker step, a similarity strictly
     above the threshold resets every estimate to its first-frame annotation
     (and the mean-shift scale to 1) instead of stepping. The result records
     the full similarity trace and, as ``reset_threshold``, the threshold
     used: the fixed one, or the one calibrated from the frames after the
     reference. With a threshold no frame can exceed, the output matches the
-    bare tracker bit for bit. The reset policy is checked before the
-    tracker's own inputs.
+    bare tracker bit for bit. The tracker name, ``init`` and ``cfg`` are
+    checked first, then the reset policy, and both before any frame is
+    tracked.
     """
     if tracker not in TRACKERS:
         raise InvalidParamsError(f"unknown tracker '{tracker}'")
-    return _track(tracker, seq, init, cfg, disturbances,
-                  _reset_gate(seq, reset))
+    return _track(tracker, seq, init, cfg, disturbances, reset, gated=True)
 
 
 def tracking_error(result: TrackResult, truth, pixel_spacing_mm: float

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -57,6 +58,29 @@ def reset_cfg(**kw):
                 similarity_roi=Roi(Landmark(108.0, 128.0), 32, 32))
     args.update(kw)
     return ResetConfig(**args)
+
+
+def peak_traced_bytes(fn):
+    """``fn()``'s result and the peak of the heap traced while it ran, in
+    bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def hexed(value):
+    """``value`` with every float spelled by ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Landmark):
+        return [value.x.hex(), value.y.hex()]
+    if isinstance(value, tuple):
+        return [hexed(v) for v in value]
+    return repr(value)
 
 
 def write_pgm_sequence(directory, magic, maxval, rasters, landmarks=None):

@@ -1,12 +1,23 @@
 """CLI tests: subcommand plumbing, error reporting, byte reproducibility."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
 from usiq import cli, tracking
-from usiq.metrics import prepare
+from usiq.harness import (
+    run_tracking_study,
+    write_tracking_frames_csv,
+    write_tracking_summary_csv,
+)
+from usiq.image import Landmark, Roi
+from usiq.metrics import CwSsimParams, prepare
+from usiq.pyramid import PyramidParams
+from usiq.tracking import ResetConfig
+
+from builders import bench_sequence, hexed, peak_traced_bytes
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +276,71 @@ def test_study_tracking_scores_the_reset_trace_once(tmp_path, monkeypatch):
         ["ncc", "0"], ["ncc", "1"], ["meanshift", "0"], ["meanshift", "1"]]
 
 
+FLOAT_FRAME_BYTES = 256 * 256 * 8
+
+
+def test_study_tracking_holds_only_the_calibration_window(tmp_path):
+    argv = ["study", "tracking", "--seed", "1", "--frames", "60",
+            "--calibrate", "10"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm.csv")]) == 0
+    code, peak = peak_traced_bytes(
+        lambda: cli.main([*argv, "--out", str(tmp_path / "summary.csv")]))
+    assert code == 0
+    # the reference and the 10 calibration frames are read ahead, and the
+    # rest of the peak is working memory; holding the whole 60-frame
+    # sequence peaked at 69.6 frames
+    assert peak < (10 + 1 + 16) * FLOAT_FRAME_BYTES
+
+
+@pytest.mark.parametrize("trackers, gate", [
+    ("ncc,meanshift", ["--tau", "0.5"]),
+    ("ncc,meanshift", ["--calibrate", "10"]),
+    ("meanshift,ncc", ["--calibrate", "10"]),
+], ids=["fixed", "calibrated", "reordered"])
+def test_study_tracking_equals_the_study_of_the_whole_sequence(
+        trackers, gate, tmp_path, monkeypatch):
+    # the CLI streams the benchmark sequence through the study; the study of
+    # the whole sequence in memory gives the same numbers, bit for bit
+    written = []
+
+    def recording(comparisons, path):
+        written.append(comparisons)
+        write_tracking_summary_csv(comparisons, path)
+
+    monkeypatch.setattr(cli, "write_tracking_summary_csv", recording)
+    got_dir, want_dir = tmp_path / "cli", tmp_path / "whole"
+    got_dir.mkdir()
+    want_dir.mkdir()
+    assert cli.main(["study", "tracking", "--seed", "4", "--frames", "30",
+                     "--hit-frame", "12", "--trackers", trackers, *gate,
+                     "--out", str(got_dir / "summary.csv"),
+                     "--frames-out", str(got_dir / "frames.csv")]) == 0
+    seq = bench_sequence(seed=4, n_frames=30, decoy=True)
+    tau = float(gate[1]) if gate[0] == "--tau" else None
+    reset = ResetConfig(Roi(Landmark(108.0, 128.0), 32, 32),
+                        metric_params=CwSsimParams(
+                            pyramid=PyramidParams(levels=3)),
+                        threshold=tau,
+                        calibration_frames=0 if tau else int(gate[1]))
+    want = run_tracking_study(seq, trackers.split(","), reset,
+                              init=(seq.landmarks[0][0],),
+                              truth=tuple((marks[0],)
+                                          for marks in seq.landmarks),
+                              disturbances={12: (100.0, 0.0)})
+    got, = written
+    assert [cmp.tracker for cmp in got] == trackers.split(",")
+    assert all(cmp.reset.result.reset_events[1:] for cmp in got)
+    assert ([hexed(dataclasses.astuple(cmp)) for cmp in got]
+            == [hexed(dataclasses.astuple(cmp)) for cmp in want])
+    write_tracking_summary_csv(want, want_dir / "summary.csv")
+    for cmp in want:
+        write_tracking_frames_csv(cmp, want_dir / f"frames_{cmp.tracker}.csv")
+    assert sorted(p.name for p in got_dir.iterdir()) == sorted(
+        p.name for p in want_dir.iterdir())
+    for path in want_dir.iterdir():
+        assert (got_dir / path.name).read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("trackers", ["ncc,ncc", ","])
 def test_study_tracking_rejects_duplicate_or_empty_tracker_list(
         trackers, tmp_path, capsys):
@@ -330,8 +406,8 @@ def test_nul_in_a_string_argument_is_rejected_before_any_output(
 
 
 @pytest.mark.parametrize("option", [
-    ["--reset-roi", "108,128,32,32"], ["--reset-param", "levels=3"],
-    ["--tau", "0.9"], ["--calibrate", "3"],
+    ["--reset-roi", "108,128,32,32"], ["--reset-metric", "ssim"],
+    ["--reset-param", "levels=3"], ["--tau", "0.9"], ["--calibrate", "3"],
 ], ids=lambda option: option[0])
 def test_reset_options_without_reset_are_rejected_before_the_manifest_is_read(
         option, tmp_path, capsys):

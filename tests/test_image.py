@@ -2,7 +2,6 @@
 
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from usiq.image import (
     write_sequence,
 )
 
-from builders import write_pgm_sequence
+from builders import peak_traced_bytes, write_pgm_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +561,7 @@ def test_windowed_load_keeps_only_the_windows(tmp_path):
     path = write_pgm_sequence(tmp_path, "P5", 255, rasters)
     roi = Roi(Landmark(108.0, 128.0), 32, 32)
     load_sequence(path, roi)
-    tracemalloc.start()
-    try:
-        seq = load_sequence(path, roi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    seq, peak = peak_traced_bytes(lambda: load_sequence(path, roi))
     # holding every full raster until the shape check took 2.1 MB
     assert peak < sum(raster.size for raster in rasters)
     assert seq.frames[29].pixels.tobytes() == crop(

@@ -353,8 +353,8 @@ REAL_FIELDS = [
     (MeanShiftConfig, "epsilon"), (gated_reset, "threshold"),
     (sized_phantom, "background_mean"),
     (sized_phantom, "background_texture_sigma"), (blended_speckle, "alpha"),
-    (blended_speckle, "rayleigh_sigma"), (swinging_motion, "amplitude"),
-    (swinging_motion, "period"), (swinging_motion, "phase"),
+    (swinging_motion, "amplitude"), (swinging_motion, "period"),
+    (swinging_motion, "phase"),
 ]
 
 

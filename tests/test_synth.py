@@ -3,7 +3,6 @@
 import hashlib
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,8 @@ from usiq.synth import (
     write_periodic_sequence,
 )
 
+from builders import peak_traced_bytes
+
 
 def quiet_spec(width=48, height=48, discs=()):
     return PhantomSpec(width=width, height=height, background_mean=80.0,
@@ -63,8 +64,6 @@ def test_spec_validation():
     with pytest.raises(errors.InvalidParamsError):
         SpeckleSpec(alpha=1.5, seed=0)
     with pytest.raises(errors.InvalidParamsError):
-        SpeckleSpec(alpha=0.5, rayleigh_sigma=0.0, seed=0)
-    with pytest.raises(errors.InvalidParamsError):
         MotionSpec(amplitude=-1.0, period=30, n_frames=10)
     with pytest.raises(errors.InvalidParamsError):
         MotionSpec(amplitude=4.0, period=1, n_frames=10)
@@ -77,8 +76,6 @@ def test_spec_validation():
     for sigma in (math.nan, math.inf):
         with pytest.raises(errors.InvalidParamsError):
             PhantomSpec(width=32, height=32, background_texture_sigma=sigma)
-    with pytest.raises(errors.InvalidParamsError):
-        SpeckleSpec(alpha=0.5, rayleigh_sigma=math.inf, seed=0)
     with pytest.raises(errors.InvalidParamsError):
         MotionSpec(amplitude=4.0, period=math.inf, n_frames=10)
     with pytest.raises(errors.InvalidParamsError):
@@ -196,8 +193,9 @@ def test_speckle_determinism():
 def speckle_expression(image, spec):
     """Oracle: the speckle step as one expression with fresh temporaries."""
     rng = np.random.default_rng(spec.seed)
-    raw = rng.rayleigh(scale=spec.rayleigh_sigma, size=image.pixels.shape)
-    unit = raw / (spec.rayleigh_sigma * math.sqrt(math.pi / 2.0))
+    # a unit-scale draw over its mean, sqrt(pi / 2)
+    raw = rng.rayleigh(scale=1.0, size=image.pixels.shape)
+    unit = raw / math.sqrt(math.pi / 2.0)
     mult = (1.0 - spec.alpha) + spec.alpha * unit
     return GrayImage(np.clip(image.pixels * mult, 0.0, 255.0))
 
@@ -209,10 +207,9 @@ def test_speckle_equals_the_expression_oracle(alpha, shape):
     pixels = np.random.default_rng(5).uniform(0.0, 250.0, shape)
     image = GrayImage(pixels)
     kept = image.pixels.copy()
-    for spec in (SpeckleSpec(alpha=alpha, seed=3),
-                 SpeckleSpec(alpha=alpha, rayleigh_sigma=2.5, seed=8)):
-        got = apply_speckle(image, spec)
-        assert np.array_equal(got.pixels, speckle_expression(image, spec).pixels)
+    spec = SpeckleSpec(alpha=alpha, seed=3)
+    got = apply_speckle(image, spec)
+    assert np.array_equal(got.pixels, speckle_expression(image, spec).pixels)
     assert np.array_equal(image.pixels, kept)
 
 
@@ -409,8 +406,7 @@ def per_step_periodic_sequence(phantom, motion, speckle, seed):
         frame = GrayImage(full_frame_draw_discs(background, discs))
         if speckle is not None:
             frame = speckle_expression(frame, SpeckleSpec(
-                alpha=speckle.alpha, rayleigh_sigma=speckle.rayleigh_sigma,
-                seed=speckle.seed + t))
+                alpha=speckle.alpha, seed=speckle.seed + t))
         frames.append(frame)
         tracks.append(tuple(disc.center for disc in discs))
     return frames, tracks
@@ -587,12 +583,9 @@ FLOAT_FRAME_BYTES = 256 * 256 * 8
 def test_synth_sequence_holds_fewer_than_four_float_frames(tmp_path):
     argv = ["synth", "sequence", "--frames", "30", "--seed", "2"]
     assert cli.main([*argv, "--out-dir", str(tmp_path / "warm")]) == 0
-    tracemalloc.start()
-    try:
-        assert cli.main([*argv, "--out-dir", str(tmp_path / "seq")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = peak_traced_bytes(
+        lambda: cli.main([*argv, "--out-dir", str(tmp_path / "seq")]))
+    assert code == 0
     # the whole sequence in memory was 30 float frames, about 16 MB
     assert peak < 4 * FLOAT_FRAME_BYTES
     assert len(os.listdir(tmp_path / "seq")) == 31

@@ -39,6 +39,7 @@ from usiq.tracking import (
 
 from builders import (
     bench_sequence,
+    hexed,
     reset_cfg,
     static_sequence,
     textured_phantom,
@@ -250,7 +251,7 @@ def ncc_grids(size, r, s, seed):
     (128, 7, 40, 4)])
 def test_ncc_grid_matches_sliding_window_oracle(size, r, s, seed):
     frame, centered, norm, grids = ncc_grids(size, r, s, seed)
-    stepper = tracking._NccStepper((frame,), (Landmark(size // 2, size // 2),),
+    stepper = tracking._NccStepper(frame, (Landmark(size // 2, size // 2),),
                                    NccConfig(roi_half=r, search_half=s))
     for ylo, yhi, xlo, xhi in grids:
         got = stepper._corr_grid(frame.pixels, centered, norm,
@@ -264,7 +265,7 @@ def test_ncc_grid_matches_sliding_window_oracle(size, r, s, seed):
 def test_ncc_grid_matches_oracle_on_benchmark_frames():
     seq = bench_sequence(seed=9, n_frames=12, decoy=True)
     init = (seq.landmarks[0][0],)
-    stepper = tracking._NccStepper(seq.frames, init, NccConfig())
+    stepper = tracking._NccStepper(seq.frames[0], init, NccConfig())
     (centered, norm), = stepper.templates
     for frame in seq.frames:
         # the full 49x49 search grid around the disc, and the one it clamps
@@ -282,8 +283,8 @@ def test_ncc_flat_region_scores_minus_one():
     pixels[30:70, 30:70] = 117.0
     frame = GrayImage(pixels)
     init = (Landmark(15.0, 15.0),)
-    stepper = tracking._NccStepper((frame,), init, NccConfig(roi_half=6,
-                                                             search_half=12))
+    stepper = tracking._NccStepper(frame, init, NccConfig(roi_half=6,
+                                                          search_half=12))
     (centered, norm), = stepper.templates
     got = stepper._corr_grid(pixels, centered, norm, 36, 63, 36, 63)
     want = sliding_window_corr_grid(pixels, centered, norm, 6, 36, 63, 36, 63)
@@ -294,7 +295,7 @@ def test_ncc_flat_region_scores_minus_one():
     want = sliding_window_corr_grid(pixels, centered, norm, 6, 20, 40, 20, 40)
     assert np.array_equal(got == -1.0, want == -1.0)
     assert np.max(np.abs(got - want)) <= 1e-9
-    assert stepper.score_at(0, (Landmark(50.0, 50.0),), None) == (-1.0,)
+    assert stepper.score_at(frame, (Landmark(50.0, 50.0),), None) == (-1.0,)
 
 
 def smooth_235_len(n):
@@ -376,18 +377,18 @@ class PerWindowBinning(tracking._MeanShiftStepper):
     anew, for the model and on every iteration and scale candidate, instead
     of binning each frame once."""
 
-    def __init__(self, frames, init, cfg):
-        self.frames, self.cfg = frames, cfg
+    def __init__(self, first_frame, init, cfg):
+        self.cfg = cfg
         self.scale_order = tuple(sorted(cfg.scale_steps,
                                         key=lambda s: (abs(s - 1.0), s)))
         self.models = []
         for mark in init:
-            _, model = self._candidate(frames[0].pixels, mark.x, mark.y,
+            _, model = self._candidate(first_frame.pixels, mark.x, mark.y,
                                        float(cfg.roi_half))
             self.models.append(model)
 
-    def _binned(self, t):
-        return self.frames[t].pixels
+    def _binned(self, frame):
+        return frame.pixels
 
     def _candidate(self, pixels, cx, cy, radius):
         gx, gy, kernel, values = tracking._kernel_window(pixels, cx, cy, radius)
@@ -396,6 +397,13 @@ class PerWindowBinning(tracking._MeanShiftStepper):
         if total <= 0.0:
             raise errors.EmptyHistogramError("candidate window has no kernel mass")
         return (gx, gy, kernel, idx), hist / total
+
+
+def per_window_track(seq, cfg):
+    """Oracle: the bare mean-shift track of ``seq`` by ``PerWindowBinning``."""
+    result, = tracking._lockstep(iter(seq.frames), seq.landmarks[0],
+                                 [(PerWindowBinning, cfg, False)])
+    return result
 
 
 def meshgrid_kernel_window(plane, cx, cy, radius):
@@ -442,9 +450,8 @@ def test_meanshift_track_equals_the_meshgrid_window_track(monkeypatch):
     cfg = MeanShiftConfig(bins=7, roi_half=9)
 
     def tracks():
-        oracle = PerWindowBinning(seq.frames, seq.landmarks[0], cfg)
         return (mean_shift_track(seq, cfg=cfg),
-                tracking._run(seq, seq.landmarks[0], oracle, None, None, None))
+                per_window_track(seq, cfg))
 
     broadcast = tracks()
     monkeypatch.setattr(tracking, "_kernel_window", meshgrid_kernel_window)
@@ -462,9 +469,7 @@ def test_meanshift_determinism():
     # binning each frame once picks the same integer bins as binning every
     # window, so the whole result is bit-identical
     for cfg in (MeanShiftConfig(), MeanShiftConfig(bins=7, roi_half=9)):
-        oracle = PerWindowBinning(seq.frames, seq.landmarks[0], cfg)
-        want = tracking._run(seq, seq.landmarks[0], oracle, None, None, None)
-        assert mean_shift_track(seq, cfg=cfg) == want
+        assert mean_shift_track(seq, cfg=cfg) == per_window_track(seq, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +623,6 @@ def test_drift_injection_reset_beats_bare_tracker():
         calibration_frames=28), disturbances=hit)
     wrapped_err = tracking_error(wrapped, truth, 1.0)
     assert wrapped_err.mean_mm < bare_err.mean_mm
-
-
-def hexed(value):
-    """``value`` with every float spelled by ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, Landmark):
-        return [value.x.hex(), value.y.hex()]
-    if isinstance(value, tuple):
-        return [hexed(v) for v in value]
-    return repr(value)
 
 
 # sha256 of the hexed TrackResult fields, recorded while the driving loop
