@@ -314,11 +314,11 @@ def _cmd_study_tracking(args) -> int:
     tracks = _tracks(phantom, motion)
     reset = _reset_config_from(args)
     # the benchmark sequence, rendered a frame at a time as the study reads
-    # it: frame 0 is the reference and a pixel is 1 mm, as in
-    # periodic_sequence; the decoy disc is scenery for the injected jump, so
-    # only the true disc is tracked
+    # it, and rendered anew for each pass the study makes: frame 0 is the
+    # reference and a pixel is 1 mm, as in periodic_sequence; the decoy disc
+    # is scenery for the injected jump, so only the true disc is tracked
     comparisons = _tracking_study(
-        _frames(phantom, tracks, **kwargs),
+        lambda: _frames(phantom, tracks, **kwargs),
         tuple((marks[0],) for marks in tracks), _parse_list(args.trackers),
         reset, reference_frame=0, pixel_spacing_mm=1.0,
         disturbances={args.hit_frame: (args.hit_dx, 0.0)})

@@ -26,7 +26,7 @@ from .tracking import (
     ErrorStats,
     ResetConfig,
     TrackResult,
-    _arm,
+    _arms,
     _lockstep,
     _resolve_init,
     tracking_error,
@@ -357,23 +357,25 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
     explicit per-frame subset when ``init`` tracks fewer landmarks than the
     sequence annotates. ``disturbances`` perturbs every arm identically. One
     pass over the frames drives every arm in lockstep, behind one reset gate
-    whose threshold is taken before any arm steps: the reset metric scores
-    each frame once per study. Each reset arm equals ``track_with_reset``
+    whose threshold is taken, from a first pass over the frames through the
+    calibration window, before any arm steps: the reset metric scores each
+    frame once per study. Each reset arm equals ``track_with_reset``
     with the same arguments, and each bare arm the bare tracker.
     """
-    return _tracking_study(iter(seq.frames), seq.landmarks, trackers, reset,
-                           init=init, truth=truth, cfg=cfg,
+    return _tracking_study(lambda: iter(seq.frames), seq.landmarks, trackers,
+                           reset, init=init, truth=truth, cfg=cfg,
                            disturbances=disturbances,
                            reference_frame=seq.reference_frame,
                            pixel_spacing_mm=seq.pixel_spacing_mm)
 
 
-def _tracking_study(frames, landmarks, trackers, reset: ResetConfig, *,
+def _tracking_study(source, landmarks, trackers, reset: ResetConfig, *,
                     reference_frame: int, pixel_spacing_mm: float, init=None,
                     truth=None, cfg=None, disturbances=None
                     ) -> tuple[TrackingComparison, ...]:
-    """``run_tracking_study`` over a stream of ``frames`` annotated with
-    ``landmarks``, holding no more of it than the lockstep loop does."""
+    """``run_tracking_study`` over the frames of ``source``, a callable that
+    returns a fresh iterator over them at each call, annotated with
+    ``landmarks``; it holds no more of them than the lockstep loop does."""
     trackers = _checked_names(trackers, TRACKERS, "tracker")
     if truth is None:
         if landmarks is None:
@@ -381,9 +383,8 @@ def _tracking_study(frames, landmarks, trackers, reset: ResetConfig, *,
                 "tracking experiment needs ground-truth landmarks")
         truth = landmarks
     results = _lockstep(
-        frames, _resolve_init(landmarks, init),
-        [_arm(tracker, cfg, gated) for tracker in trackers
-         for gated in (False, True)],
+        source, _resolve_init(landmarks, init),
+        [_arms(tracker, cfg, (False, True)) for tracker in trackers],
         reset, reference_frame, disturbances)
     arms = [TrackingArm(result,
                         tracking_error(result, truth, pixel_spacing_mm))

@@ -5,9 +5,10 @@ fixed first-frame template, and mean-shift over Epanechnikov-weighted
 intensity histograms. A similarity-gated wrapper re-anchors either tracker to
 its first-frame annotations whenever a reference-frame comparison metric
 exceeds a threshold, which bounds drift on periodic motion. The loop makes one
-pass over a stream of frames and drives any number of tracker runs (arms) in
-lockstep; the reset gate feeds it, after reading ahead only as far as the
-reference frame and, for a calibrated threshold, the frames after it.
+pass over a source of frames and drives any number of tracker runs (arms) in
+lockstep, a stack of frames at a time. The reset gate feeds it: it first
+replays the source as far as the reference frame and, for a calibrated
+threshold, the frames after it, keeping only their similarity crops.
 
 Coordinates follow the image-core convention (x = column, y = row); estimates
 are real-valued landmarks. All routines are deterministic: identical inputs
@@ -16,7 +17,6 @@ produce bit-identical results.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -263,6 +263,9 @@ class _NccStepper:
     def initial_state(self):
         return None
 
+    def view(self, frame):
+        return frame.pixels
+
     def _corr_grid(self, pixels, centered, norm, ylo, yhi, xlo, xhi):
         """Correlation for every window center in [ylo,yhi] x [xlo,xhi].
 
@@ -294,8 +297,7 @@ class _NccStepper:
         moved = cx != round_half_away(mark.x) or cy != round_half_away(mark.y)
         return cx, cy, moved
 
-    def score_at(self, frame, marks, state):
-        pixels = frame.pixels
+    def score_at(self, pixels, marks, state):
         height, width = pixels.shape
         out = []
         for (centered, norm), mark in zip(self.templates, marks):
@@ -304,8 +306,7 @@ class _NccStepper:
             out.append(float(corr[0, 0]))
         return tuple(out)
 
-    def step(self, frame, prev, state):
-        pixels = frame.pixels
+    def step(self, pixels, prev, state):
         height, width = pixels.shape
         r, s = self.cfg.roi_half, self.cfg.search_half
         marks, scores = [], []
@@ -373,7 +374,7 @@ def _kernel_histogram(idx, kernel, bins):
 
 class _MeanShiftStepper:
     """Bhattacharyya mean-shift over kernel-weighted intensity histograms;
-    each frame is binned once and every window reads its slice of the bins."""
+    a frame's view is its bins, and every window reads its slice of them."""
 
     def __init__(self, first_frame: GrayImage, init: tuple[Landmark, ...],
                  cfg: MeanShiftConfig):
@@ -382,7 +383,7 @@ class _MeanShiftStepper:
         # strictly, so a static target keeps scale 1 when 1.0 is offered
         self.scale_order = tuple(sorted(cfg.scale_steps,
                                         key=lambda s: (abs(s - 1.0), s)))
-        first = self._binned(first_frame)
+        first = self.view(first_frame)
         radius = float(cfg.roi_half)
         self.models = []
         for mark in init:
@@ -394,7 +395,7 @@ class _MeanShiftStepper:
     def initial_state(self):
         return tuple(1.0 for _ in self.models)
 
-    def _binned(self, frame):
+    def view(self, frame):
         return _bin_indices(frame.pixels, self.cfg.bins)
 
     def _candidate(self, binned, cx, cy, radius):
@@ -432,15 +433,13 @@ class _MeanShiftStepper:
                 break
         return cx, cy, self._similarity(binned, cx, cy, model, radius)
 
-    def score_at(self, frame, marks, state):
-        binned = self._binned(frame)
+    def score_at(self, binned, marks, state):
         return tuple(
             self._similarity(binned, mark.x, mark.y, model,
                              self.cfg.roi_half * scale)
             for model, mark, scale in zip(self.models, marks, state))
 
-    def step(self, frame, prev, state):
-        binned = self._binned(frame)
+    def step(self, binned, prev, state):
         marks, scores, scales = [], [], []
         for model, mark, prev_scale in zip(self.models, prev, state):
             best = None
@@ -488,44 +487,46 @@ def _resolve_init(landmarks, init) -> tuple[Landmark, ...]:
     return init
 
 
-def _arm(tracker: str, cfg, gated: bool) -> tuple[type, object, bool]:
-    """The ``_lockstep`` arm of the named tracker: its stepper type, ``cfg``
-    defaulted and checked, and whether the reset gate drives it."""
+def _arms(tracker: str, cfg, gates) -> tuple[type, object, tuple[bool, ...]]:
+    """The ``_lockstep`` entry of the named tracker: its stepper type, ``cfg``
+    defaulted and checked, and one flag per arm, true where the reset gate
+    drives the arm."""
     stepper_type, config_type, _ = TRACKERS[tracker]
     if cfg is None:
         cfg = config_type()
     elif not isinstance(cfg, config_type):
         raise InvalidParamsError(
             f"config for '{tracker}' must be {config_type.__name__}")
-    return stepper_type, cfg, gated
+    return stepper_type, cfg, gates
 
 
-def _gate(frames: Iterator[GrayImage], reset: ResetConfig | None,
-          reference_frame: int
-          ) -> tuple[float, Iterator[tuple[GrayImage, float]]]:
-    """The reset gate over a stream of frames: its threshold, and the stream
-    with each frame's similarity to frame ``reference_frame``.
+def _gate(source: Callable[[], Iterator[GrayImage]],
+          reset: ResetConfig | None, reference_frame: int
+          ) -> tuple[float, Iterator[list[tuple[float, GrayImage]]]]:
+    """The reset gate over the frames of ``source``: its threshold, and the
+    frames in stacks, each frame with its similarity to frame
+    ``reference_frame``.
 
-    Before it returns, the gate reads ahead through the reference and, for
-    a calibrated threshold, the ``calibration_frames`` frames after it,
-    scores them and takes the threshold: the maximum minus one population
-    standard deviation of the window's values, which must lie in (0, 1].
-    The rest are read and scored a scorer stack at a time as the stream is
-    consumed, and the stream drops each frame it has yielded. The reference
-    is cropped once, prepared and scored at its own position; every other
-    frame is cropped once.
+    Before it returns, the gate reads a first pass of the source through the
+    reference and, for a calibrated threshold, the ``calibration_frames``
+    frames after it, and keeps only their crops. It prepares the reference
+    crop, scores the crops and takes the threshold: the maximum minus one
+    population standard deviation of the window's values, which must lie in
+    (0, 1]. The stacks replay the source from its first frame. The frames of
+    the first pass come with the values already scored; the rest are read,
+    cropped and scored a scorer stack at a time. The gate keeps no stack it
+    has yielded.
     """
     if reset is None:
         raise InvalidParamsError("a ResetConfig is required")
     window = 0 if reset.threshold is not None else reset.calibration_frames
-    ahead = list(itertools.islice(frames, reference_frame + 1 + window))
-    if len(ahead) <= reference_frame + window:
-        raise InvalidParamsError("calibration window extends past the sequence")
     roi = reset.similarity_roi
-    ref_view = crop(ahead[reference_frame], roi)
-    scorer = prepare(reset.metric, ref_view, reset.metric_params)
-    values = scorer.values(ref_view if t == reference_frame else crop(frame, roi)
-                           for t, frame in enumerate(ahead))
+    crops = [crop(frame, roi) for frame in
+             itertools.islice(source(), reference_frame + 1 + window)]
+    if len(crops) <= reference_frame + window:
+        raise InvalidParamsError("calibration window extends past the sequence")
+    scorer = prepare(reset.metric, crops[reference_frame], reset.metric_params)
+    values = scorer.values(crops)
     threshold = reset.threshold
     if threshold is None:
         calibration = np.asarray(values[reference_frame + 1:])
@@ -533,22 +534,26 @@ def _gate(frames: Iterator[GrayImage], reset: ResetConfig | None,
         if not (0.0 < threshold <= 1.0):
             raise InvalidParamsError(
                 f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
-    pending = collections.deque(zip(ahead, values))
-    size = _stack_size(ref_view.pixels.size)
+    size = _stack_size(crops[0].pixels.size)
+    del crops
 
-    def scored():
-        while pending:
-            yield pending.popleft()
+    def stacks():
+        frames = source()
+        # values before frames: zip stops at the end of the first pass
+        # without reading a frame past it
+        for start in range(0, len(values), size):
+            yield list(zip(values[start:start + size], frames))
         while stack := list(itertools.islice(frames, size)):
-            yield from zip(stack, scorer.values(crop(frame, roi)
-                                                for frame in stack))
+            yield list(zip(scorer.values(crop(frame, roi) for frame in stack),
+                           stack))
+            del stack
 
-    return threshold, scored()
+    return threshold, stacks()
 
 
 class _Run:
-    """One arm's tracker run, fed a frame at a time, and the record it
-    builds."""
+    """One arm's tracker run, fed a frame's view at a time, and the record
+    it builds."""
 
     def __init__(self, stepper, init: tuple[Landmark, ...], gated: bool):
         self.stepper, self.init, self.gated = stepper, init, gated
@@ -558,18 +563,19 @@ class _Run:
         self.scales = None if stepper.initial_state() is None else []
         self.prev = self.state = None
 
-    def feed(self, t, frame, fired, shift):
-        """Frame ``t``: re-anchor at the first-frame annotations on frame 0
-        or when the gate ``fired``, else step from the previous estimates;
-        then move every estimate by ``shift``, if one is given."""
+    def feed(self, t, view, fired, shift):
+        """Frame ``t``, as the stepper's ``view``: re-anchor at the
+        first-frame annotations on frame 0 or when the gate ``fired``, else
+        step from the previous estimates; then move every estimate by
+        ``shift``, if one is given."""
         if fired or t == 0:
             marks, self.state = self.init, self.stepper.initial_state()
-            scores = self.stepper.score_at(frame, marks, self.state)
+            scores = self.stepper.score_at(view, marks, self.state)
             if fired:
                 self.events.append(t)
         else:
             marks, scores, self.state, hit_border = self.stepper.step(
-                frame, self.prev, self.state)
+                view, self.prev, self.state)
             if hit_border:
                 self.clamped.append(t)
         if shift is not None:
@@ -592,45 +598,64 @@ class _Run:
             reset_threshold=threshold if self.gated else None)
 
 
-def _lockstep(frames: Iterator[GrayImage], init: tuple[Landmark, ...], arms,
+def _feed(runs: list[_Run], steps: list) -> None:
+    """Give every frame of ``steps``, as ``(t, frame, fired, shift)``, to
+    each of ``runs``, which share one stepper: each frame is viewed once."""
+    stepper = runs[0].stepper
+    for t, frame, fired, shift in steps:
+        view = stepper.view(frame)
+        for run in runs:
+            run.feed(t, view, fired and run.gated, shift)
+
+
+def _lockstep(source: Callable[[], Iterator[GrayImage]],
+              init: tuple[Landmark, ...], trackers,
               reset: ResetConfig | None = None, reference_frame: int = 0,
               disturbances: Mapping[int, tuple[float, float]] | None = None
               ) -> list[TrackResult]:
-    """Drive every arm over one pass of ``frames``; their results, in order.
+    """Drive every arm of every tracker over one pass of the frames of
+    ``source``; their results, tracker by tracker and arm by arm.
 
-    ``arms`` lists ``(stepper type, config, gated)`` (see ``_arm``). A
-    gated arm re-anchors wherever the reset gate on ``reset`` fires, and
-    with any gated arm the gate's checks and read-ahead come first. Every
-    arm's stepper is then built from the first frame, and each frame goes to
-    every arm in turn and is dropped before the next is read.
+    ``source`` returns a fresh iterator over the same frames at each call.
+    ``trackers`` lists ``(stepper type, config, gates)`` (see ``_arms``): one
+    stepper per tracker, built from the first frame, drives one arm per flag
+    of ``gates``, and a gated arm re-anchors wherever the reset gate on
+    ``reset`` fires. With any gated arm the gate's checks and first pass come
+    first. The frames then come in stacks: each tracker's arms take every
+    frame of a stack before the next tracker steps, and the stack is dropped
+    before the next is read.
     """
-    if any(gated for *_, gated in arms):
-        threshold, stream = _gate(frames, reset, reference_frame)
+    if any(any(gates) for *_, gates in trackers):
+        threshold, stacks = _gate(source, reset, reference_frame)
     else:
-        threshold, stream = None, zip(frames, itertools.repeat(None))
-    trace, runs = [], []
-    for t, (frame, value) in enumerate(stream):
+        threshold, stacks = None, ([(None, frame)] for frame in source())
+    shifts = disturbances or {}
+    # one list of runs per tracker, each list sharing the tracker's stepper
+    trace, arms, t = [], [], 0
+    for stack in stacks:
         if t == 0:
-            runs = [_Run(stepper_type(frame, init, cfg), init, gated)
-                    for stepper_type, cfg, gated in arms]
-        fired = value is not None and value > threshold
-        if value is not None:
-            trace.append(value)
-        shift = (disturbances[t]
-                 if disturbances is not None and t in disturbances else None)
-        for run in runs:
-            run.feed(t, frame, fired and run.gated, shift)
+            for stepper_type, cfg, gates in trackers:
+                stepper = stepper_type(stack[0][1], init, cfg)
+                arms.append([_Run(stepper, init, gated) for gated in gates])
+        trace.extend(value for value, _ in stack if value is not None)
+        steps = [(t + i, frame, value is not None and value > threshold,
+                  shifts.get(t + i)) for i, (value, frame) in enumerate(stack)]
+        t += len(stack)
+        for runs in arms:
+            _feed(runs, steps)
+        del stack, steps
     trace = tuple(trace)
-    return [run.result(trace, threshold) for run in runs]
+    return [run.result(trace, threshold) for runs in arms for run in runs]
 
 
 def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
            reset: ResetConfig | None = None, gated: bool = False
            ) -> TrackResult:
     """Drive the named tracker over ``seq``, bare or gated by ``reset``."""
-    result, = _lockstep(iter(seq.frames), _resolve_init(seq.landmarks, init),
-                        [_arm(tracker, cfg, gated)], reset, seq.reference_frame,
-                        disturbances)
+    result, = _lockstep(lambda: iter(seq.frames),
+                        _resolve_init(seq.landmarks, init),
+                        [_arms(tracker, cfg, (gated,))], reset,
+                        seq.reference_frame, disturbances)
     return result
 
 

@@ -72,6 +72,20 @@ def peak_traced_bytes(fn):
     return result, peak
 
 
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.<name>`` for the rest of the test: returns
+    a list that gains one entry per call."""
+    calls = []
+    function = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def hexed(value):
     """``value`` with every float spelled by ``float.hex``."""
     if isinstance(value, float):

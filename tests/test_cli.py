@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from usiq import cli, tracking
+from usiq import cli, synth, tracking
 from usiq.harness import (
     run_tracking_study,
     write_tracking_frames_csv,
@@ -17,7 +17,7 @@ from usiq.metrics import CwSsimParams, prepare
 from usiq.pyramid import PyramidParams
 from usiq.tracking import ResetConfig
 
-from builders import bench_sequence, hexed, peak_traced_bytes
+from builders import bench_sequence, counted, hexed, peak_traced_bytes
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +290,45 @@ def test_study_tracking_holds_only_the_calibration_window(tmp_path):
     # rest of the peak is working memory; holding the whole 60-frame
     # sequence peaked at 69.6 frames
     assert peak < (10 + 1 + 16) * FLOAT_FRAME_BYTES
+
+
+def test_study_tracking_peak_does_not_grow_with_the_calibration_window(
+        tmp_path):
+    argv = ["study", "tracking", "--seed", "1", "--frames", "60",
+            "--calibrate", "40"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm.csv")]) == 0
+    code, peak = peak_traced_bytes(
+        lambda: cli.main([*argv, "--out", str(tmp_path / "summary.csv")]))
+    assert code == 0
+    # the gate keeps only the crops of its first pass, then the study holds
+    # one scorer stack of frames; holding the 41 frames of that pass peaked
+    # at 51.6 frames
+    assert peak < 20 * FLOAT_FRAME_BYTES
+
+
+@pytest.mark.parametrize("gate, first_pass", [
+    (["--calibrate", "10"], 10 + 1),
+    (["--tau", "0.5"], 1),
+], ids=["calibrated", "fixed"])
+def test_study_tracking_renders_the_gate_window_twice(gate, first_pass,
+                                                      tmp_path, monkeypatch):
+    # the gate's first pass renders the reference and the calibration
+    # window, and the lockstep pass renders every frame from the first
+    renders = counted(monkeypatch, synth, "_render")
+    assert cli.main(["study", "tracking", "--seed", "1", "--frames", "60",
+                     *gate, "--out", str(tmp_path / "summary.csv")]) == 0
+    assert len(renders) == 60 + first_pass
+
+
+def test_study_tracking_bins_each_mean_shift_frame_once(tmp_path,
+                                                        monkeypatch):
+    # the bare and reset arms share one stepper, which bins the first frame
+    # for its models and then each frame once for both arms
+    binned = counted(monkeypatch, tracking, "_bin_indices")
+    assert cli.main(["study", "tracking", "--seed", "1", "--frames", "20",
+                     "--calibrate", "5", "--trackers", "meanshift",
+                     "--out", str(tmp_path / "summary.csv")]) == 0
+    assert len(binned) == 20 + 1
 
 
 @pytest.mark.parametrize("trackers, gate", [

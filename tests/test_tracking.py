@@ -295,7 +295,8 @@ def test_ncc_flat_region_scores_minus_one():
     want = sliding_window_corr_grid(pixels, centered, norm, 6, 20, 40, 20, 40)
     assert np.array_equal(got == -1.0, want == -1.0)
     assert np.max(np.abs(got - want)) <= 1e-9
-    assert stepper.score_at(frame, (Landmark(50.0, 50.0),), None) == (-1.0,)
+    assert stepper.score_at(stepper.view(frame), (Landmark(50.0, 50.0),),
+                            None) == (-1.0,)
 
 
 def smooth_235_len(n):
@@ -387,7 +388,7 @@ class PerWindowBinning(tracking._MeanShiftStepper):
                                        float(cfg.roi_half))
             self.models.append(model)
 
-    def _binned(self, frame):
+    def view(self, frame):
         return frame.pixels
 
     def _candidate(self, pixels, cx, cy, radius):
@@ -401,8 +402,8 @@ class PerWindowBinning(tracking._MeanShiftStepper):
 
 def per_window_track(seq, cfg):
     """Oracle: the bare mean-shift track of ``seq`` by ``PerWindowBinning``."""
-    result, = tracking._lockstep(iter(seq.frames), seq.landmarks[0],
-                                 [(PerWindowBinning, cfg, False)])
+    result, = tracking._lockstep(lambda: iter(seq.frames), seq.landmarks[0],
+                                 [(PerWindowBinning, cfg, (False,))])
     return result
 
 
