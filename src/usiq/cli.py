@@ -10,6 +10,7 @@ readable error kind (followed by the message) on standard error. A fixed
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -453,8 +454,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's malloc gives the freed top of its heap back to the system once it
+# passes about twice the largest block lately freed (1 MB for a 256x256
+# frame), and faults it in afresh when the heap grows again. The tracking
+# study frees and rebuilds a working set of several MB at every scorer stack,
+# which costs about 40k minor faults per 90-frame study, and the time they
+# take follows the load on the host's memory. M_TOP_PAD makes the heap keep
+# 64 MiB of slack on top whenever it grows or is trimmed. Other C libraries
+# lack mallopt or ignore the setting.
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 64 << 20
+
+
+def _keep_heap_slack() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_heap_slack()
     try:
         _reject_nul(args)
         return args.fn(args)

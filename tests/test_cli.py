@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import usiq
 from usiq import cli, synth, tracking
 from usiq.harness import (
     run_tracking_study,
@@ -329,6 +335,35 @@ def test_study_tracking_bins_each_mean_shift_frame_once(tmp_path,
                      "--calibrate", "5", "--trackers", "meanshift",
                      "--out", str(tmp_path / "summary.csv")]) == 0
     assert len(binned) == 20 + 1
+
+
+_REPEAT_STUDY_FAULTS = """
+import resource, sys
+from usiq import cli
+argv = ["study", "tracking", "--seed", "1", "--frames", "60",
+        "--calibrate", "10", "--out", sys.argv[1]]
+assert cli.main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap slack is a glibc malloc setting")
+def test_study_tracking_rerun_reuses_the_heap(tmp_path):
+    # a fresh process, so no earlier test shapes its heap; returning each
+    # scorer stack's memory to the system cost 26.5k minor faults here, and
+    # holding the calibration window 9.8k
+    root = str(Path(usiq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (root, os.environ.get("PYTHONPATH")) if part))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPEAT_STUDY_FAULTS,
+         str(tmp_path / "summary.csv")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 1000
 
 
 @pytest.mark.parametrize("trackers, gate", [
