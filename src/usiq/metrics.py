@@ -25,9 +25,10 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import (
+    _BINOMIAL5,
     GrayImage,
     _correlate_separable,
-    downsample2,
+    _decimate2,
     require_integers,
     require_reals,
     require_same_shape,
@@ -196,8 +197,10 @@ class SimilarityScore:
 # Pixels per stack of a stacked scorer. CW-SSIM's working memory grows by
 # about 1 MB per 65x65 frame in a stack, while its time stops falling at 4
 # such frames: by then the per-call cost of its many small FFTs is mostly
-# spared. Frames of more than a quarter of this budget are scored one at a
-# time: a stack of 256x256 frames saves no time and holds about 16 MB each.
+# spared. MS-SSIM and VIF, which pay numpy's per-call cost at every scale,
+# take a third less time in stacks of four 65x65 frames. Frames of more than
+# a quarter of this budget are scored one at a time: a stack of 256x256
+# frames saves no time and holds about 16 MB each.
 _STACK_PIXELS = 4 * 65 * 65
 
 
@@ -213,31 +216,37 @@ class Scorer:
 
     ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
     ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
-    errors. A metric that scores a stack of tests at once (CW-SSIM: one
-    pyramid pass per stack) reads ``tests`` lazily, ``_stack_size(ref_pixels)``
-    at a time.
+    errors. It reads ``tests`` lazily, ``_stack_size(ref_pixels)`` at a time,
+    and scores each stack in one call of ``scores(stack, maps)``, which
+    returns one SimilarityScore per test, with its map only if ``maps``;
+    ``scorer(test)`` is the one-test stack.
     """
 
-    __slots__ = ("_score", "_score_stack", "_stack_size")
+    __slots__ = ("_scores", "_stack_size")
 
-    def __init__(self, score: Callable[[GrayImage], SimilarityScore],
-                 score_stack: Callable[[list[GrayImage]], list[float]]
-                 | None = None, ref_pixels: int = 1):
-        self._score = score
-        self._score_stack = score_stack
+    def __init__(self, scores: Callable[[list[GrayImage], bool],
+                                        list[SimilarityScore]],
+                 ref_pixels: int):
+        self._scores = scores
         self._stack_size = _stack_size(ref_pixels)
 
     def __call__(self, test: GrayImage) -> SimilarityScore:
-        return self._score(test)
+        (score,) = self._scores([test], True)
+        return score
 
     def values(self, tests: Iterable[GrayImage]) -> tuple[float, ...]:
-        if self._score_stack is None:
-            return tuple(self._score(test).value for test in tests)
         tests = iter(tests)
         out = []
         while stack := list(itertools.islice(tests, self._stack_size)):
-            out.extend(self._score_stack(stack))
+            out.extend(score.value for score in self._scores(stack, False))
         return tuple(out)
+
+
+def _test_stack(ref: GrayImage, tests: list[GrayImage]) -> np.ndarray:
+    """The tests' pixels as one array, once each matches the reference."""
+    for test in tests:
+        require_same_shape(ref, test)
+    return np.stack([test.pixels for test in tests])
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +260,9 @@ def _gauss1d(size: int, sigma: float) -> np.ndarray:
 
 
 def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable correlation over the last two axes, cropped to windows
-    fully inside the image."""
-    r = kernel.size // 2
-    out = _correlate_separable(arr, kernel, "constant")
-    return out[..., r:arr.shape[-2] - r, r:arr.shape[-1] - r]
+    """Separable correlation over the last two axes, over windows fully
+    inside the image."""
+    return _correlate_separable(arr, kernel)
 
 
 class _Moments(NamedTuple):
@@ -272,9 +279,17 @@ def _moments(x: np.ndarray, kernel: np.ndarray) -> _Moments:
     return _Moments(x, mean, _valid_smooth(x * x, kernel) - mean * mean)
 
 
-def _covariance(a: _Moments, b: _Moments, kernel: np.ndarray) -> np.ndarray:
-    """Weighted covariance of two images over valid windows."""
-    return _valid_smooth(a.pixels * b.pixels, kernel) - a.mean * b.mean
+def _test_moments(x: _Moments, y: np.ndarray,
+                  kernel: np.ndarray) -> tuple[_Moments, np.ndarray]:
+    """A stack of tests' ``_moments`` and their weighted covariance with the
+    reference ``x``, from one smoothing pass over the planes (y, y², x·y)."""
+    planes = np.empty((3, *y.shape))
+    planes[0] = y
+    np.multiply(y, y, out=planes[1])
+    np.multiply(x.pixels, y, out=planes[2])
+    mean, square, cross = _valid_smooth(planes, kernel)
+    return (_Moments(y, mean, square - mean * mean),
+            cross - x.mean * mean)
 
 
 def _powered(term: np.ndarray, exponent: float):
@@ -291,11 +306,12 @@ def _ssim_side(x: np.ndarray, kernel: np.ndarray):
     return m, np.sqrt(np.clip(m.var, 0.0, None))
 
 
-def _ssim_terms(ref, test: np.ndarray, kernel, params: SsimParams):
+def _ssim_terms(ref, tests: np.ndarray, kernel, params: SsimParams):
     """Luminance, contrast, and structure maps over valid window centers,
-    from the reference's ``_ssim_side`` statistics and the test pixels."""
-    (x, sx), (y, sy) = ref, _ssim_side(test, kernel)
-    sxy = _covariance(x, y, kernel)
+    from the reference's ``_ssim_side`` statistics and a stack of tests."""
+    x, sx = ref
+    y, sxy = _test_moments(x, tests, kernel)
+    sy = np.sqrt(np.clip(y.var, 0.0, None))
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     c3 = c2 / 2.0
@@ -318,12 +334,19 @@ def _require_window_fits(image: GrayImage, need: int, what: str) -> None:
 # reference-only work and returns ``score(test) -> SimilarityScore``.
 
 
+def _one_by_one(score: Callable[[GrayImage], SimilarityScore],
+                ref: GrayImage) -> Scorer:
+    """A scorer that scores each test of a stack on its own."""
+    return Scorer(lambda tests, maps: [score(test) for test in tests],
+                  ref.pixels.size)
+
+
 def _prepare_mse(ref: GrayImage) -> Scorer:
     def score(test: GrayImage) -> SimilarityScore:
         require_same_shape(ref, test)
         diff = ref.pixels - test.pixels
         return SimilarityScore("mse", float(np.mean(diff * diff)))
-    return Scorer(score)
+    return _one_by_one(score, ref)
 
 
 def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
@@ -336,7 +359,7 @@ def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
         if err == 0.0:
             return SimilarityScore("psnr", math.inf)
         return SimilarityScore("psnr", 10.0 * math.log10(peakval ** 2 / err))
-    return Scorer(score)
+    return _one_by_one(score, ref)
 
 
 def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None) -> Scorer:
@@ -345,13 +368,14 @@ def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None) -> Scorer:
     kernel = _gauss1d(params.window_size, params.window_sigma)
     x = _ssim_side(ref.pixels, kernel)
 
-    def score(test: GrayImage) -> SimilarityScore:
-        require_same_shape(ref, test)
-        lterm, cterm, sterm = _ssim_terms(x, test.pixels, kernel, params)
-        smap = _powered(lterm, params.alpha) * (
+    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
+        lterm, cterm, sterm = _ssim_terms(x, _test_stack(ref, tests), kernel,
+                                          params)
+        smaps = _powered(lterm, params.alpha) * (
             _powered(cterm, params.beta) * _powered(sterm, params.gamma))
-        return SimilarityScore("ssim", float(smap.mean()), smap)
-    return Scorer(score)
+        return [SimilarityScore("ssim", float(smap.mean()),
+                                smap if maps else None) for smap in smaps]
+    return Scorer(scores, ref.pixels.size)
 
 
 def _prepare_ms_ssim(ref: GrayImage,
@@ -362,26 +386,25 @@ def _prepare_ms_ssim(ref: GrayImage,
     kernel = _gauss1d(params.base.window_size, params.base.window_sigma)
     last = params.scales - 1
     scales = []
-    x = ref
+    x = ref.pixels
     for m in range(params.scales):
-        scales.append(_ssim_side(x.pixels, kernel))
+        scales.append(_ssim_side(x, kernel))
         if m < last:
-            x = downsample2(x)
+            x = _decimate2(x, _BINOMIAL5)
 
-    def score(test: GrayImage) -> SimilarityScore:
-        require_same_shape(ref, test)
-        value = 1.0
-        y = test
+    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
+        values = [1.0] * len(tests)
+        y = _test_stack(ref, tests)
         for m, (side, weight) in enumerate(zip(scales, params.weights)):
-            lterm, cterm, sterm = _ssim_terms(side, y.pixels, kernel,
-                                              params.base)
+            lterm, cterm, sterm = _ssim_terms(side, y, kernel, params.base)
             cs = cterm * sterm
-            scale_map = lterm * cs if m == last else cs
-            value *= max(float(scale_map.mean()), 0.0) ** weight
+            scale_maps = lterm * cs if m == last else cs
+            for i, scale_map in enumerate(scale_maps):
+                values[i] *= max(float(scale_map.mean()), 0.0) ** weight
             if m < last:
-                y = downsample2(y)
-        return SimilarityScore("msssim", value)
-    return Scorer(score)
+                y = _decimate2(y, _BINOMIAL5)
+        return [SimilarityScore("msssim", value) for value in values]
+    return Scorer(scores, ref.pixels.size)
 
 
 def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
@@ -406,37 +429,30 @@ def _prepare_cw_ssim(ref: GrayImage,
         bands.append((band.level, wx, _window_sums(power_x, size)))
     count = sum(sums_x.size for _, _, sums_x in bands)  # windows per test
 
-    def pooled(tests: list[GrayImage]):
-        """Each test's value, and the finest level's band maps of them all."""
-        for test in tests:
-            require_same_shape(ref, test)
-        stack = np.stack([test.pixels for test in tests])
+    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
+        stack = _test_stack(ref, tests)
         totals = [0.0] * len(tests)
         finest = []
         for (level, wx, sums_x), wy in zip(bands,
                                            band_stack(stack, params.pyramid)):
+            # the planes (cross.real, cross.imag, power_y), summed in one pass
+            planes = np.empty((3, *wy.shape))
             cross = wx * np.conj(wy)
-            power_y = wy.real ** 2 + wy.imag ** 2
-            num = 2.0 * np.hypot(_window_sums(cross.real, size),
-                                 _window_sums(cross.imag, size)) + k
-            den = sums_x + _window_sums(power_y, size) + k
-            smap = num / den
+            planes[0] = cross.real
+            planes[1] = cross.imag
+            np.add(wy.real ** 2, wy.imag ** 2, out=planes[2])
+            sums_cross_re, sums_cross_im, sums_y = _window_sums(planes, size)
+            num = 2.0 * np.hypot(sums_cross_re, sums_cross_im) + k
+            smap = num / (sums_x + sums_y + k)
             for i, frame_map in enumerate(smap):
                 totals[i] += float(frame_map.sum())
-            if level == 0:
+            if level == 0 and maps:
                 finest.append(smap)
-        return [total / count for total in totals], finest
-
-    def score(test: GrayImage) -> SimilarityScore:
-        (value,), finest = pooled([test])
-        return SimilarityScore("cwssim", value,
-                               np.mean([smap[0] for smap in finest], axis=0))
-
-    def score_stack(tests: list[GrayImage]) -> list[float]:
-        # checked as SimilarityScore checks score's value, so both raise alike
-        return [SimilarityScore("cwssim", value).value
-                for value in pooled(tests)[0]]
-    return Scorer(score, score_stack, ref.pixels.size)
+        return [SimilarityScore(
+            "cwssim", total / count,
+            np.mean([smap[i] for smap in finest], axis=0) if maps else None)
+            for i, total in enumerate(totals)]
+    return Scorer(scores, ref.pixels.size)
 
 
 _VIF_EPS = 1e-10
@@ -462,26 +478,22 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
         raise DegenerateReferenceError(
             "reference image has no usable local variance")
 
-    def score(test: GrayImage) -> SimilarityScore:
-        require_same_shape(ref, test)
-        numerator = 0.0
-        y = test.pixels
+    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
+        numerators = [0.0] * len(tests)
+        y = _test_stack(ref, tests)
         for scale, (m, sxx) in enumerate(channels):
             if scale > 0:
                 y = _decimate2(y, kernel)
-            t = _moments(y, kernel)
-            sxy = _covariance(m, t, kernel)
+            t, sxy = _test_moments(m, y, kernel)
             syy = np.clip(t.var, 0.0, None)
             gain = np.clip(sxy / (sxx + _VIF_EPS), 0.0, None)
             resid = np.clip(syy - gain * sxy, _VIF_EPS, None)
-            numerator += float(np.sum(np.log2(
-                1.0 + gain * gain * sxx / (resid + params.sigma_n2))))
-        return SimilarityScore("vif", numerator / denominator)
-    return Scorer(score)
-
-
-def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return _correlate_separable(arr, kernel, "nearest")[::2, ::2]
+            info = np.log2(1.0 + gain * gain * sxx / (resid + params.sigma_n2))
+            for i, frame_info in enumerate(info):
+                numerators[i] += float(np.sum(frame_info))
+        return [SimilarityScore("vif", numerator / denominator)
+                for numerator in numerators]
+    return Scorer(scores, ref.pixels.size)
 
 
 # ---------------------------------------------------------------------------

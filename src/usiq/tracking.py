@@ -17,13 +17,13 @@ produce bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import (
     CountMismatchError,
@@ -212,6 +212,22 @@ def _parabolic_offset(a: float, b: float, c: float) -> float:
     return min(0.5, max(-0.5, 0.5 * (a - c) / denom))
 
 
+@functools.lru_cache(maxsize=64)
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT splits into small
+    factors."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power-of-two multiple of ``odd`` that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _correlate_valid(values: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Cross-correlation of ``values`` with ``template`` at every position
     where the template fits, by FFT.
@@ -220,7 +236,7 @@ def _correlate_valid(values: np.ndarray, template: np.ndarray) -> np.ndarray:
     small factors, so the circular correlation they give wraps only at
     positions outside the valid ones.
     """
-    shape = tuple(next_fast_len(n, real=True) for n in values.shape)
+    shape = tuple(_fast_len(n) for n in values.shape)
     spectrum = (np.fft.rfft2(values, shape)
                 * np.conj(np.fft.rfft2(template, shape)))
     rows, cols = (n - t + 1 for n, t in zip(values.shape, template.shape))

@@ -366,6 +366,69 @@ def test_study_tracking_rerun_reuses_the_heap(tmp_path):
     assert int(proc.stdout.split()[-1]) < 1000
 
 
+_WITHOUT_SCIPY = """
+import json, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from usiq import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def _no_scipy_argvs(out):
+    seq = os.path.join(out, "seq")
+    return [
+        ["study", "tracking", "--seed", "2", "--trackers", "ncc,meanshift",
+         "--frames", "8", "--calibrate", "3", "--hit-frame", "4",
+         "--out", os.path.join(out, "summary.csv"),
+         "--frames-out", os.path.join(out, "frames.csv")],
+        ["synth", "sequence", "--seed", "2", "--frames", "6",
+         "--out-dir", seq],
+        ["trace", "--manifest", os.path.join(seq, "frame_manifest.json"),
+         "--metrics", "mse,psnr,ssim,msssim,vif", "--roi", "108,128,32,32",
+         "--param", "msssim:scales=3",
+         "--param", "msssim:weights=0.0448:0.2856:0.3001",
+         "--param", "vif:scales=3", "--out", os.path.join(out, "trace.csv")],
+    ]
+
+
+def _files(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_the_runtime_needs_no_scipy(tmp_path):
+    # the CLI runs in a process where importing scipy fails, and writes the
+    # bytes that it writes where scipy is importable
+    blocked, here = tmp_path / "blocked", tmp_path / "here"
+    blocked.mkdir()
+    here.mkdir()
+    root = str(Path(usiq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (root, os.environ.get("PYTHONPATH")) if part))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY,
+         json.dumps(_no_scipy_argvs(str(blocked)))],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for argv in _no_scipy_argvs(str(here)):
+        assert cli.main(argv) == 0
+    got, want = _files(blocked), _files(here)
+    # the summary, a frame table per tracker, six frames, their manifest and
+    # the trace
+    assert len(want) == 1 + 2 + 6 + 1 + 1
+    assert got == want
+
+
 @pytest.mark.parametrize("trackers, gate", [
     ("ncc,meanshift", ["--tau", "0.5"]),
     ("ncc,meanshift", ["--calibrate", "10"]),

@@ -198,7 +198,7 @@ def oracle_ssim_map(x, y, size=11, sigma=1.5, dynamic_range=255.0):
 
 
 def test_ssim_matches_double_loop_oracle():
-    from usiq.metrics import _covariance, _gauss1d, _moments
+    from usiq.metrics import _gauss1d, _moments, _test_moments
 
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 255.0, size=(16, 16))
@@ -208,8 +208,9 @@ def test_ssim_matches_double_loop_oracle():
     np.testing.assert_allclose(got.map, want_map, rtol=1e-10, atol=1e-10)
     assert got.value == pytest.approx(float(want_map.mean()), abs=1e-10)
     kernel = _gauss1d(11, 1.5)
-    mx, my = _moments(x, kernel), _moments(y, kernel)
-    got_m = (mx.mean, my.mean, mx.var, my.var, _covariance(mx, my, kernel))
+    mx = _moments(x, kernel)
+    my, sxy = _test_moments(mx, y, kernel)
+    got_m = (mx.mean, my.mean, mx.var, my.var, sxy)
     for key, arr in zip(("mx", "my", "sxx", "syy", "sxy"), got_m):
         np.testing.assert_allclose(arr, want_m[key], rtol=1e-10, atol=1e-10)
 
@@ -632,16 +633,25 @@ RESET_CWSSIM = CwSsimParams(pyramid=PyramidParams(levels=3, orientations=6))
 
 
 @functools.lru_cache(maxsize=None)
+def speckled_frames(side):
+    """Reference and nine test frames of a speckled benchmark sequence: the
+    whole 256x256 frames, or the reset gate's 65x65 ROI crops of them."""
+    seq = periodic_sequence(benchmark_phantom_spec(),
+                            benchmark_motion_spec(n_frames=10),
+                            speckle=SpeckleSpec(alpha=0.3, seed=3), seed=3)
+    frames = seq.frames
+    if side == 65:
+        roi = Roi(Landmark(108.0, 128.0), 32, 32)
+        frames = [crop(frame, roi) for frame in frames]
+    return frames[0], tuple(frames[1:])
+
+
+@functools.lru_cache(maxsize=None)
 def cw_ssim_frames(case):
     """Reference and nine test frames: the reset gate's 65x65 ROI crops of a
     speckled sequence, or 128x128 textures for the default params."""
     if case == "reset":
-        seq = periodic_sequence(benchmark_phantom_spec(),
-                                benchmark_motion_spec(n_frames=10),
-                                speckle=SpeckleSpec(alpha=0.3, seed=3), seed=3)
-        roi = Roi(Landmark(108.0, 128.0), 32, 32)
-        frames = [crop(frame, roi) for frame in seq.frames]
-        return frames[0], tuple(frames[1:])
+        return speckled_frames(65)
     ref = noise_image(60, shape=(128, 128))
     tests = [ref] + [rolled(ref, dx=i) for i in (1, 2, 5)] + [
         noise_image(61 + i, shape=(128, 128)) for i in range(5)]
@@ -657,6 +667,106 @@ def test_cw_ssim_values_equal_the_image_loop_oracle(case, params, n_frames):
     oracle_params = params if params is not None else CwSsimParams()
     want = [image_loop_cw_ssim(ref, t, oracle_params) for t in tests]
     scorer = prepare("cwssim", ref, params)
+    assert hexes(scorer.values(tests)) == hexes(want)
+    assert hexes(scorer.values(iter(tests))) == hexes(want)
+    assert hexes(scorer(t).value for t in tests) == hexes(want)
+
+
+def image_loop_moments(x, kernel):
+    mean = plain_valid_smooth(x, kernel)
+    return mean, plain_valid_smooth(x * x, kernel) - mean * mean
+
+
+def image_loop_ssim_terms(x, y, kernel, params):
+    """SSIM's luminance, contrast and structure maps of one pair."""
+    (mx, vx), (my, vy) = image_loop_moments(x, kernel), image_loop_moments(
+        y, kernel)
+    sx, sy = np.sqrt(np.clip(vx, 0.0, None)), np.sqrt(np.clip(vy, 0.0, None))
+    sxy = plain_valid_smooth(x * y, kernel) - mx * my
+    c1 = (params.k1 * params.dynamic_range) ** 2
+    c2 = (params.k2 * params.dynamic_range) ** 2
+    c3 = c2 / 2.0
+    return ((2.0 * mx * my + c1) / (mx * mx + my * my + c1),
+            (2.0 * sx * sy + c2) / (vx + vy + c2),
+            (sxy + c3) / (sx * sy + c3))
+
+
+def image_loop_powered(term, exponent):
+    if exponent == 1.0:
+        return term
+    if float(exponent).is_integer():
+        return term ** int(exponent)
+    return np.clip(term, 0.0, None) ** exponent
+
+
+def image_loop_ssim(ref, test, params):
+    params = params if params is not None else SsimParams()
+    kernel = metrics._gauss1d(params.window_size, params.window_sigma)
+    lterm, cterm, sterm = image_loop_ssim_terms(ref.pixels, test.pixels,
+                                                kernel, params)
+    smap = image_loop_powered(lterm, params.alpha) * (
+        image_loop_powered(cterm, params.beta)
+        * image_loop_powered(sterm, params.gamma))
+    return float(smap.mean())
+
+
+def image_loop_ms_ssim(ref, test, params):
+    params = params if params is not None else MsSsimParams()
+    kernel = metrics._gauss1d(params.base.window_size,
+                              params.base.window_sigma)
+    binomial = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    x, y = ref.pixels, test.pixels
+    value = 1.0
+    for m, weight in enumerate(params.weights):
+        lterm, cterm, sterm = image_loop_ssim_terms(x, y, kernel, params.base)
+        cs = cterm * sterm
+        scale_map = lterm * cs if m == params.scales - 1 else cs
+        value *= max(float(scale_map.mean()), 0.0) ** weight
+        x, y = plain_decimate2(x, binomial), plain_decimate2(y, binomial)
+    return value
+
+
+def image_loop_vif(ref, test, params):
+    params = params if params is not None else VifParams()
+    kernel = metrics._gauss1d(params.block_size, params.block_size / 5.0)
+    x, y = ref.pixels, test.pixels
+    numerator = denominator = 0.0
+    for scale in range(params.scales):
+        if scale > 0:
+            x, y = plain_decimate2(x, kernel), plain_decimate2(y, kernel)
+        (mx, vx), (my, vy) = image_loop_moments(x, kernel), image_loop_moments(
+            y, kernel)
+        sxx, syy = np.clip(vx, 0.0, None), np.clip(vy, 0.0, None)
+        sxy = plain_valid_smooth(x * y, kernel) - mx * my
+        gain = np.clip(sxy / (sxx + 1e-10), 0.0, None)
+        resid = np.clip(syy - gain * sxy, 1e-10, None)
+        numerator += float(np.sum(np.log2(
+            1.0 + gain * gain * sxx / (resid + params.sigma_n2))))
+        denominator += float(np.sum(np.log2(1.0 + sxx / params.sigma_n2)))
+    return numerator / denominator
+
+
+# Oracles: the SSIM, MS-SSIM and VIF values as scored one test image at a
+# time with scipy's correlate1d, before tests were stacked and smoothed by
+# numpy alone.
+IMAGE_LOOP = {"ssim": image_loop_ssim, "msssim": image_loop_ms_ssim,
+              "vif": image_loop_vif}
+
+# the manifest trace's settings for 65x65 crops; 256x256 frames take defaults
+CROP_PARAMS = {"msssim": MsSsimParams(scales=3,
+                                      weights=(0.0448, 0.2856, 0.3001)),
+               "vif": VifParams(scales=3)}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_LOOP))
+@pytest.mark.parametrize("side", [65, 256])
+@pytest.mark.parametrize("n_frames", [1, 3, 4, 5, 9])
+def test_windowed_values_equal_the_image_loop_oracle(name, side, n_frames):
+    ref, tests = speckled_frames(side)
+    tests = tests[:n_frames]
+    params = CROP_PARAMS.get(name) if side == 65 else None
+    want = [IMAGE_LOOP[name](ref, t, params) for t in tests]
+    scorer = prepare(name, ref, params)
     assert hexes(scorer.values(tests)) == hexes(want)
     assert hexes(scorer.values(iter(tests))) == hexes(want)
     assert hexes(scorer(t).value for t in tests) == hexes(want)
@@ -680,6 +790,28 @@ def test_cw_ssim_stacks_hold_a_fixed_pixel_budget(monkeypatch, side, params,
         return band_stack(pixels, pyramid_params)
 
     monkeypatch.setattr(metrics, "band_stack", counting_stack)
+    assert hexes(scorer.values(tests)) == hexes(want)
+    assert stacks == depths
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_LOOP))
+@pytest.mark.parametrize("side, n_tests, depths", [
+    (65, 9, [4, 4, 1]),
+    (256, 3, [1, 1, 1]),
+])
+def test_windowed_stacks_hold_the_same_pixel_budget(monkeypatch, name, side,
+                                                     n_tests, depths):
+    ref = noise_image(80, shape=(side, side))
+    tests = [noise_image(81 + i, shape=(side, side)) for i in range(n_tests)]
+    scorer = prepare(name, ref, CROP_PARAMS.get(name))
+    want = [scorer(t).value for t in tests]
+    stacks, test_stack = [], metrics._test_stack
+
+    def counting_stack(ref, tests):
+        stacks.append(len(tests))
+        return test_stack(ref, tests)
+
+    monkeypatch.setattr(metrics, "_test_stack", counting_stack)
     assert hexes(scorer.values(tests)) == hexes(want)
     assert stacks == depths
 
@@ -740,20 +872,34 @@ def plain_valid_smooth(arr, kernel):
     return out[r:arr.shape[0] - r, r:arr.shape[1] - r]
 
 
+def each_image(stack):
+    """Index of every 2-D image in a stack of any depth."""
+    return list(np.ndindex(stack.shape[:-2]))
+
+
 @given(size=st.integers(1, 6).map(lambda k: 2 * k + 1),
        sigma=st.floats(0.5, 3.0), box=st.booleans(),
        extra=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+       lead=st.sampled_from([(), (3,), (2, 3)]),
+       corner=st.tuples(st.integers(0, 20), st.integers(0, 20)),
        strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_valid_smooth_equals_plain_correlate1d(size, sigma, box, extra,
-                                               strided, seed):
+def test_valid_smooth_equals_plain_correlate1d(size, sigma, box, extra, lead,
+                                               corner, strided, seed):
     kernel = np.ones(size) if box else metrics._gauss1d(size, sigma)
-    shape = (size + extra[0], size + extra[1])
+    shape = (*lead, size + extra[0], size + extra[1])
     rng = np.random.default_rng(seed)
     arr = rng.uniform(-255.0, 255.0, shape)
     if strided:  # CW-SSIM smooths the real and imaginary planes as views
         arr = (arr + 1j * rng.uniform(-255.0, 255.0, shape)).imag
-    assert np.array_equal(metrics._valid_smooth(arr, kernel),
-                          plain_valid_smooth(arr, kernel))
+    # a block of negative zeros that covers at least one whole window, whose
+    # sum must be -0.0 as well
+    row, col = min(corner[0], extra[0]), min(corner[1], extra[1])
+    arr[..., row:row + size + 1, col:col + size + 1] = -0.0
+    got = metrics._valid_smooth(arr, kernel)
+    assert got.shape == (*lead, extra[0] + 1, extra[1] + 1)
+    for index in each_image(arr):
+        assert hexes(got[index].ravel()) == hexes(
+            plain_valid_smooth(arr[index], kernel).ravel())
 
 
 def plain_decimate2(arr, kernel):
@@ -766,12 +912,16 @@ def plain_decimate2(arr, kernel):
 
 @given(size=st.integers(1, 6).map(lambda k: 2 * k + 1),
        shape=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+       lead=st.sampled_from([(), (3,), (2, 3)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_decimation_equals_plain_correlate1d(size, shape, seed):
-    arr = np.random.default_rng(seed).uniform(0.0, 255.0, shape)
+def test_decimation_equals_plain_correlate1d(size, shape, lead, seed):
+    arr = np.random.default_rng(seed).uniform(0.0, 255.0, (*lead, *shape))
     kernel = metrics._gauss1d(size, size / 5.0)
-    assert hexes(metrics._decimate2(arr, kernel).ravel()) == hexes(
-        plain_decimate2(arr, kernel).ravel())
     binomial = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    assert hexes(downsample2(GrayImage(arr)).pixels.ravel()) == hexes(
-        plain_decimate2(arr, binomial).ravel())
+    got = metrics._decimate2(arr, kernel)
+    # a stacked decimation equals the decimation of each image on its own
+    for index in each_image(arr):
+        assert hexes(got[index].ravel()) == hexes(
+            plain_decimate2(arr[index], kernel).ravel())
+        assert hexes(downsample2(GrayImage(arr[index])).pixels.ravel()) == (
+            hexes(plain_decimate2(arr[index], binomial).ravel()))

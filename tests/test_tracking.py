@@ -313,8 +313,8 @@ def smooth_235_len(n):
 
 def test_fft_length_is_the_smallest_235_smooth_length():
     # the NCC correlation pads each axis to scipy's real-FFT fast length
-    assert all(next_fast_len(n, real=True) == smooth_235_len(n)
-               for n in range(1, 4097))
+    assert all(tracking._fast_len(n) == next_fast_len(n, real=True)
+               == smooth_235_len(n) for n in range(1, 4097))
 
 
 # ---------------------------------------------------------------------------
