@@ -318,8 +318,8 @@ def _correlate_separable(arr: np.ndarray, kernel: np.ndarray,
     # cache: a stack of three 256x256 images took twice as long in one go
     chunk = max(1, _CHUNK_PIXELS // (arr.shape[-2] * arr.shape[-1]))
     for i in range(0, len(images), chunk):
-        _correlate_axis(_correlate_axis(images[i:i + chunk], weights, -2, step),
-                        weights, -1, step, out[i:i + chunk])
+        rows_done = _correlate_axis(images[i:i + chunk], weights, -2, step)
+        _correlate_axis(rows_done, weights, -1, step, out[i:i + chunk])
     return out.reshape(*arr.shape[:-2], rows, cols)
 
 
