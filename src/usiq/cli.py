@@ -16,11 +16,11 @@ import sys
 
 from .errors import InvalidParamsError, UsiqError
 from .harness import (
-    _tracking_study,
     format_number,
     run_correlation_study,
     run_noise_sweep,
     run_trace,
+    run_tracking_study,
     write_correlation_json,
     write_sweep_csv,
     write_trace_csv,
@@ -34,19 +34,17 @@ from .image import (
     load_pgm,
     load_sequence,
     save_pgm,
+    write_sequence,
 )
 from .metrics import METRICS, compute_metric
 from .pyramid import PyramidParams
 from .synth import (
     SpeckleSpec,
-    _frames,
-    _tracks,
     apply_speckle,
     benchmark_motion_spec,
     benchmark_phantom_spec,
     make_phantom,
     periodic_sequence,
-    write_periodic_sequence,
 )
 from .tracking import TRACKERS, ResetConfig, track_with_reset
 
@@ -191,12 +189,12 @@ def _speckle(alpha, seed) -> SpeckleSpec | None:
     return speckle if alpha > 0 else None
 
 
-def _benchmark_specs(seed, frames, alpha, decoy=False):
-    """``(phantom, motion)`` and the keyword arguments of the benchmark
-    sequence, shared by ``synth sequence`` and the studies."""
-    return ((benchmark_phantom_spec(decoy=decoy),
-             benchmark_motion_spec(n_frames=frames)),
-            dict(speckle=_speckle(alpha, seed), seed=seed))
+def _benchmark_sequence(seed, frames, alpha, decoy=False):
+    """The benchmark sequence of ``synth sequence`` and the studies; its
+    frames render as they are read."""
+    return periodic_sequence(benchmark_phantom_spec(decoy=decoy),
+                             benchmark_motion_spec(n_frames=frames),
+                             speckle=_speckle(alpha, seed), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +237,9 @@ def _cmd_synth_phantom(args) -> int:
 
 
 def _cmd_synth_sequence(args) -> int:
-    specs, kwargs = _benchmark_specs(args.seed, args.frames, args.alpha,
-                                     decoy=args.decoy)
-    manifest = write_periodic_sequence(*specs, args.out_dir, stem=args.stem,
-                                       **kwargs)
-    print(manifest)
+    seq = _benchmark_sequence(args.seed, args.frames, args.alpha,
+                              decoy=args.decoy)
+    print(write_sequence(seq, args.out_dir, stem=args.stem))
     return 0
 
 
@@ -289,8 +285,7 @@ def _cmd_study_correlation(args) -> int:
     if args.manifest:
         seq = load_sequence(args.manifest)
     else:
-        specs, kwargs = _benchmark_specs(args.seed, args.frames, args.alpha)
-        seq = periodic_sequence(*specs, **kwargs)
+        seq = _benchmark_sequence(args.seed, args.frames, args.alpha)
     report = run_correlation_study(seq, metrics, roi=roi, metric_params=params)
     write_correlation_json(report, args.out)
     if args.trace_out:
@@ -310,18 +305,13 @@ def _cmd_study_noise_sweep(args) -> int:
 
 
 def _cmd_study_tracking(args) -> int:
-    (phantom, motion), kwargs = _benchmark_specs(args.seed, args.frames,
-                                                 args.alpha, decoy=True)
-    tracks = _tracks(phantom, motion)
+    seq = _benchmark_sequence(args.seed, args.frames, args.alpha, decoy=True)
     reset = _reset_config_from(args)
-    # the benchmark sequence, rendered a frame at a time as the study reads
-    # it, and rendered anew for each pass the study makes: frame 0 is the
-    # reference and a pixel is 1 mm, as in periodic_sequence; the decoy disc
-    # is scenery for the injected jump, so only the true disc is tracked
-    comparisons = _tracking_study(
-        lambda: _frames(phantom, tracks, **kwargs),
-        tuple((marks[0],) for marks in tracks), _parse_list(args.trackers),
-        reset, reference_frame=0, pixel_spacing_mm=1.0,
+    # the decoy disc is scenery for the injected jump, so only the true disc
+    # is tracked
+    comparisons = run_tracking_study(
+        seq, _parse_list(args.trackers), reset, init=seq.landmarks[0][:1],
+        truth=tuple(marks[:1] for marks in seq.landmarks),
         disturbances={args.hit_frame: (args.hit_dx, 0.0)})
     write_tracking_summary_csv(comparisons, args.out)
     if args.frames_out:

@@ -171,7 +171,8 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     """
     names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
-    views = (seq.frames if roi is None
+    # every metric reads every frame: hold them, or their windows, once
+    views = (tuple(seq.frames) if roi is None
              else tuple(crop(frame, roi) for frame in seq.frames))
     raw = {}
     for name in names:
@@ -360,34 +361,22 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
     whose threshold is taken, from a first pass over the frames through the
     calibration window, before any arm steps: the reset metric scores each
     frame once per study. Each reset arm equals ``track_with_reset``
-    with the same arguments, and each bare arm the bare tracker.
+    with the same arguments, and each bare arm the bare tracker. The study
+    holds no more of the frames than that loop does, so frames rendered on
+    read are rendered anew for each pass.
     """
-    return _tracking_study(lambda: iter(seq.frames), seq.landmarks, trackers,
-                           reset, init=init, truth=truth, cfg=cfg,
-                           disturbances=disturbances,
-                           reference_frame=seq.reference_frame,
-                           pixel_spacing_mm=seq.pixel_spacing_mm)
-
-
-def _tracking_study(source, landmarks, trackers, reset: ResetConfig, *,
-                    reference_frame: int, pixel_spacing_mm: float, init=None,
-                    truth=None, cfg=None, disturbances=None
-                    ) -> tuple[TrackingComparison, ...]:
-    """``run_tracking_study`` over the frames of ``source``, a callable that
-    returns a fresh iterator over them at each call, annotated with
-    ``landmarks``; it holds no more of them than the lockstep loop does."""
     trackers = _checked_names(trackers, TRACKERS, "tracker")
     if truth is None:
-        if landmarks is None:
+        if seq.landmarks is None:
             raise InvalidParamsError(
                 "tracking experiment needs ground-truth landmarks")
-        truth = landmarks
+        truth = seq.landmarks
     results = _lockstep(
-        source, _resolve_init(landmarks, init),
+        seq.frames, _resolve_init(seq.landmarks, init),
         [_arms(tracker, cfg, (False, True)) for tracker in trackers],
-        reset, reference_frame, disturbances)
+        reset, seq.reference_frame, disturbances)
     arms = [TrackingArm(result,
-                        tracking_error(result, truth, pixel_spacing_mm))
+                        tracking_error(result, truth, seq.pixel_spacing_mm))
             for result in results]
     return tuple(TrackingComparison(tracker, bare, wrapped)
                  for tracker, bare, wrapped

@@ -13,6 +13,7 @@ import math
 import numbers
 import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,7 @@ class Landmark:
     y: float
 
     def __post_init__(self):
+        require_reals(self, "x", "y")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvalidParamsError("landmark coordinates must be finite")
 
@@ -111,6 +113,9 @@ class Roi:
     half_height: int
 
     def __post_init__(self):
+        if not isinstance(self.center, Landmark):
+            raise InvalidParamsError(
+                f"ROI center must be a Landmark, got {self.center!r}")
         require_integers(self, "half_width", "half_height")
         if self.half_width < 0 or self.half_height < 0:
             raise InvalidParamsError("ROI half extents must be >= 0")
@@ -137,15 +142,35 @@ def require_integers(params, *names: str) -> None:
                 f"{name} must be an integer, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy int or float; bools and strings are not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def require_reals(params, *names: str) -> None:
     """Raise InvalidParamsError unless each named field of ``params`` is a
     real number (a Python or numpy int or float); bools and strings are
     not."""
     for name in names:
         value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise InvalidParamsError(
                 f"{name} must be a real number, got {value!r}")
+
+
+def require_real_items(params, name: str) -> tuple:
+    """The named field of ``params`` as a tuple; raise InvalidParamsError
+    unless it is an iterable of real numbers, as :func:`require_reals`
+    takes them."""
+    value = getattr(params, name)
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or not all(map(_is_real, items)):
+        raise InvalidParamsError(
+            f"{name} must hold real numbers, got {value!r}")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +391,8 @@ def _checked_fields(n_frames: int, pixel_spacing_mm, reference_frame,
     None)."""
     if n_frames < 1:
         raise ManifestError("sequence must contain at least one frame")
-    if not (math.isfinite(pixel_spacing_mm) and pixel_spacing_mm > 0):
+    if not (_is_real(pixel_spacing_mm) and math.isfinite(pixel_spacing_mm)
+            and pixel_spacing_mm > 0):
         raise ManifestError("pixel_spacing_mm must be finite and > 0")
     if not _is_int(reference_frame):
         raise ManifestError(
@@ -385,35 +411,64 @@ def _checked_fields(n_frames: int, pixel_spacing_mm, reference_frame,
     return reference_frame, marks
 
 
+class _RenderedFrames(Sequence):
+    """``n`` frames rendered each time they are read: frame ``t`` is
+    ``render(t)``, and no rendered frame is kept."""
+
+    def __init__(self, render, n: int):
+        self._render, self._n = render, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._render, range(self._n)[index]))
+        return self._render(range(self._n)[index])
+
+    def __iter__(self):
+        # map names no frame it has yielded, so a reader that drops each
+        # frame before asking for the next holds one frame at a time
+        return map(self._render, range(self._n))
+
+
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
-    """In-memory frame sequence: what trackers and the harness operate on.
+    """Frame sequence: what trackers and the harness operate on.
 
-    Every frame has the same shape, ``pixel_spacing_mm`` is > 0 and
-    ``reference_frame`` indexes a frame. ``landmarks``, when given, holds one
-    tuple of annotations per frame, the same number in each (ground truth
-    when the sequence came from the synthesizer). On disk a sequence is
-    numbered PGM files plus a manifest JSON, written by
-    :func:`write_sequence` and read by :func:`load_sequence`.
+    ``frames`` is any sequence of images; it is held as a tuple unless its
+    frames are rendered on read, as :func:`~usiq.synth.periodic_sequence`'s
+    are (``tuple(seq.frames)`` holds those). Every frame has the same shape,
+    ``pixel_spacing_mm`` is > 0 and ``reference_frame`` indexes a frame.
+    ``landmarks``, when given, holds one tuple of annotations per frame, the
+    same number in each (ground truth when the sequence came from the
+    synthesizer). On disk a sequence is numbered PGM files plus a manifest
+    JSON, written by :func:`write_sequence` and read by
+    :func:`load_sequence`.
     """
 
-    frames: tuple[GrayImage, ...]
+    frames: Sequence[GrayImage]
     pixel_spacing_mm: float = 1.0
     landmarks: tuple[tuple[Landmark, ...], ...] | None = None
     reference_frame: int = 0
 
     def __post_init__(self):
-        frames = tuple(self.frames)
+        frames = self.frames
+        if not isinstance(frames, _RenderedFrames):
+            frames = tuple(frames)
         ref, marks = _checked_fields(len(frames), self.pixel_spacing_mm,
                                      self.reference_frame, self.landmarks)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "reference_frame", ref)
         object.__setattr__(self, "landmarks", marks)
-        shape = frames[0].shape
-        for i, frame in enumerate(frames):
-            if frame.shape != shape:
-                raise DimensionMismatchError(
-                    f"frame {i} has shape {frame.shape}, frame 0 has {shape}")
+        if isinstance(frames, tuple):
+            # rendered frames share their renderer's shape by construction
+            shape = frames[0].shape
+            for i, frame in enumerate(frames):
+                if frame.shape != shape:
+                    raise DimensionMismatchError(
+                        f"frame {i} has shape {frame.shape}, "
+                        f"frame 0 has {shape}")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -433,43 +488,30 @@ def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> s
     directory unless absolute. ``stem`` must be a non-empty file-name
     prefix, without a path separator or a NUL. The stem is checked and the
     manifest text built before any file is written, so a sequence it cannot
-    hold leaves no partial output.
-    """
-    return _write_frames(sequence.frames, len(sequence), directory, stem,
-                         pixel_spacing_mm=sequence.pixel_spacing_mm,
-                         reference_frame=sequence.reference_frame,
-                         landmarks=sequence.landmarks)
-
-
-def _write_frames(frames, n_frames: int, directory, stem: str,
-                  pixel_spacing_mm: float, landmarks,
-                  reference_frame: int = 0) -> str:
-    """:func:`write_sequence` for ``n_frames`` images drawn one at a time
-    from the iterable ``frames``, each written and dropped before the next
-    is drawn; the fields are checked as :class:`FrameSequence` checks them.
+    hold leaves no partial output. Each frame is read, written and dropped
+    before the next is read, so a sequence whose frames render on read is
+    written one float frame at a time.
     """
     if not stem or any(c in stem for c in ("/", os.sep, "\0")):
         raise InvalidParamsError(
             f"stem must be a non-empty file-name prefix, got {stem!r}")
-    reference_frame, landmarks = _checked_fields(
-        n_frames, pixel_spacing_mm, reference_frame, landmarks)
     directory = os.fspath(directory)
-    names = [f"{stem}_{t:04d}.pgm" for t in range(n_frames)]
+    names = [f"{stem}_{t:04d}.pgm" for t in range(len(sequence))]
     marks = None
-    if landmarks is not None:
+    if sequence.landmarks is not None:
         marks = [[{"x": lm.x, "y": lm.y} for lm in per_frame]
-                 for per_frame in landmarks]
+                 for per_frame in sequence.landmarks]
     try:
         text = json.dumps({"frames": names,
-                           "pixel_spacing_mm": pixel_spacing_mm,
-                           "reference_frame": reference_frame,
+                           "pixel_spacing_mm": sequence.pixel_spacing_mm,
+                           "reference_frame": sequence.reference_frame,
                            "landmarks": marks}, indent=2, allow_nan=False)
     except TypeError as exc:  # a number type JSON cannot hold, e.g. float32
         raise ManifestError(f"sequence cannot be written: {exc}") from None
     os.makedirs(directory, exist_ok=True)
-    frames = iter(frames)
+    frames = iter(sequence.frames)
     for name in names:
-        # no name keeps the frame alive while the next one is drawn
+        # no name keeps the frame alive while the next one is read
         save_pgm(next(frames), os.path.join(directory, name))
     path = os.path.join(directory, f"{stem}_manifest.json")
     with open(path, "w", encoding="ascii") as fh:

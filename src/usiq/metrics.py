@@ -29,7 +29,9 @@ from .image import (
     GrayImage,
     _correlate_separable,
     _decimate2,
+    _is_real,
     require_integers,
+    require_real_items,
     require_reals,
     require_same_shape,
 )
@@ -114,14 +116,13 @@ class MsSsimParams:
         require_integers(self, "scales")
         if self.scales < 1:
             raise InvalidParamsError("scales must be >= 1")
-        weights = self.weights
-        if weights is None:
+        if self.weights is None:
             if self.scales != len(_DEFAULT_MSSSIM_WEIGHTS):
                 raise InvalidParamsError(
                     "weights must be given explicitly when scales != "
                     f"{len(_DEFAULT_MSSSIM_WEIGHTS)}")
-            weights = _DEFAULT_MSSSIM_WEIGHTS
-        weights = tuple(float(w) for w in weights)
+            object.__setattr__(self, "weights", _DEFAULT_MSSSIM_WEIGHTS)
+        weights = tuple(float(w) for w in require_real_items(self, "weights"))
         if len(weights) != self.scales:
             raise InvalidParamsError(
                 f"need {self.scales} weights, got {len(weights)}")
@@ -259,12 +260,6 @@ def _gauss1d(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _valid_smooth(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable correlation over the last two axes, over windows fully
-    inside the image."""
-    return _correlate_separable(arr, kernel)
-
-
 class _Moments(NamedTuple):
     """One image's pixels with their weighted local mean and variance."""
 
@@ -275,8 +270,9 @@ class _Moments(NamedTuple):
 
 def _moments(x: np.ndarray, kernel: np.ndarray) -> _Moments:
     """Weighted mean and variance over valid windows."""
-    mean = _valid_smooth(x, kernel)
-    return _Moments(x, mean, _valid_smooth(x * x, kernel) - mean * mean)
+    mean = _correlate_separable(x, kernel)
+    return _Moments(x, mean,
+                    _correlate_separable(x * x, kernel) - mean * mean)
 
 
 def _test_moments(x: _Moments, y: np.ndarray,
@@ -287,7 +283,7 @@ def _test_moments(x: _Moments, y: np.ndarray,
     planes[0] = y
     np.multiply(y, y, out=planes[1])
     np.multiply(x.pixels, y, out=planes[2])
-    mean, square, cross = _valid_smooth(planes, kernel)
+    mean, square, cross = _correlate_separable(planes, kernel)
     return (_Moments(y, mean, square - mean * mean),
             cross - x.mean * mean)
 
@@ -350,7 +346,7 @@ def _prepare_mse(ref: GrayImage) -> Scorer:
 
 
 def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
-    if not (math.isfinite(peakval) and peakval > 0):
+    if not (_is_real(peakval) and math.isfinite(peakval) and peakval > 0):
         raise InvalidParamsError("peakval must be positive and finite")
     squared_error = _prepare_mse(ref)
 
@@ -410,7 +406,7 @@ def _prepare_ms_ssim(ref: GrayImage,
 def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
     """Plain box sums over all size x size windows that fit."""
     ones = np.ones(size, dtype=np.float64)
-    return _valid_smooth(arr, ones)
+    return _correlate_separable(arr, ones)
 
 
 def _prepare_cw_ssim(ref: GrayImage,

@@ -14,13 +14,14 @@ exact and interpolation artifacts cannot leak into metric traces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError, OutOfFrameError
-from .image import (FrameSequence, GrayImage, Landmark, _write_frames,
+from .image import (FrameSequence, GrayImage, Landmark, _RenderedFrames,
                     require_integers, require_reals)
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "displacement",
     "make_phantom",
     "periodic_sequence",
-    "write_periodic_sequence",
 ]
 
 
@@ -47,6 +47,7 @@ class Disc:
     intensity: float = 200.0
 
     def __post_init__(self):
+        require_reals(self, "radius", "intensity")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidParamsError(f"radius must be > 0, got {self.radius}")
         if not (0.0 <= self.intensity <= 255.0):
@@ -214,29 +215,17 @@ def _tracks(phantom: PhantomSpec, motion: MotionSpec):
     return tuple(tracks)
 
 
-def _frames(phantom: PhantomSpec, tracks, speckle: SpeckleSpec | None,
-            seed: int):
-    """Yield frame ``t`` of the sequence whose disc centers are
-    ``tracks[t]``, rendering each only when it is asked for. The generator
-    keeps no frame it has yielded, so a consumer that drops each frame
-    before asking for the next holds, besides the background, only the
-    frame being rendered (and its Rayleigh draw while it is speckled)."""
-    background = _background(phantom, seed)
-    for t, centers in enumerate(tracks):
-        yield GrayImage(_render(background, phantom, centers, speckle, t))
-
-
-def _render(background: np.ndarray, phantom: PhantomSpec, centers,
-            speckle: SpeckleSpec | None, t: int) -> np.ndarray:
-    """The pixels of frame ``t``: ``phantom``'s discs moved to ``centers``
-    over ``background``, speckled with seed ``speckle.seed + t``."""
+def _render(background: np.ndarray, phantom: PhantomSpec, tracks,
+            speckle: SpeckleSpec | None, t: int) -> GrayImage:
+    """Frame ``t``: ``phantom``'s discs moved to ``tracks[t]`` over
+    ``background``, speckled with seed ``speckle.seed + t``."""
     pixels = _draw_discs(background, (
         Disc(c, disc.radius, disc.intensity)
-        for c, disc in zip(centers, phantom.landmarks)))
-    if speckle is None:
-        return pixels
-    return _speckled(pixels, SpeckleSpec(alpha=speckle.alpha,
-                                         seed=speckle.seed + t))
+        for c, disc in zip(tracks[t], phantom.landmarks)))
+    if speckle is not None:
+        pixels = _speckled(pixels, SpeckleSpec(alpha=speckle.alpha,
+                                               seed=speckle.seed + t))
+    return GrayImage(pixels)
 
 
 def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
@@ -251,29 +240,17 @@ def periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
     frame as ``speckle.seed + frame`` so consecutive frames carry independent
     noise (decorrelated speckle). The returned sequence embeds the exact
     real-valued disc centers as per-frame landmarks.
+
+    The sequence holds only the background: each frame is rendered when it
+    is read, bit for bit the same at every read, so a reader that takes one
+    frame at a time holds one float frame. ``tuple(seq.frames)`` holds them
+    all.
     """
     tracks = _tracks(phantom, motion)
-    return FrameSequence(frames=tuple(_frames(phantom, tracks, speckle, seed)),
+    render = functools.partial(_render, _background(phantom, seed), phantom,
+                               tracks, speckle)
+    return FrameSequence(frames=_RenderedFrames(render, len(tracks)),
                          landmarks=tracks)
-
-
-def write_periodic_sequence(phantom: PhantomSpec, motion: MotionSpec,
-                            directory, stem: str = "frame",
-                            speckle: SpeckleSpec | None = None,
-                            seed: int = 0) -> str:
-    """Write ``periodic_sequence(phantom, motion, speckle, seed)`` to
-    ``directory`` as :func:`write_sequence` would, byte for byte, and
-    return the manifest path.
-
-    Each frame is rendered, quantized and written before the next is
-    rendered, so no float frame outlives its own write. Every check, the
-    manifest text included, runs before the directory or any file is
-    created.
-    """
-    tracks = _tracks(phantom, motion)
-    return _write_frames(_frames(phantom, tracks, speckle, seed),
-                         motion.n_frames, directory, stem,
-                         pixel_spacing_mm=1.0, landmarks=tracks)
 
 
 # Shared benchmark geometry: one bright disc mid-left on a 256x256 textured

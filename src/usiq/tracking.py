@@ -5,9 +5,9 @@ fixed first-frame template, and mean-shift over Epanechnikov-weighted
 intensity histograms. A similarity-gated wrapper re-anchors either tracker to
 its first-frame annotations whenever a reference-frame comparison metric
 exceeds a threshold, which bounds drift on periodic motion. The loop makes one
-pass over a source of frames and drives any number of tracker runs (arms) in
+pass over the frames and drives any number of tracker runs (arms) in
 lockstep, a stack of frames at a time. The reset gate feeds it: it first
-replays the source as far as the reference frame and, for a calibrated
+reads the frames as far as the reference frame and, for a calibrated
 threshold, the frames after it, keeping only their similarity crops.
 
 Coordinates follow the image-core convention (x = column, y = row); estimates
@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .image import (
     Roi,
     crop,
     require_integers,
+    require_real_items,
     require_reals,
     round_half_away,
 )
@@ -112,9 +113,10 @@ class MeanShiftConfig:
             raise InvalidParamsError("max_iters must be >= 1")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidParamsError("epsilon must be positive")
-        if not self.scale_steps:
+        steps = require_real_items(self, "scale_steps")
+        if not steps:
             raise InvalidParamsError("scale_steps must not be empty")
-        for s in self.scale_steps:
+        for s in steps:
             if not (math.isfinite(s) and s > 0):
                 raise InvalidParamsError("scale steps must be positive")
 
@@ -516,19 +518,18 @@ def _arms(tracker: str, cfg, gates) -> tuple[type, object, tuple[bool, ...]]:
     return stepper_type, cfg, gates
 
 
-def _gate(source: Callable[[], Iterator[GrayImage]],
-          reset: ResetConfig | None, reference_frame: int
+def _gate(frames: Sequence[GrayImage], reset: ResetConfig | None,
+          reference_frame: int
           ) -> tuple[float, Iterator[list[tuple[float, GrayImage]]]]:
-    """The reset gate over the frames of ``source``: its threshold, and the
-    frames in stacks, each frame with its similarity to frame
-    ``reference_frame``.
+    """The reset gate over ``frames``: its threshold, and the frames in
+    stacks, each frame with its similarity to frame ``reference_frame``.
 
-    Before it returns, the gate reads a first pass of the source through the
+    Before it returns, the gate reads a first pass of the frames through the
     reference and, for a calibrated threshold, the ``calibration_frames``
     frames after it, and keeps only their crops. It prepares the reference
     crop, scores the crops and takes the threshold: the maximum minus one
     population standard deviation of the window's values, which must lie in
-    (0, 1]. The stacks replay the source from its first frame. The frames of
+    (0, 1]. The stacks read the frames again from the first. The frames of
     the first pass come with the values already scored; the rest are read,
     cropped and scored a scorer stack at a time. The gate keeps no stack it
     has yielded.
@@ -538,7 +539,7 @@ def _gate(source: Callable[[], Iterator[GrayImage]],
     window = 0 if reset.threshold is not None else reset.calibration_frames
     roi = reset.similarity_roi
     crops = [crop(frame, roi) for frame in
-             itertools.islice(source(), reference_frame + 1 + window)]
+             itertools.islice(frames, reference_frame + 1 + window)]
     if len(crops) <= reference_frame + window:
         raise InvalidParamsError("calibration window extends past the sequence")
     scorer = prepare(reset.metric, crops[reference_frame], reset.metric_params)
@@ -554,12 +555,12 @@ def _gate(source: Callable[[], Iterator[GrayImage]],
     del crops
 
     def stacks():
-        frames = source()
+        reader = iter(frames)
         # values before frames: zip stops at the end of the first pass
         # without reading a frame past it
         for start in range(0, len(values), size):
-            yield list(zip(values[start:start + size], frames))
-        while stack := list(itertools.islice(frames, size)):
+            yield list(zip(values[start:start + size], reader))
+        while stack := list(itertools.islice(reader, size)):
             yield list(zip(scorer.values(crop(frame, roi) for frame in stack),
                            stack))
             del stack
@@ -624,27 +625,27 @@ def _feed(runs: list[_Run], steps: list) -> None:
             run.feed(t, view, fired and run.gated, shift)
 
 
-def _lockstep(source: Callable[[], Iterator[GrayImage]],
+def _lockstep(frames: Sequence[GrayImage],
               init: tuple[Landmark, ...], trackers,
               reset: ResetConfig | None = None, reference_frame: int = 0,
               disturbances: Mapping[int, tuple[float, float]] | None = None
               ) -> list[TrackResult]:
-    """Drive every arm of every tracker over one pass of the frames of
-    ``source``; their results, tracker by tracker and arm by arm.
+    """Drive every arm of every tracker over one pass of ``frames``; their
+    results, tracker by tracker and arm by arm.
 
-    ``source`` returns a fresh iterator over the same frames at each call.
-    ``trackers`` lists ``(stepper type, config, gates)`` (see ``_arms``): one
-    stepper per tracker, built from the first frame, drives one arm per flag
-    of ``gates``, and a gated arm re-anchors wherever the reset gate on
+    Each pass over ``frames`` calls ``iter(frames)`` once. ``trackers``
+    lists ``(stepper type, config, gates)`` (see ``_arms``): one stepper per
+    tracker, built from the first frame, drives one arm per flag of
+    ``gates``, and a gated arm re-anchors wherever the reset gate on
     ``reset`` fires. With any gated arm the gate's checks and first pass come
     first. The frames then come in stacks: each tracker's arms take every
     frame of a stack before the next tracker steps, and the stack is dropped
     before the next is read.
     """
     if any(any(gates) for *_, gates in trackers):
-        threshold, stacks = _gate(source, reset, reference_frame)
+        threshold, stacks = _gate(frames, reset, reference_frame)
     else:
-        threshold, stacks = None, ([(None, frame)] for frame in source())
+        threshold, stacks = None, ([(None, frame)] for frame in frames)
     shifts = disturbances or {}
     # one list of runs per tracker, each list sharing the tracker's stepper
     trace, arms, t = [], [], 0
@@ -668,8 +669,7 @@ def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
            reset: ResetConfig | None = None, gated: bool = False
            ) -> TrackResult:
     """Drive the named tracker over ``seq``, bare or gated by ``reset``."""
-    result, = _lockstep(lambda: iter(seq.frames),
-                        _resolve_init(seq.landmarks, init),
+    result, = _lockstep(seq.frames, _resolve_init(seq.landmarks, init),
                         [_arms(tracker, cfg, (gated,))], reset,
                         seq.reference_frame, disturbances)
     return result

@@ -1,5 +1,6 @@
 """Input builders shared by several test modules."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -27,6 +28,11 @@ def bench_sequence(seed, n_frames=90, decoy=False, alpha=0.3):
                              benchmark_motion_spec(n_frames=n_frames),
                              speckle=SpeckleSpec(alpha=alpha, seed=seed),
                              seed=seed)
+
+
+def held(seq):
+    """``seq`` with its frames held in a tuple, rendered once."""
+    return dataclasses.replace(seq, frames=tuple(seq.frames))
 
 
 def noise_image(seed, shape=(64, 64), low=0.0, high=255.0):

@@ -23,7 +23,13 @@ from usiq.metrics import CwSsimParams, prepare
 from usiq.pyramid import PyramidParams
 from usiq.tracking import ResetConfig
 
-from builders import bench_sequence, counted, hexed, peak_traced_bytes
+from builders import (
+    bench_sequence,
+    counted,
+    held,
+    hexed,
+    peak_traced_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +291,20 @@ def test_study_tracking_scores_the_reset_trace_once(tmp_path, monkeypatch):
 FLOAT_FRAME_BYTES = 256 * 256 * 8
 
 
+def test_study_correlation_holds_only_the_windows(tmp_path):
+    argv = ["study", "correlation", "--frames", "30", "--seed", "1",
+            "--roi", "108,128,32,32", "--param", "msssim:scales=3",
+            "--param", "msssim:weights=0.0448:0.2856:0.3001",
+            "--param", "vif:scales=3", "--param", "cwssim:levels=3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm.json")]) == 0
+    code, peak = peak_traced_bytes(
+        lambda: cli.main([*argv, "--out", str(tmp_path / "report.json")]))
+    assert code == 0
+    # each frame is rendered, cropped and dropped; holding the 30 rendered
+    # frames peaked at 42.4 frames
+    assert peak < 20 * FLOAT_FRAME_BYTES
+
+
 def test_study_tracking_holds_only_the_calibration_window(tmp_path):
     argv = ["study", "tracking", "--seed", "1", "--frames", "60",
             "--calibrate", "10"]
@@ -437,7 +457,7 @@ def test_the_runtime_needs_no_scipy(tmp_path):
 def test_study_tracking_equals_the_study_of_the_whole_sequence(
         trackers, gate, tmp_path, monkeypatch):
     # the CLI streams the benchmark sequence through the study; the study of
-    # the whole sequence in memory gives the same numbers, bit for bit
+    # the whole sequence held in memory gives the same numbers, bit for bit
     written = []
 
     def recording(comparisons, path):
@@ -452,7 +472,7 @@ def test_study_tracking_equals_the_study_of_the_whole_sequence(
                      "--hit-frame", "12", "--trackers", trackers, *gate,
                      "--out", str(got_dir / "summary.csv"),
                      "--frames-out", str(got_dir / "frames.csv")]) == 0
-    seq = bench_sequence(seed=4, n_frames=30, decoy=True)
+    seq = held(bench_sequence(seed=4, n_frames=30, decoy=True))
     tau = float(gate[1]) if gate[0] == "--tau" else None
     reset = ResetConfig(Roi(Landmark(108.0, 128.0), 32, 32),
                         metric_params=CwSsimParams(

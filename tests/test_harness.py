@@ -44,6 +44,7 @@ from usiq.tracking import ResetConfig, TrackResult, track_with_reset
 
 from builders import (
     bench_sequence,
+    held,
     reset_cfg,
     static_sequence,
     textured_phantom,
@@ -251,7 +252,8 @@ def test_trace_of_a_windowed_load_equals_the_cropped_trace(tmp_path, magic,
 
 
 def test_five_metric_trace_crops_each_frame_once(monkeypatch):
-    seq = bench_sequence(seed=9, n_frames=10)
+    # crops are matched to frames by identity, so the frames are held
+    seq = held(bench_sequence(seed=9, n_frames=10))
     cropped = []
 
     def counting(image, roi):

@@ -865,7 +865,8 @@ def test_flat_vif_reference_error_kind():
 
 
 def plain_valid_smooth(arr, kernel):
-    """Oracle: ``_valid_smooth`` with correlate1d allocating its own output."""
+    """Oracle: ``_correlate_separable`` with correlate1d allocating its own
+    output."""
     r = kernel.size // 2
     out = ndimage.correlate1d(arr, kernel, axis=0, mode="constant")
     out = ndimage.correlate1d(out, kernel, axis=1, mode="constant")
@@ -895,7 +896,7 @@ def test_valid_smooth_equals_plain_correlate1d(size, sigma, box, extra, lead,
     # sum must be -0.0 as well
     row, col = min(corner[0], extra[0]), min(corner[1], extra[1])
     arr[..., row:row + size + 1, col:col + size + 1] = -0.0
-    got = metrics._valid_smooth(arr, kernel)
+    got = metrics._correlate_separable(arr, kernel)
     assert got.shape == (*lead, extra[0] + 1, extra[1] + 1)
     for index in each_image(arr):
         assert hexes(got[index].ravel()) == hexes(

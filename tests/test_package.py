@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "run_tracking_study",
     "save_pgm", "shift_magnitude_stability", "ssim",
     "track_with_reset", "tracking_error", "vif", "write_correlation_json",
-    "write_periodic_sequence", "write_sequence", "write_sweep_csv", "write_trace_csv",
+    "write_sequence", "write_sweep_csv", "write_trace_csv",
     "write_track_csv", "write_tracking_frames_csv",
     "write_tracking_summary_csv",
 ]

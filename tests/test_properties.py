@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from usiq.errors import InvalidParamsError
+from usiq.errors import InvalidParamsError, ManifestError
 from usiq.harness import format_number, run_tracking_study
 from usiq.image import (FrameSequence, GrayImage, Landmark, Roi, crop,
                         downsample2, load_pgm, load_sequence, round_half_away,
                         save_pgm, write_sequence)
 from usiq.metrics import (CwSsimParams, MsSsimParams, SsimParams, VifParams,
-                          prepare)
+                          prepare, psnr)
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
                         periodic_sequence)
@@ -332,6 +332,22 @@ def square_roi(**fields):
                   "half_height": 2, **fields})
 
 
+def point(**fields):
+    """A Landmark at (1, 2); ``fields`` override."""
+    return Landmark(**{"x": 1.0, "y": 2.0, **fields})
+
+
+def small_disc(**fields):
+    """A radius-3 Disc at (5, 5); ``fields`` override."""
+    return Disc(**{"center": Landmark(5.0, 5.0), "radius": 3.0, **fields})
+
+
+def one_frame_sequence(**fields):
+    """A one-frame FrameSequence; ``fields`` override."""
+    return FrameSequence(**{"frames": (GrayImage(np.zeros((2, 2))),),
+                            **fields})
+
+
 INTEGER_FIELDS = [
     (SsimParams, "window_size"), (MsSsimParams, "scales"),
     (CwSsimParams, "window_size"), (VifParams, "scales"),
@@ -354,8 +370,14 @@ REAL_FIELDS = [
     (sized_phantom, "background_mean"),
     (sized_phantom, "background_texture_sigma"), (blended_speckle, "alpha"),
     (swinging_motion, "amplitude"), (swinging_motion, "period"),
-    (swinging_motion, "phase"),
+    (swinging_motion, "phase"), (point, "x"), (point, "y"),
+    (small_disc, "radius"), (small_disc, "intensity"),
+    (one_frame_sequence, "pixel_spacing_mm"),
 ]
+
+# a sequence's fields raise the manifest's error kind, every other field
+# InvalidParamsError
+FIELD_ERRORS = {one_frame_sequence: ManifestError}
 
 
 @pytest.mark.parametrize("cls, name", INTEGER_FIELDS)
@@ -381,7 +403,7 @@ def test_integer_fields_accept_python_and_numpy_integers(cls, name, int_type):
 @example(value="0.5")
 @example(value=complex(0.5, 0.0))
 def test_real_fields_reject_every_non_real(cls, name, value):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(FIELD_ERRORS.get(cls, InvalidParamsError)):
         cls(**{name: value})
 
 
@@ -390,6 +412,35 @@ def test_real_fields_reject_every_non_real(cls, name, value):
 def test_real_fields_accept_python_and_numpy_floats(cls, name, real_type):
     value = real_type(getattr(cls(), name))
     assert getattr(cls(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("build", [
+    lambda item: MsSsimParams(scales=1, weights=(item,)),
+    lambda item: MeanShiftConfig(scale_steps=(1.0, item)),
+    lambda item: Roi(item, 2, 2),
+    lambda item: psnr(GrayImage(np.zeros((2, 2))), GrayImage(np.ones((2, 2))),
+                      peakval=item),
+], ids=["msssim-weights", "meanshift-scale-steps", "roi-center",
+        "psnr-peakval"])
+@given(item=st.one_of(st.booleans(), st.text(max_size=3), st.binary(max_size=2),
+                      st.complex_numbers(), st.tuples(FINITE, FINITE)))
+@example(item=np.True_)
+@example(item="1")
+@example(item=(1.0, 2.0))
+def test_items_and_arguments_reject_every_non_real(build, item):
+    # each raised a bare TypeError, or took the value as a number
+    with pytest.raises(InvalidParamsError):
+        build(item)
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: MsSsimParams(scales=1, weights=value),
+    lambda value: MeanShiftConfig(scale_steps=value),
+], ids=["msssim-weights", "meanshift-scale-steps"])
+@pytest.mark.parametrize("value", [1.0, None, "1"])
+def test_real_tuples_reject_every_non_tuple(build, value):
+    with pytest.raises(InvalidParamsError):
+        build(value)
 
 
 # ---------------------------------------------------------------------------

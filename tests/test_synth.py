@@ -1,8 +1,11 @@
 """Synthetic-data tests: phantom geometry, speckle statistics, sequences."""
 
+import dataclasses
 import hashlib
 import math
 import os
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -37,10 +40,9 @@ from usiq.synth import (
     displacement,
     make_phantom,
     periodic_sequence,
-    write_periodic_sequence,
 )
 
-from builders import peak_traced_bytes
+from builders import held, peak_traced_bytes
 
 
 def quiet_spec(width=48, height=48, discs=()):
@@ -565,10 +567,10 @@ def directory_bytes(directory):
 def test_streamed_directory_equals_write_sequence_of_periodic_sequence(
         tmp_path, alpha, decoy):
     specs, kw = bench_args(alpha, decoy)
+    seq = periodic_sequence(*specs, **kw)
     want_dir, got_dir = tmp_path / "whole", tmp_path / "streamed"
-    want = write_sequence(periodic_sequence(*specs, **kw), want_dir,
-                          stem="run")
-    got = write_periodic_sequence(*specs, got_dir, stem="run", **kw)
+    want = write_sequence(held(seq), want_dir, stem="run")
+    got = write_sequence(seq, got_dir, stem="run")
     assert got == os.path.join(got_dir, "run_manifest.json")
     assert want == os.path.join(want_dir, "run_manifest.json")
     files = directory_bytes(got_dir)
@@ -591,6 +593,47 @@ def test_synth_sequence_holds_fewer_than_four_float_frames(tmp_path):
     assert len(os.listdir(tmp_path / "seq")) == 31
 
 
+def test_periodic_sequence_holds_fewer_than_two_float_frames():
+    specs, kw = bench_args(0.3, False, n_frames=30)
+    periodic_sequence(*specs, **kw)
+    tracemalloc.start()
+    try:
+        seq = periodic_sequence(*specs, **kw)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 30
+    # the background; holding the rendered sequence was 30 float frames
+    assert traced < 2 * FLOAT_FRAME_BYTES
+
+
+def pixel_bytes(frames):
+    return [frame.pixels.tobytes() for frame in frames]
+
+
+def test_rendered_frames_read_like_the_held_frames():
+    seq = periodic_sequence(small_phantom(), small_motion(n_frames=5),
+                            speckle=SpeckleSpec(alpha=0.4, seed=3), seed=4)
+    frames = seq.frames
+    assert isinstance(frames, Sequence) and not isinstance(frames, tuple)
+    want = pixel_bytes(tuple(frames))
+    assert len(frames) == len(want) == 5
+    # a second pass, single reads and negative reads render the same bits
+    assert pixel_bytes(frames) == want
+    assert pixel_bytes([frames[t] for t in range(5)]) == want
+    assert pixel_bytes([frames[t - 5] for t in range(5)]) == want
+    assert pixel_bytes([frames[-1]]) == want[-1:]
+    assert pixel_bytes(frames[1:4]) == want[1:4]
+    assert pixel_bytes(frames[::-2]) == want[::-2]
+    assert frames[7:] == ()
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            frames[index]
+    moved = dataclasses.replace(seq, reference_frame=2)
+    assert moved.frames is frames
+    assert moved.reference_frame == 2
+
+
 def out_of_frame_phantom():
     return PhantomSpec(width=48, height=48, landmarks=(
         Disc(Landmark(6.0, 24.0), radius=5.0),))
@@ -598,16 +641,16 @@ def out_of_frame_phantom():
 
 @pytest.mark.parametrize("call, kind", [
     # the disc fits the frame, but its 4 px swing does not
-    (lambda out: write_periodic_sequence(
-        out_of_frame_phantom(), small_motion(amplitude=4.0), out),
+    (lambda out: write_sequence(periodic_sequence(
+        out_of_frame_phantom(), small_motion(amplitude=4.0)), out),
      errors.OutOfFrameError),
     # JSON cannot hold a float32 disc coordinate
-    (lambda out: write_periodic_sequence(
+    (lambda out: write_sequence(periodic_sequence(
         PhantomSpec(width=48, height=48, landmarks=(
             Disc(Landmark(24.0, np.float32(20.0)), radius=5.0),)),
-        small_motion(), out), errors.ManifestError),
-    (lambda out: write_periodic_sequence(
-        small_phantom(), small_motion(), out, stem="a/b"),
+        small_motion()), out), errors.ManifestError),
+    (lambda out: write_sequence(periodic_sequence(
+        small_phantom(), small_motion()), out, stem="a/b"),
      errors.InvalidParamsError),
 ], ids=["out-of-frame", "center-float32", "stem-separator"])
 def test_write_periodic_sequence_checks_everything_before_writing(

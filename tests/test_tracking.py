@@ -39,6 +39,7 @@ from usiq.tracking import (
 
 from builders import (
     bench_sequence,
+    held,
     hexed,
     reset_cfg,
     static_sequence,
@@ -402,7 +403,7 @@ class PerWindowBinning(tracking._MeanShiftStepper):
 
 def per_window_track(seq, cfg):
     """Oracle: the bare mean-shift track of ``seq`` by ``PerWindowBinning``."""
-    result, = tracking._lockstep(lambda: iter(seq.frames), seq.landmarks[0],
+    result, = tracking._lockstep(seq.frames, seq.landmarks[0],
                                  [(PerWindowBinning, cfg, (False,))])
     return result
 
@@ -566,7 +567,8 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
 
 
 def test_calibrated_reset_crops_each_frame_once(monkeypatch):
-    seq = dataclasses.replace(bench_sequence(seed=5, n_frames=20),
+    # crops are matched to frames by identity, so the frames are held
+    seq = dataclasses.replace(held(bench_sequence(seed=5, n_frames=20)),
                               reference_frame=3)
     cfg = reset_cfg(calibration_frames=6)
     cropped = []
