@@ -9,6 +9,7 @@ digit rule so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import FrameSequence, Roi, crop
-from .metrics import METRICS, normalize_series, prepare
+from .metrics import METRICS, _stack_size, normalize_series, prepare
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
     TRACKERS,
@@ -168,16 +169,31 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     reference and frame); ``metric_params`` maps metric id to its params
     object. Constant columns (including the single-frame case) are reported
     raw with a constant-series note instead of raising.
+
+    One pass reads each frame once, in order, and crops it once when there
+    is a ROI. The views through the reference's are read first, and every
+    metric is prepared from the reference's view, which is also the test of
+    its own row. Then each scorer stack of views goes to every metric in
+    turn and is dropped before the next stack is read. So the metric list
+    and params are checked first, then every reference (a degenerate VIF
+    reference raises before any frame is scored), and errors about frames,
+    such as a frame of another shape, come in frame order.
     """
     names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
-    # every metric reads every frame: hold them, or their windows, once
-    views = (tuple(seq.frames) if roi is None
-             else tuple(crop(frame, roi) for frame in seq.frames))
-    raw = {}
-    for name in names:
-        scorer = prepare(name, views[seq.reference_frame], params.get(name))
-        raw[name] = scorer.values(views)
+    frames = iter(seq.frames)
+    views = frames if roi is None else (crop(frame, roi) for frame in frames)
+    head = list(itertools.islice(views, seq.reference_frame + 1))
+    scorers = [prepare(name, head[-1], params.get(name)) for name in names]
+    size = _stack_size(head[-1].pixels.size)
+    views = itertools.chain(head, views)
+    del head  # only the chain holds the head views, until it passes them
+    columns = {name: [] for name in names}
+    while stack := list(itertools.islice(views, size)):
+        for name, scorer in zip(names, scorers):
+            columns[name].extend(scorer.values(stack))
+        del stack
+    raw = {name: tuple(column) for name, column in columns.items()}
     normalized, notes = _normalized_or_noted(raw)
     return TraceReport(metrics=names, raw=raw, normalized=normalized,
                        notes=notes, reference_frame=seq.reference_frame)

@@ -223,7 +223,8 @@ def _parse_pgm_header(data: bytes):
 def _read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary (P5) or ASCII (P2) PGM file into its integer raster,
     shaped (height, width), and its ``maxval``; every header and sample
-    check happens here."""
+    check happens here. Samples are held in 8 bits when ``maxval`` is at
+    most 255, else in 16, whichever the magic."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic, width, height, maxval, pos = _parse_pgm_header(data)
@@ -249,6 +250,9 @@ def _read_pgm(path) -> tuple[np.ndarray, int]:
             raise PgmDataError("non-numeric sample in ASCII raster") from None
     if arr.min() < 0 or arr.max() > maxval:
         raise PgmDataError("sample value outside [0, maxval]")
+    if magic == b"P2":
+        # in range, so the samples fit the width a P5 raster would use
+        arr = arr.astype(np.uint16 if maxval > 255 else np.uint8)
     return arr.reshape(height, width), maxval
 
 
@@ -412,8 +416,8 @@ def _checked_fields(n_frames: int, pixel_spacing_mm, reference_frame,
 
 
 class _RenderedFrames(Sequence):
-    """``n`` frames rendered each time they are read: frame ``t`` is
-    ``render(t)``, and no rendered frame is kept."""
+    """``n`` frames made each time they are read: frame ``t`` is
+    ``render(t)``, and no frame made is kept."""
 
     def __init__(self, render, n: int):
         self._render, self._n = render, n
@@ -437,8 +441,9 @@ class FrameSequence:
     """Frame sequence: what trackers and the harness operate on.
 
     ``frames`` is any sequence of images; it is held as a tuple unless its
-    frames are rendered on read, as :func:`~usiq.synth.periodic_sequence`'s
-    are (``tuple(seq.frames)`` holds those). Every frame has the same shape,
+    frames are made each time they are read, as those of
+    :func:`~usiq.synth.periodic_sequence` and :func:`load_sequence` are
+    (``tuple(seq.frames)`` holds those). Every frame has the same shape,
     ``pixel_spacing_mm`` is > 0 and ``reference_frame`` indexes a frame.
     ``landmarks``, when given, holds one tuple of annotations per frame, the
     same number in each (ground truth when the sequence came from the
@@ -462,7 +467,7 @@ class FrameSequence:
         object.__setattr__(self, "reference_frame", ref)
         object.__setattr__(self, "landmarks", marks)
         if isinstance(frames, tuple):
-            # rendered frames share their renderer's shape by construction
+            # frames made on read share their maker's shape by construction
             shape = frames[0].shape
             for i, frame in enumerate(frames):
                 if frame.shape != shape:
@@ -489,7 +494,7 @@ def write_sequence(sequence: FrameSequence, directory, stem: str = "frame") -> s
     prefix, without a path separator or a NUL. The stem is checked and the
     manifest text built before any file is written, so a sequence it cannot
     hold leaves no partial output. Each frame is read, written and dropped
-    before the next is read, so a sequence whose frames render on read is
+    before the next is read, so a sequence whose frames are made on read is
     written one float frame at a time.
     """
     if not stem or any(c in stem for c in ("/", os.sep, "\0")):
@@ -537,7 +542,9 @@ def load_sequence(manifest_path, roi: Roi | None = None) -> FrameSequence:
     Every manifest field is checked, ``reference_frame`` as a JSON integer,
     before any frame is read; a malformed manifest raises ManifestError.
     Every frame is read and checked, and the frames' full shapes compared,
-    before any is converted to float.
+    before the sequence is returned. The sequence holds the integer rasters,
+    and its frames convert them to float each time they are read, as
+    :func:`load_pgm` does; ``tuple(seq.frames)`` holds the float frames.
 
     With ``roi``, each frame is the :func:`crop` of its file's image, cut
     from the integer raster as soon as the file is read, so only the
@@ -593,5 +600,5 @@ def load_sequence(manifest_path, roi: Roi | None = None) -> FrameSequence:
         marks = [[Landmark(lm.x - x0, lm.y - y0) for lm in per_frame]
                  for per_frame in marks]
     return FrameSequence(
-        frames=tuple(_to_gray(raster, maxval) for raster, maxval in rasters),
+        frames=_RenderedFrames(lambda t: _to_gray(*rasters[t]), len(rasters)),
         pixel_spacing_mm=spacing, landmarks=marks, reference_frame=ref)

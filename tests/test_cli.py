@@ -305,6 +305,51 @@ def test_study_correlation_holds_only_the_windows(tmp_path):
     assert peak < 20 * FLOAT_FRAME_BYTES
 
 
+CROP_BYTES = 65 * 65 * 8
+
+ROI_TRACE_ARGS = ["--metrics", "mse,psnr,ssim,msssim,vif",
+                  "--roi", "108,128,32,32", "--param", "msssim:scales=3",
+                  "--param", "msssim:weights=0.0448:0.2856:0.3001",
+                  "--param", "vif:scales=3"]
+
+
+def synth_manifest(directory, frames):
+    """Write a ``frames``-frame benchmark sequence; returns its manifest."""
+    assert cli.main(["synth", "sequence", "--seed", "1", "--frames",
+                     str(frames), "--out-dir", str(directory)]) == 0
+    return str(directory / "frame_manifest.json")
+
+
+def warm_traced_peak(argv):
+    """The traced peak of ``cli.main(argv)``, run once before to warm up."""
+    assert cli.main(argv) == 0
+    code, peak = peak_traced_bytes(lambda: cli.main(argv))
+    assert code == 0
+    return peak
+
+
+def test_roi_trace_peak_does_not_grow_with_the_frames(tmp_path):
+    peaks = {}
+    for n in (6, 30):
+        manifest = synth_manifest(tmp_path / f"seq{n}", n)
+        peaks[n] = warm_traced_peak(["trace", "--manifest", manifest,
+                                     *ROI_TRACE_ARGS,
+                                     "--out", str(tmp_path / "trace.csv")])
+    # each frame adds its 8-bit window, an eighth of a float crop, and the
+    # scoring holds one stack of crops; holding every float crop added one
+    # crop a frame
+    assert peaks[30] - peaks[6] < 12 * CROP_BYTES
+
+
+def test_track_manifest_holds_the_integer_rasters(tmp_path):
+    manifest = synth_manifest(tmp_path / "seq", 30)
+    peak = warm_traced_peak(["track", "--manifest", manifest, "--tracker",
+                             "ncc", "--out", str(tmp_path / "track.csv")])
+    # the 30 8-bit rasters are 3.75 float frames, and the tracker reads one
+    # float frame at a time; holding the float frames peaked at 34.1
+    assert peak < 10 * FLOAT_FRAME_BYTES
+
+
 def test_study_tracking_holds_only_the_calibration_window(tmp_path):
     argv = ["study", "tracking", "--seed", "1", "--frames", "60",
             "--calibrate", "10"]

@@ -1,5 +1,6 @@
 """Harness tests: Pearson scoring, traces, studies, sweeps, report emitters."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -8,7 +9,7 @@ import statistics
 import numpy as np
 import pytest
 
-from usiq import errors, harness, metrics
+from usiq import errors, harness, image, metrics, synth
 from usiq.harness import (
     CorrelationEntry,
     CorrelationReport,
@@ -26,7 +27,15 @@ from usiq.harness import (
     write_tracking_frames_csv,
     write_tracking_summary_csv,
 )
-from usiq.image import FrameSequence, Landmark, Roi, crop, load_sequence
+from usiq.image import (
+    FrameSequence,
+    GrayImage,
+    Landmark,
+    Roi,
+    _RenderedFrames,
+    crop,
+    load_sequence,
+)
 from usiq.metrics import CwSsimParams, MsSsimParams, VifParams
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
@@ -44,7 +53,9 @@ from usiq.tracking import ResetConfig, TrackResult, track_with_reset
 
 from builders import (
     bench_sequence,
+    counted,
     held,
+    noise_image,
     reset_cfg,
     static_sequence,
     textured_phantom,
@@ -267,6 +278,53 @@ def test_five_metric_trace_crops_each_frame_once(monkeypatch):
     assert len(cropped) == 10
     assert all(got is frame for got, frame in zip(cropped, seq.frames))
     assert all(len(col) == 10 for col in report.raw.values())
+
+
+@pytest.mark.parametrize("reference_frame", [0, 3])
+@pytest.mark.parametrize("roi", [None, SMALL_ROI], ids=["full", "roi"])
+def test_trace_renders_each_frame_once(monkeypatch, roi, reference_frame):
+    # the reference's view is read with the frames before it and is also
+    # the test of its own row
+    renders = counted(monkeypatch, synth, "_render")
+    seq = dataclasses.replace(bench_sequence(seed=4, n_frames=8),
+                              reference_frame=reference_frame)
+    names = ("mse", "psnr", "ssim", "msssim", "vif", "cwssim")
+    report = run_trace(seq, names, roi=roi, metric_params=TRACE_PARAMS)
+    assert len(renders) == 8
+    assert all(len(col) == 8 for col in report.raw.values())
+
+
+@pytest.mark.parametrize("roi", [None, SMALL_ROI], ids=["full", "roi"])
+def test_trace_converts_each_loaded_raster_once(tmp_path, monkeypatch, roi):
+    path = write_pgm_sequence(tmp_path, "P5", 255, bench_rasters(255))
+    converted = counted(monkeypatch, image, "_to_gray")
+    run_trace(load_sequence(path, roi), ["mse", "ssim"])
+    assert len(converted) == 4
+
+
+def shape_break(t):
+    """Frame ``t`` of a 96x96 noise sequence whose frame 2 is one column
+    wider."""
+    return noise_image(t, shape=(96, 97 if t == 2 else 96))
+
+
+FLAT = GrayImage(np.full((96, 96), 80.0))
+
+
+@pytest.mark.parametrize("frames, names, kind", [
+    ((FLAT, shape_break(1), shape_break(3)), ["mse", "vif"],
+     "degenerate-reference"),
+    (_RenderedFrames(shape_break, 4), ["mse", "ssim"], "dimension-mismatch"),
+    ((shape_break(1),) * 3, ["mse", "sharpness"], "invalid-params"),
+    # both a degenerate reference and a frame of another shape: every
+    # reference is prepared before any frame is scored
+    (_RenderedFrames(lambda t: FLAT if t == 0 else shape_break(t), 4),
+     ["mse", "vif"], "degenerate-reference"),
+], ids=["degenerate-vif", "frame-shape", "unknown-metric", "both"])
+def test_trace_error_kinds(frames, names, kind):
+    with pytest.raises(errors.UsiqError) as exc:
+        run_trace(FrameSequence(frames), names)
+    assert exc.value.kind == kind
 
 
 def test_trace_respects_roi_and_metric_order():

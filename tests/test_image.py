@@ -12,6 +12,7 @@ from usiq.image import (
     GrayImage,
     Landmark,
     Roi,
+    _read_pgm,
     crop,
     downsample2,
     load_pgm,
@@ -566,3 +567,35 @@ def test_windowed_load_keeps_only_the_windows(tmp_path):
     assert peak < sum(raster.size for raster in rasters)
     assert seq.frames[29].pixels.tobytes() == crop(
         GrayImage(rasters[29]), roi).pixels.tobytes()
+
+
+def test_load_sequence_holds_the_integer_rasters(tmp_path):
+    rng = np.random.default_rng(6)
+    rasters = [rng.integers(0, 256, (256, 256)) for _ in range(30)]
+    path = write_pgm_sequence(tmp_path, "P5", 255, rasters)
+    load_sequence(path)
+    seq, peak = peak_traced_bytes(lambda: load_sequence(path))
+    # the 8-bit rasters are held and each frame converts when it is read;
+    # holding the float frames took 30 times 8 bytes a pixel
+    assert peak < 2 * sum(raster.size for raster in rasters)
+    for t in (0, 29, -1):
+        assert seq.frames[t].pixels.tobytes() == load_pgm(
+            tmp_path / f"f{t % 30}.pgm").pixels.tobytes()
+
+
+@pytest.mark.parametrize("maxval", [255, 1000])
+def test_p2_and_p5_loads_of_the_same_samples_agree(tmp_path, maxval):
+    rng = np.random.default_rng(maxval)
+    rasters = [rng.integers(0, maxval + 1, (12, 15)) for _ in range(3)]
+    rasters[0][0, :3] = (0, 1, maxval)
+    frames = {}
+    for magic in ("P2", "P5"):
+        directory = tmp_path / magic
+        directory.mkdir()
+        path = write_pgm_sequence(directory, magic, maxval, rasters)
+        frames[magic] = [f.pixels.tobytes() for f in load_sequence(path).frames]
+        # ASCII samples are held as narrow as binary ones: 1 byte to 255,
+        # else 2
+        raster, _ = _read_pgm(directory / "f0.pgm")
+        assert raster.itemsize == (1 if maxval <= 255 else 2)
+    assert frames["P2"] == frames["P5"]
