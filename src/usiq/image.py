@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    ImageTooSmallError,
     InvalidImageError,
     InvalidParamsError,
     ManifestError,
@@ -35,7 +34,6 @@ __all__ = [
     "Landmark",
     "Roi",
     "crop",
-    "downsample2",
     "load_pgm",
     "load_sequence",
     "save_pgm",
@@ -310,20 +308,12 @@ def crop(image: GrayImage, roi: Roi) -> GrayImage:
     return GrayImage(_window(image.pixels, roi))
 
 
-def downsample2(image: GrayImage) -> GrayImage:
-    """Halve both dimensions: separable [1 4 6 4 1]/16 smoothing with edge
-    replication, then keep every second sample starting at index 0.
-
-    Output dims are ceil(dim / 2); constant images stay constant exactly.
-    """
-    if image.width < 2 or image.height < 2:
-        raise ImageTooSmallError(
-            f"cannot downsample a {image.width}x{image.height} image")
-    return GrayImage(_decimate2(image.pixels, _BINOMIAL5))
-
-
-# Input pixels per chunk of a separable correlation: one 256x256 image.
-_CHUNK_PIXELS = 1 << 16
+# Input pixels per chunk of a separable correlation: seven 65x65 images, or
+# one larger image. A scorer's (3, 4, 65, 65) plane stack is smoothed six
+# images at a time, not all twelve at once: its row-pass temporaries halve,
+# from 0.69 to 0.34 MB, and the SSIM family scored no slower. Chunks of three
+# images took 4-14 % longer. A 256x256 image is still one chunk.
+_CHUNK_PIXELS = 1 << 15
 
 
 def _correlate_separable(arr: np.ndarray, kernel: np.ndarray,
@@ -344,11 +334,14 @@ def _correlate_separable(arr: np.ndarray, kernel: np.ndarray,
     images = arr.reshape(-1, *arr.shape[-2:])
     out = np.empty((len(images), rows, cols))
     # both passes run on a few images at a time, whose temporaries stay in
-    # cache: a stack of three 256x256 images took twice as long in one go
-    chunk = max(1, _CHUNK_PIXELS // (arr.shape[-2] * arr.shape[-1]))
-    for i in range(0, len(images), chunk):
-        rows_done = _correlate_axis(images[i:i + chunk], weights, -2, step)
-        _correlate_axis(rows_done, weights, -1, step, out[i:i + chunk])
+    # cache: a stack of three 256x256 images took twice as long in one go.
+    # The chunks are as even as the budget allows: 6 + 6 images, not 7 + 5
+    most = max(1, _CHUNK_PIXELS // (arr.shape[-2] * arr.shape[-1]))
+    parts = max(1, math.ceil(len(images) / most))
+    for chunk, dest in zip(np.array_split(images, parts),
+                           np.array_split(out, parts)):
+        _correlate_axis(_correlate_axis(chunk, weights, -2, step),
+                        weights, -1, step, dest)
     return out.reshape(*arr.shape[:-2], rows, cols)
 
 

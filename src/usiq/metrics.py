@@ -196,12 +196,12 @@ class SimilarityScore:
 
 
 # Pixels per stack of a stacked scorer. CW-SSIM's working memory grows by
-# about 1 MB per 65x65 frame in a stack, while its time stops falling at 4
-# such frames: by then the per-call cost of its many small FFTs is mostly
-# spared. MS-SSIM and VIF, which pay numpy's per-call cost at every scale,
-# take a third less time in stacks of four 65x65 frames. Frames of more than
-# a quarter of this budget are scored one at a time: a stack of 256x256
-# frames saves no time and holds about 16 MB each.
+# about 0.27 MB per 65x65 frame in a stack (1.6 MB for four), while its time
+# stops falling at 4 such frames: by then the per-call cost of its many
+# small FFTs is mostly spared. MS-SSIM and VIF, which pay numpy's per-call
+# cost at every scale, take a third less time in stacks of four 65x65
+# frames. Frames of more than a quarter of this budget are scored one at a
+# time: a stack of 256x256 frames saves no time.
 _STACK_PIXELS = 4 * 65 * 65
 
 
@@ -278,14 +278,18 @@ def _moments(x: np.ndarray, kernel: np.ndarray) -> _Moments:
 def _test_moments(x: _Moments, y: np.ndarray,
                   kernel: np.ndarray) -> tuple[_Moments, np.ndarray]:
     """A stack of tests' ``_moments`` and their weighted covariance with the
-    reference ``x``, from one smoothing pass over the planes (y, y², x·y)."""
+    reference ``x``, from one smoothing pass over the planes (y, y², x·y);
+    the variance and covariance are formed in the smoothed planes."""
     planes = np.empty((3, *y.shape))
     planes[0] = y
     np.multiply(y, y, out=planes[1])
     np.multiply(x.pixels, y, out=planes[2])
-    mean, square, cross = _correlate_separable(planes, kernel)
-    return (_Moments(y, mean, square - mean * mean),
-            cross - x.mean * mean)
+    mean, var, cov = _correlate_separable(planes, kernel)
+    product = mean * mean
+    var -= product
+    np.multiply(x.mean, mean, out=product)
+    cov -= product
+    return _Moments(y, mean, var), cov
 
 
 def _powered(term: np.ndarray, exponent: float):
@@ -296,25 +300,57 @@ def _powered(term: np.ndarray, exponent: float):
     return np.clip(term, 0.0, None) ** exponent
 
 
-def _ssim_side(x: np.ndarray, kernel: np.ndarray):
+class _SsimSide(NamedTuple):
+    """A reference's SSIM statistics, with the products of them that the
+    terms of every test reuse."""
+
+    moments: _Moments
+    sd: np.ndarray  # σx
+    two_mean: np.ndarray  # 2·μx
+    mean_sq: np.ndarray  # μx²
+    two_sd: np.ndarray  # 2·σx
+
+
+def _ssim_side(x: np.ndarray, kernel: np.ndarray) -> _SsimSide:
     """One image's SSIM statistics: local moments and standard deviation."""
     m = _moments(x, kernel)
-    return m, np.sqrt(np.clip(m.var, 0.0, None))
+    sd = np.sqrt(np.clip(m.var, 0.0, None))
+    return _SsimSide(m, sd, 2.0 * m.mean, m.mean * m.mean, 2.0 * sd)
 
 
-def _ssim_terms(ref, tests: np.ndarray, kernel, params: SsimParams):
+def _ssim_terms(ref: _SsimSide, tests: np.ndarray, kernel,
+                params: SsimParams):
     """Luminance, contrast, and structure maps over valid window centers,
-    from the reference's ``_ssim_side`` statistics and a stack of tests."""
-    x, sx = ref
-    y, sxy = _test_moments(x, tests, kernel)
-    sy = np.sqrt(np.clip(y.var, 0.0, None))
+    from the reference's ``_ssim_side`` statistics and a stack of tests.
+
+    Each map is formed in place, in one of the buffers of the tests'
+    moments, with the operations of
+    ``(2·μx·μy + c1) / (μx² + μy² + c1)``,
+    ``(2·σx·σy + c2) / (σx² + σy² + c2)`` and
+    ``(σxy + c3) / (σx·σy + c3)`` in that order.
+    """
+    y, sxy = _test_moments(ref.moments, tests, kernel)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     c3 = c2 / 2.0
-    lterm = (2.0 * x.mean * y.mean + c1) / (
-        x.mean * x.mean + y.mean * y.mean + c1)
-    cterm = (2.0 * sx * sy + c2) / (x.var + y.var + c2)
-    sterm = (sxy + c3) / (sx * sy + c3)
+    den = np.multiply(y.mean, y.mean)
+    np.add(ref.mean_sq, den, out=den)
+    den += c1
+    lterm = np.multiply(ref.two_mean, y.mean, out=y.mean)
+    lterm += c1
+    lterm /= den
+    sy = np.clip(y.var, 0.0, None, out=den)
+    np.sqrt(sy, out=sy)
+    cterm = np.multiply(ref.two_sd, sy)
+    cterm += c2
+    den = np.add(ref.moments.var, y.var, out=y.var)
+    den += c2
+    cterm /= den
+    sterm = sxy
+    sterm += c3
+    den = np.multiply(ref.sd, sy, out=sy)
+    den += c3
+    sterm /= den
     return lterm, cterm, sterm
 
 
@@ -409,6 +445,31 @@ def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
     return _correlate_separable(arr, ones)
 
 
+def _cw_ssim_map(wx: np.ndarray, sums_x: np.ndarray, wy: np.ndarray,
+                 size: int, k: float) -> np.ndarray:
+    """One band's CW-SSIM maps of a stack of tests, from the reference band
+    ``wx``, its window power sums and the tests' band ``wy``, which is
+    overwritten: ``(2·|Σ wx·conj(wy)| + k) / (Σ|wx|² + Σ|wy|² + k)``.
+    """
+    # the planes (cross.real, cross.imag, power_y), summed in one pass
+    planes = np.empty((3, *wy.shape))
+    np.square(wy.real, out=planes[0])
+    np.square(wy.imag, out=planes[1])
+    np.add(planes[0], planes[1], out=planes[2])
+    cross = np.conjugate(wy, out=wy)
+    np.multiply(wx, cross, out=cross)
+    planes[0] = cross.real
+    planes[1] = cross.imag
+    del wy, cross  # the band is freed before its box sums are taken
+    sums_cross_re, sums_cross_im, sums_y = _window_sums(planes, size)
+    num = np.hypot(sums_cross_re, sums_cross_im, out=sums_cross_re)
+    num *= 2.0
+    num += k
+    den = np.add(sums_x, sums_y, out=sums_y)
+    den += k
+    return np.divide(num, den, out=num)
+
+
 def _prepare_cw_ssim(ref: GrayImage,
                      params: CwSsimParams | None = None) -> Scorer:
     params = params if params is not None else CwSsimParams()
@@ -426,24 +487,16 @@ def _prepare_cw_ssim(ref: GrayImage,
     count = sum(sums_x.size for _, _, sums_x in bands)  # windows per test
 
     def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
-        stack = _test_stack(ref, tests)
+        wys = band_stack(_test_stack(ref, tests), params.pyramid)
         totals = [0.0] * len(tests)
         finest = []
-        for (level, wx, sums_x), wy in zip(bands,
-                                           band_stack(stack, params.pyramid)):
-            # the planes (cross.real, cross.imag, power_y), summed in one pass
-            planes = np.empty((3, *wy.shape))
-            cross = wx * np.conj(wy)
-            planes[0] = cross.real
-            planes[1] = cross.imag
-            np.add(wy.real ** 2, wy.imag ** 2, out=planes[2])
-            sums_cross_re, sums_cross_im, sums_y = _window_sums(planes, size)
-            num = 2.0 * np.hypot(sums_cross_re, sums_cross_im) + k
-            smap = num / (sums_x + sums_y + k)
-            for i, frame_map in enumerate(smap):
-                totals[i] += float(frame_map.sum())
+        for level, wx, sums_x in bands:
+            smap = _cw_ssim_map(wx, sums_x, next(wys), size, k)
+            totals = [total + float(frame_map.sum())
+                      for total, frame_map in zip(totals, smap)]
             if level == 0 and maps:
-                finest.append(smap)
+                finest.append(smap.copy())
+            del smap  # a view of the band's box sums, freed before the next band
         return [SimilarityScore(
             "cwssim", total / count,
             np.mean([smap[i] for smap in finest], axis=0) if maps else None)
@@ -580,21 +633,20 @@ def normalize_series(values) -> list[float]:
 
 
 class _Metric(NamedTuple):
-    """One metric: its preparer, the type of the params it takes (None: it
-    takes none; psnr's params is its peak value), and its public function."""
+    """One metric: its preparer and the type of the params it takes (None:
+    it takes none; psnr's params is its peak value)."""
 
     prepare: Callable[..., Scorer]
     params: type | None
-    function: Callable[..., SimilarityScore]
 
 
 METRICS = {
-    "mse": _Metric(_prepare_mse, None, mse),
-    "psnr": _Metric(_prepare_psnr, Real, psnr),
-    "ssim": _Metric(_prepare_ssim, SsimParams, ssim),
-    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams, ms_ssim),
-    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams, cw_ssim),
-    "vif": _Metric(_prepare_vif, VifParams, vif),
+    "mse": _Metric(_prepare_mse, None),
+    "psnr": _Metric(_prepare_psnr, Real),
+    "ssim": _Metric(_prepare_ssim, SsimParams),
+    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams),
+    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams),
+    "vif": _Metric(_prepare_vif, VifParams),
 }
 
 
@@ -609,7 +661,7 @@ def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
     each.
     """
     try:
-        preparer, expected, _ = METRICS[name]
+        preparer, expected = METRICS[name]
     except KeyError:
         raise InvalidParamsError(
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")

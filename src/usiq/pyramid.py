@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class Pyramid:
     lowpass_residual: np.ndarray
     params: PyramidParams
     source_shape: tuple[int, int]
-
-    def band(self, level: int, orientation: int) -> ComplexSubband:
-        return self.subbands[level * self.params.orientations + orientation]
 
 
 def min_dimension(params: PyramidParams) -> int:
@@ -182,22 +179,42 @@ def _spectrum(pixels: np.ndarray, params: PyramidParams):
     return dft, _plan(dft.shape[-2:], params.levels, params.orientations)
 
 
-def _band_loop(dft: np.ndarray, plan: _Plan, orientations: int):
-    """Oriented bands of a stack of centred spectra, in ``Pyramid.subbands``
-    order, each ``(..., h_level, w_level)``; also returns the lowpass
-    spectrum left after the last level."""
-    size = dft.shape[-2] * dft.shape[-1]
-    lodft = dft * plan.lo0
+def _bands(lodft: np.ndarray, plan: _Plan, orientations: int):
+    """Yield the oriented bands of a stack of centred lowpass spectra
+    ``dft * plan.lo0``, in ``Pyramid.subbands`` order, each
+    ``(..., h_level, w_level)``. Returns the lowpass spectrum left after the
+    last level.
+
+    One band is made at a time. Each level's ``radial`` spectrum is shifted
+    once, so only the level's one-image masks are shifted per band, and it
+    is dropped before the level's last band is handed out.
+    """
+    size = lodft.shape[-2] * lodft.shape[-1]
     phase = (-1j) ** (orientations - 1)
-    bands = []
     for masks in plan.levels:
         factor = math.sqrt(lodft.shape[-2] * lodft.shape[-1] / size)
-        radial = phase * lodft * masks.himask
-        for amask in masks.angle_masks:
-            bands.append(np.fft.ifft2(np.fft.ifftshift(
-                radial * amask, axes=(-2, -1))) * factor)
+        radial = phase * lodft
+        radial *= masks.himask
         lodft = lodft[(..., *masks.keep)] * masks.lomask
-    return bands, lodft
+        radial = _ifftshift(radial)
+        *rest, last = masks.angle_masks
+        for amask in rest:
+            yield _band(radial * _ifftshift(amask), factor)
+        spectrum = radial * _ifftshift(last)
+        del radial
+        yield _band(spectrum, factor)
+    return lodft
+
+
+def _ifftshift(spectrum: np.ndarray) -> np.ndarray:
+    return np.fft.ifftshift(spectrum, axes=(-2, -1))
+
+
+def _band(spectrum: np.ndarray, factor: float) -> np.ndarray:
+    """The band of a shifted spectrum, scaled by ``factor``."""
+    band = np.fft.ifft2(spectrum)
+    band *= factor
+    return band
 
 
 def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
@@ -216,7 +233,13 @@ def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
 
     dft, plan = _spectrum(image.pixels, params)
     highpass = np.fft.ifft2(np.fft.ifftshift(dft * plan.hi0)).real
-    coeffs, lodft = _band_loop(dft, plan, params.orientations)
+    bands = _bands(dft * plan.lo0, plan, params.orientations)
+    coeffs = []
+    try:
+        while True:
+            coeffs.append(next(bands))
+    except StopIteration as done:
+        lodft = done.value
     factor = math.sqrt(lodft.size / dft.size)
     lowpass = np.fft.ifft2(np.fft.ifftshift(lodft)).real * factor
 
@@ -229,15 +252,19 @@ def decompose(image: GrayImage, params: PyramidParams | None = None) -> Pyramid:
                    source_shape=image.pixels.shape)
 
 
-def band_stack(pixels: np.ndarray, params: PyramidParams) -> list[np.ndarray]:
+def band_stack(pixels: np.ndarray, params: PyramidParams) -> Iterator[np.ndarray]:
     """The oriented band coefficients ``decompose`` gives, for every image
-    of an ``(n, h, w)`` stack in one pass: band ``j`` is an ``(n, h_j, w_j)``
-    array whose ``[i]`` equals ``decompose(image i).subbands[j].coeffs``.
+    of an ``(n, h, w)`` stack in one pass: an iterator whose band ``j`` is an
+    ``(n, h_j, w_j)`` array whose ``[i]`` equals
+    ``decompose(image i).subbands[j].coeffs``.
 
-    No residual is computed and the image size is not checked.
+    The forward transform runs here; each band is made only when the
+    iterator is advanced, so a consumer that drops band ``j`` before asking
+    for band ``j + 1`` holds one band at a time. The bands are writable and
+    not shared. No residual is computed and the image size is not checked.
     """
     dft, plan = _spectrum(pixels, params)
-    return _band_loop(dft, plan, params.orientations)[0]
+    return _bands(dft * plan.lo0, plan, params.orientations)
 
 
 def band_energy(pyramid: Pyramid) -> float:

@@ -362,8 +362,12 @@ class _NccStepper:
 
 
 def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:
-    idx = np.floor(values * (bins / 256.0)).astype(np.int64)
-    return np.clip(idx, 0, bins - 1)
+    """The histogram bin of each intensity, in the smallest unsigned type
+    that holds ``bins - 1`` (``uint8`` for up to 256 bins)."""
+    idx = values * (bins / 256.0)
+    np.floor(idx, out=idx)
+    np.clip(idx, 0, bins - 1, out=idx)
+    return idx.astype(np.min_scalar_type(bins - 1))
 
 
 def _kernel_window(plane: np.ndarray, cx: float, cy: float, radius: float):

@@ -1,4 +1,4 @@
-"""Image-core tests: PGM I/O, crop, downsample, sequences on disk."""
+"""Image-core tests: PGM I/O, crop, 2x decimation, sequences on disk."""
 
 import json
 import os
@@ -8,19 +8,21 @@ import pytest
 
 from usiq import errors
 from usiq.image import (
+    _BINOMIAL5,
     FrameSequence,
     GrayImage,
     Landmark,
     Roi,
+    _decimate2,
     _read_pgm,
     crop,
-    downsample2,
     load_pgm,
     load_sequence,
     round_half_away,
     save_pgm,
     write_sequence,
 )
+from usiq.metrics import MsSsimParams, SsimParams, prepare
 
 from builders import peak_traced_bytes, write_pgm_sequence
 
@@ -241,25 +243,24 @@ def test_crop_translation_consistency():
 
 
 # ---------------------------------------------------------------------------
-# downsample2
+# 2x decimation with the binomial kernel, MS-SSIM's downsampling
 
 
 def test_downsample2_constant_stays_constant():
-    img = GrayImage(np.full((10, 10), 37.25))
-    out = downsample2(img)
+    out = _decimate2(np.full((10, 10), 37.25), _BINOMIAL5)
     assert out.shape == (5, 5)
-    assert np.all(out.pixels == 37.25)
+    assert np.all(out == 37.25)
 
 
 def test_downsample2_output_dims_ceil():
-    assert downsample2(GrayImage(np.zeros((4, 4)))).shape == (2, 2)
-    assert downsample2(GrayImage(np.zeros((5, 7)))).shape == (3, 4)
+    assert _decimate2(np.zeros((4, 4)), _BINOMIAL5).shape == (2, 2)
+    assert _decimate2(np.zeros((5, 7)), _BINOMIAL5).shape == (3, 4)
 
 
 def test_downsample2_impulse_matches_frozen_kernel():
     img = np.zeros((9, 9))
     img[4, 4] = 1.0
-    out = downsample2(GrayImage(img)).pixels
+    out = _decimate2(img, _BINOMIAL5)
     # impulse away from edges: separable binomial response sampled at even
     # offsets -4..4, i.e. 1-D taps [0, 1/16, 6/16, 1/16, 0]
     taps = np.array([0.0, 1.0 / 16.0, 6.0 / 16.0, 1.0 / 16.0, 0.0])
@@ -292,13 +293,17 @@ def _downsample2_oracle(pix):
 def test_downsample2_matches_double_loop_oracle():
     rng = np.random.default_rng(11)
     pix = rng.uniform(0, 255, size=(11, 14))
-    out = downsample2(GrayImage(pix)).pixels
+    out = _decimate2(pix, _BINOMIAL5)
     assert np.allclose(out, _downsample2_oracle(pix), atol=1e-10)
 
 
 def test_downsample2_too_small():
+    # MS-SSIM, the caller that decimates with the binomial kernel, rejects
+    # an image too small for its scales before it decimates
+    params = MsSsimParams(scales=2, weights=(0.5, 0.5),
+                          base=SsimParams(window_size=3))
     with pytest.raises(errors.ImageTooSmallError):
-        downsample2(GrayImage(np.zeros((1, 5))))
+        prepare("msssim", GrayImage(np.zeros((1, 5))), params)
 
 
 # ---------------------------------------------------------------------------

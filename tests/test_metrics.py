@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from usiq import errors, metrics
-from usiq.image import GrayImage, Landmark, Roi, crop, downsample2
+from usiq.image import _BINOMIAL5, GrayImage, Landmark, Roi, crop
 from usiq.metrics import (
     METRICS,
     CwSsimParams,
@@ -36,7 +36,7 @@ from usiq.synth import (
     periodic_sequence,
 )
 
-from builders import noise_image
+from builders import noise_image, peak_traced_bytes
 
 
 def smooth_scene(size=128):
@@ -429,20 +429,26 @@ def test_identity_maximality():
 # Registry plumbing
 
 
+# each metric's public function, in registry order
+PUBLIC_FUNCTIONS = {"mse": mse, "psnr": psnr, "ssim": ssim, "msssim": ms_ssim,
+                    "cwssim": cw_ssim, "vif": vif}
+
+
 def test_registry_names():
     assert set(METRICS) == {"mse", "psnr", "ssim", "msssim", "cwssim", "vif"}
-    # each entry holds the public function and the type its params have
-    public = {"mse": (mse, None), "psnr": (psnr, 255.0),
-              "ssim": (ssim, SsimParams()), "msssim": (ms_ssim, MsSsimParams()),
-              "cwssim": (cw_ssim, CwSsimParams()), "vif": (vif, VifParams())}
-    assert list(METRICS) == list(public)
+    assert list(METRICS) == list(PUBLIC_FUNCTIONS)
+    # each entry holds the type its params have
+    defaults = {"mse": None, "psnr": 255.0, "ssim": SsimParams(),
+                "msssim": MsSsimParams(), "cwssim": CwSsimParams(),
+                "vif": VifParams()}
+    a = noise_image(12, shape=(176, 176))
     for name, entry in METRICS.items():
-        function, default = public[name]
-        assert entry.function is function
+        default = defaults[name]
         if default is None:
             assert entry.params is None
         else:
             assert isinstance(default, entry.params)
+        assert PUBLIC_FUNCTIONS[name](a, a).metric == name
 
 
 def test_compute_metric_dispatch():
@@ -532,9 +538,9 @@ def test_values_match_the_unprepared_implementation(seed):
     got = {name: compute_metric(name, ref, test, params.get(name)).value.hex()
            for name in METRICS}
     assert got == PINNED_HEX[seed]
-    for name, entry in METRICS.items():
+    for name, function in PUBLIC_FUNCTIONS.items():
         extra = (params[name],) if name in params else ()
-        assert entry.function(ref, test, *extra).value.hex() == PINNED_HEX[seed][name]
+        assert function(ref, test, *extra).value.hex() == PINNED_HEX[seed][name]
 
 
 SMALL_PARAMS = {
@@ -816,6 +822,41 @@ def test_windowed_stacks_hold_the_same_pixel_budget(monkeypatch, name, side,
     assert stacks == depths
 
 
+CROP_BYTES = 65 * 65 * 8
+FRAME_BYTES = 256 * 256 * 8
+
+
+def warm_peak(fn):
+    """The traced peak of ``fn()``, run once before to warm up."""
+    fn()
+    return peak_traced_bytes(fn)[1]
+
+
+def test_cw_ssim_holds_one_band_of_a_crop_stack():
+    ref, tests = speckled_frames(65)
+    scorer = prepare("cwssim", ref, RESET_CWSSIM)
+    # each of the 18 bands of a four-crop stack is made when scored and
+    # scored in place; holding them all with their cross terms and box-sum
+    # temporaries peaked at 139 crops
+    assert warm_peak(lambda: scorer.values(tests[:4])) < 90 * CROP_BYTES
+
+
+def test_cw_ssim_holds_one_band_of_a_frame():
+    ref, tests = speckled_frames(256)
+    scorer = prepare("cwssim", ref)
+    # holding all 24 bands of one frame peaked at 32.5 frames
+    assert warm_peak(lambda: scorer.values(tests[:1])) < 24 * FRAME_BYTES
+
+
+@pytest.mark.parametrize("name", ["ssim", "msssim"])
+def test_ssim_family_smooths_a_crop_stack_a_few_images_at_a_time(name):
+    ref, tests = speckled_frames(65)
+    scorer = prepare(name, ref, CROP_PARAMS.get(name))
+    # smoothing the twelve (y, y², x·y) planes of four crops in one chunk
+    # peaked at 47.3 crops
+    assert warm_peak(lambda: scorer.values(tests[:4])) < 40 * CROP_BYTES
+
+
 SPLIT_PARAMS = CwSsimParams(pyramid=PyramidParams(levels=2, orientations=4))
 SPLIT_POOL = tuple(noise_image(70 + i, shape=(32, 32)) for i in range(5))
 
@@ -924,5 +965,5 @@ def test_decimation_equals_plain_correlate1d(size, shape, lead, seed):
     for index in each_image(arr):
         assert hexes(got[index].ravel()) == hexes(
             plain_decimate2(arr[index], kernel).ravel())
-        assert hexes(downsample2(GrayImage(arr[index])).pixels.ravel()) == (
+        assert hexes(metrics._decimate2(arr[index], _BINOMIAL5).ravel()) == (
             hexes(plain_decimate2(arr[index], binomial).ravel()))

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "band_energy", "band_stack", "benchmark_motion_spec",
     "benchmark_phantom_spec",
     "compute_metric", "crop", "cw_ssim", "decompose",
-    "displacement", "downsample2", "format_number",
+    "displacement", "format_number",
     "load_pgm", "load_sequence", "make_phantom", "mean_shift_track",
     "min_dimension", "ms_ssim", "mse", "ncc_track", "normalize_series",
     "pearson", "periodic_sequence", "prepare", "psnr",

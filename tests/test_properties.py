@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from usiq.errors import InvalidParamsError, ManifestError
 from usiq.harness import format_number, run_tracking_study
-from usiq.image import (FrameSequence, GrayImage, Landmark, Roi, crop,
-                        downsample2, load_pgm, load_sequence, round_half_away,
-                        save_pgm, write_sequence)
+from usiq.image import (_BINOMIAL5, FrameSequence, GrayImage, Landmark, Roi,
+                        _decimate2, crop, load_pgm, load_sequence,
+                        round_half_away, save_pgm, write_sequence)
 from usiq.metrics import (CwSsimParams, MsSsimParams, SsimParams, VifParams,
                           prepare, psnr)
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
@@ -143,7 +143,7 @@ def test_crop_equals_the_ix_gather_oracle(seed, height, width, x, y,
 
 @given(st.integers(2, 40), st.integers(2, 40))
 def test_downsample2_halves_rounding_up(height, width):
-    out = downsample2(GrayImage(np.zeros((height, width))))
+    out = _decimate2(np.zeros((height, width)), _BINOMIAL5)
     assert out.shape == (math.ceil(height / 2), math.ceil(width / 2))
 
 

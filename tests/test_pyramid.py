@@ -57,17 +57,17 @@ def test_too_small_image_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Structure: band count, accessor, grid sizes, dtypes, immutability
+# Structure: band count, layout, grid sizes, dtypes, immutability
 
 
-def test_band_layout_and_accessor():
+def test_band_layout():
     params = PyramidParams(levels=3, orientations=4)
     pyr = decompose(noise_image(1), params)
     assert isinstance(pyr, Pyramid)
     assert len(pyr.subbands) == 12
     for level in range(3):
         for b in range(4):
-            band = pyr.band(level, b)
+            band = pyr.subbands[level * 4 + b]
             assert (band.level, band.orientation) == (level, b)
     assert pyr.source_shape == (64, 64)
 
@@ -83,7 +83,7 @@ def test_grids_halve_with_ceil(shape, widths):
     assert pyr.highpass_residual.shape == shape
     for level, want in enumerate(widths):
         for b in range(2):
-            assert pyr.band(level, b).coeffs.shape == want
+            assert pyr.subbands[level * 2 + b].coeffs.shape == want
     last = widths[-1]
     low_want = (math.ceil(last[0] / 2), math.ceil(last[1] / 2))
     assert pyr.lowpass_residual.shape == low_want
@@ -306,6 +306,16 @@ def image_loop_decompose(image, params):
     return bands, highpass, lowpass
 
 
+def test_band_stack_makes_each_band_when_asked():
+    params = PyramidParams(levels=2, orientations=3)
+    bands = band_stack(np.zeros((2, 64, 64)), params)
+    assert iter(bands) is bands
+    first = next(bands)
+    assert first.shape == (2, 64, 64)
+    assert first.flags.writeable
+    assert [b.shape for b in bands] == [(2, 64, 64)] * 2 + [(2, 32, 32)] * 3
+
+
 @pytest.mark.parametrize("shape, params", [
     ((65, 65), PyramidParams(levels=3, orientations=6)),
     ((64, 64), PyramidParams(levels=3, orientations=6)),
@@ -315,7 +325,8 @@ def image_loop_decompose(image, params):
 ])
 def test_decompose_and_band_stack_equal_the_image_loop(shape, params):
     images = [noise_image(40 + i, shape=shape) for i in range(3)]
-    stacked = band_stack(np.stack([img.pixels for img in images]), params)
+    stacked = list(band_stack(np.stack([img.pixels for img in images]),
+                              params))
     assert len(stacked) == params.levels * params.orientations
     for i, img in enumerate(images):
         bands, highpass, lowpass = image_loop_decompose(img, params)

@@ -474,6 +474,22 @@ def test_meanshift_determinism():
         assert mean_shift_track(seq, cfg=cfg) == per_window_track(seq, cfg)
 
 
+@pytest.mark.parametrize("bins, dtype", [(2, np.uint8), (32, np.uint8),
+                                         (256, np.uint8), (257, np.uint16)])
+def test_bin_indices_equal_the_int64_formula(bins, dtype):
+    edges = np.arange(bins + 1) * (256.0 / bins)
+    values = np.concatenate([
+        [0.0, 255.0, 255.999, 256.0, -1.0, 300.0],
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.random.default_rng(bins).uniform(0.0, 256.0, 500)])
+    # the formula before the bins were narrowed to the smallest unsigned type
+    want = np.clip(np.floor(values * (bins / 256.0)).astype(np.int64),
+                   0, bins - 1)
+    got = tracking._bin_indices(values, bins)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Reset wrapper
 
