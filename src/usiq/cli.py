@@ -36,7 +36,7 @@ from .image import (
     save_pgm,
     write_sequence,
 )
-from .metrics import METRICS, compute_metric
+from .metrics import METRICS, prepare
 from .pyramid import PyramidParams
 from .synth import (
     SpeckleSpec,
@@ -46,7 +46,7 @@ from .synth import (
     make_phantom,
     periodic_sequence,
 )
-from .tracking import TRACKERS, ResetConfig, track_with_reset
+from .tracking import TRACKERS, ResetConfig, track
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def _cmd_compare(args) -> int:
                              default_metric=args.metric)
     ref = load_pgm(args.ref)
     test = load_pgm(args.test)
-    score = compute_metric(args.metric, ref, test, params.get(args.metric))
+    score = prepare(args.metric, ref, params.get(args.metric))(test)
     print(format_number(score.value))
     return 0
 
@@ -269,10 +269,7 @@ def _cmd_track(args) -> int:
         raise InvalidParamsError(f"{', '.join(stray)}: used only with --reset")
     reset = _reset_config_from(args) if args.reset else None
     seq = load_sequence(args.manifest)
-    if reset is not None:
-        result = track_with_reset(args.tracker, seq, reset=reset)
-    else:
-        result = TRACKERS[args.tracker].track(seq)
+    result = track(args.tracker, seq, reset=reset)
     write_track_csv(result, args.out)
     print(args.out)
     return 0
@@ -391,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(fn=_cmd_synth_sweep)
 
-    track = sub.add_parser("track", help="run one tracker over a manifest")
-    track.add_argument("--manifest", required=True)
-    track.add_argument("--tracker", required=True, choices=tuple(TRACKERS))
-    track.add_argument("--reset", action="store_true")
-    _add_reset_options(track)
-    track.add_argument("--out", required=True)
-    track.set_defaults(fn=_cmd_track)
+    track_cmd = sub.add_parser("track", help="run one tracker over a manifest")
+    track_cmd.add_argument("--manifest", required=True)
+    track_cmd.add_argument("--tracker", required=True, choices=tuple(TRACKERS))
+    track_cmd.add_argument("--reset", action="store_true")
+    _add_reset_options(track_cmd)
+    track_cmd.add_argument("--out", required=True)
+    track_cmd.set_defaults(fn=_cmd_track)
 
     study = sub.add_parser("study", help="packaged experiment protocols")
     study_sub = study.add_subparsers(dest="study_command", required=True)

@@ -20,7 +20,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import FrameSequence, Roi, crop
-from .metrics import METRICS, _stack_size, normalize_series, prepare
+from .metrics import METRICS, normalize_series, prepare
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
     TRACKERS,
@@ -185,7 +185,7 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     views = frames if roi is None else (crop(frame, roi) for frame in frames)
     head = list(itertools.islice(views, seq.reference_frame + 1))
     scorers = [prepare(name, head[-1], params.get(name)) for name in names]
-    size = _stack_size(head[-1].pixels.size)
+    size = scorers[0].stack_size
     views = itertools.chain(head, views)
     del head  # only the chain holds the head views, until it passes them
     columns = {name: [] for name in names}
@@ -364,10 +364,10 @@ class TrackingComparison:
 
 
 def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
-                       init=None, truth=None, cfg=None, disturbances=None
+                       init=None, truth=None, disturbances=None
                        ) -> tuple[TrackingComparison, ...]:
-    """Run each named tracker with and without the reset wrapper, in order,
-    and score both arms against ground truth.
+    """Run each named tracker bare and gated by ``reset``, in order, each
+    with its default config, and score both arms against ground truth.
 
     ``trackers`` must list known tracker names, at least one and none twice.
     ``truth`` defaults to the sequence's ground-truth landmarks; pass an
@@ -376,8 +376,8 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
     pass over the frames drives every arm in lockstep, behind one reset gate
     whose threshold is taken, from a first pass over the frames through the
     calibration window, before any arm steps: the reset metric scores each
-    frame once per study. Each reset arm equals ``track_with_reset``
-    with the same arguments, and each bare arm the bare tracker. The study
+    frame once per study. Each reset arm equals ``track`` with the same
+    arguments, and each bare arm ``track`` with ``reset=None``. The study
     holds no more of the frames than that loop does, so frames rendered on
     read are rendered anew for each pass.
     """
@@ -389,7 +389,7 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
         truth = seq.landmarks
     results = _lockstep(
         seq.frames, _resolve_init(seq.landmarks, init),
-        [_arms(tracker, cfg, (False, True)) for tracker in trackers],
+        [_arms(tracker, None, (False, True)) for tracker in trackers],
         reset, seq.reference_frame, disturbances)
     arms = [TrackingArm(result,
                         tracking_error(result, truth, seq.pixel_spacing_mm))

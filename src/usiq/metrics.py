@@ -44,7 +44,6 @@ __all__ = [
     "SimilarityScore",
     "SsimParams",
     "VifParams",
-    "compute_metric",
     "cw_ssim",
     "mse",
     "ms_ssim",
@@ -205,22 +204,17 @@ class SimilarityScore:
 _STACK_PIXELS = 4 * 65 * 65
 
 
-def _stack_size(ref_pixels: int) -> int:
-    """Tests per stack of a stacked scorer whose reference has ``ref_pixels``
-    pixels: as many as fit ``_STACK_PIXELS``, and at least one."""
-    return max(1, _STACK_PIXELS // ref_pixels)
-
-
 class Scorer:
     """What ``prepare`` returns: scores test images against one prepared
     reference.
 
     ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
     ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
-    errors. It reads ``tests`` lazily, ``_stack_size(ref_pixels)`` at a time,
-    and scores each stack in one call of ``scores(stack, maps)``, which
-    returns one SimilarityScore per test, with its map only if ``maps``;
-    ``scorer(test)`` is the one-test stack.
+    errors. It reads ``tests`` lazily, ``stack_size`` at a time (as many as
+    fit ``_STACK_PIXELS``, and at least one), and scores each stack in one
+    call of ``scores(stack, maps)``, which returns one SimilarityScore per
+    test, with its map only if ``maps``; ``scorer(test)`` is the one-test
+    stack.
     """
 
     __slots__ = ("_scores", "_stack_size")
@@ -229,7 +223,11 @@ class Scorer:
                                         list[SimilarityScore]],
                  ref_pixels: int):
         self._scores = scores
-        self._stack_size = _stack_size(ref_pixels)
+        self._stack_size = max(1, _STACK_PIXELS // ref_pixels)
+
+    @property
+    def stack_size(self) -> int:
+        return self._stack_size
 
     def __call__(self, test: GrayImage) -> SimilarityScore:
         (score,) = self._scores([test], True)
@@ -673,8 +671,3 @@ def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
             f"{name} takes {wanted}, got {type(params).__name__}")
     return preparer(ref, params)
 
-
-def compute_metric(name: str, ref: GrayImage, test: GrayImage,
-                   params=None) -> SimilarityScore:
-    """Evaluate a metric by registry id: a one-shot ``prepare(...)(test)``."""
-    return prepare(name, ref, params)(test)

@@ -1,14 +1,15 @@
 """Landmark tracking over frame sequences.
 
-Two trackers share one driving loop: normalized cross-correlation against a
-fixed first-frame template, and mean-shift over Epanechnikov-weighted
-intensity histograms. A similarity-gated wrapper re-anchors either tracker to
-its first-frame annotations whenever a reference-frame comparison metric
-exceeds a threshold, which bounds drift on periodic motion. The loop makes one
-pass over the frames and drives any number of tracker runs (arms) in
-lockstep, a stack of frames at a time. The reset gate feeds it: it first
-reads the frames as far as the reference frame and, for a calibrated
-threshold, the frames after it, keeping only their similarity crops.
+Two trackers share one driving loop and one entry point, ``track``:
+normalized cross-correlation against a fixed first-frame template, and
+mean-shift over Epanechnikov-weighted intensity histograms. Given a reset
+policy, ``track`` re-anchors either tracker to its first-frame annotations
+whenever a reference-frame comparison metric exceeds a threshold, which
+bounds drift on periodic motion. The loop makes one pass over the frames
+and drives any number of tracker runs (arms) in lockstep, a stack of frames
+at a time. The reset gate feeds it: it first reads the frames as far as the
+reference frame and, for a calibrated threshold, the frames after it,
+keeping only their similarity crops.
 
 Coordinates follow the image-core convention (x = column, y = row); estimates
 are real-valued landmarks. All routines are deterministic: identical inputs
@@ -21,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,13 +38,14 @@ from .image import (
     GrayImage,
     Landmark,
     Roi,
+    _is_int,
     crop,
     require_integers,
     require_real_items,
     require_reals,
     round_half_away,
 )
-from .metrics import METRICS, _stack_size, prepare
+from .metrics import METRICS, prepare
 
 __all__ = [
     "NccConfig",
@@ -51,9 +53,7 @@ __all__ = [
     "ResetConfig",
     "TrackResult",
     "ErrorStats",
-    "ncc_track",
-    "mean_shift_track",
-    "track_with_reset",
+    "track",
     "tracking_error",
 ]
 
@@ -163,7 +163,7 @@ class TrackResult:
     ``match_scores`` mirrors that layout with the tracker's own confidence
     (correlation peak, or Bhattacharyya coefficient). ``similarity_trace``,
     ``reset_threshold`` (the threshold the run gated on, fixed or
-    calibrated) and ``reset_events`` are populated by the reset wrapper;
+    calibrated) and ``reset_events`` are populated by a gated run;
     ``scales`` records the cumulative mean-shift bandwidth factor and is None
     for NCC. ``clamped_frames`` lists frames whose search window hit the
     image border.
@@ -487,13 +487,14 @@ class _MeanShiftStepper:
 
 
 # ---------------------------------------------------------------------------
-# Driving loop shared by the bare trackers, the reset wrapper and the study
+# Driving loop shared by bare and gated ``track`` runs and the study
 
 
-class _Tracker(NamedTuple):
-    stepper: type
-    config: type
-    track: Callable[..., TrackResult]
+# The one table of tracker names: name -> (stepper type, config type).
+TRACKERS = {
+    "ncc": (_NccStepper, NccConfig),
+    "meanshift": (_MeanShiftStepper, MeanShiftConfig),
+}
 
 
 def _resolve_init(landmarks, init) -> tuple[Landmark, ...]:
@@ -513,7 +514,7 @@ def _arms(tracker: str, cfg, gates) -> tuple[type, object, tuple[bool, ...]]:
     """The ``_lockstep`` entry of the named tracker: its stepper type, ``cfg``
     defaulted and checked, and one flag per arm, true where the reset gate
     drives the arm."""
-    stepper_type, config_type, _ = TRACKERS[tracker]
+    stepper_type, config_type = TRACKERS[tracker]
     if cfg is None:
         cfg = config_type()
     elif not isinstance(cfg, config_type):
@@ -555,7 +556,7 @@ def _gate(frames: Sequence[GrayImage], reset: ResetConfig | None,
         if not (0.0 < threshold <= 1.0):
             raise InvalidParamsError(
                 f"calibrated threshold {threshold:.6g} falls outside (0, 1]")
-    size = _stack_size(crops[0].pixels.size)
+    size = scorer.stack_size
     del crops
 
     def stacks():
@@ -641,16 +642,20 @@ def _lockstep(frames: Sequence[GrayImage],
     lists ``(stepper type, config, gates)`` (see ``_arms``): one stepper per
     tracker, built from the first frame, drives one arm per flag of
     ``gates``, and a gated arm re-anchors wherever the reset gate on
-    ``reset`` fires. With any gated arm the gate's checks and first pass come
-    first. The frames then come in stacks: each tracker's arms take every
-    frame of a stack before the next tracker steps, and the stack is dropped
-    before the next is read.
+    ``reset`` fires. The ``disturbances`` keys are checked first, then, with
+    any gated arm, the gate's checks and first pass run. Then the frames come
+    in stacks: each tracker's arms take every frame of a stack before the
+    next tracker steps, and the stack is dropped before the next is read.
     """
+    shifts = disturbances or {}
+    bad = [t for t in shifts if not (_is_int(t) and 0 <= t < len(frames))]
+    if bad:
+        raise InvalidParamsError(f"disturbance frames {bad} are not integers "
+                                 f"in [0, {len(frames)})")
     if any(any(gates) for *_, gates in trackers):
         threshold, stacks = _gate(frames, reset, reference_frame)
     else:
         threshold, stacks = None, ([(None, frame)] for frame in frames)
-    shifts = disturbances or {}
     # one list of runs per tracker, each list sharing the tracker's stepper
     trace, arms, t = [], [], 0
     for stack in stacks:
@@ -669,73 +674,42 @@ def _lockstep(frames: Sequence[GrayImage],
     return [run.result(trace, threshold) for runs in arms for run in runs]
 
 
-def _track(tracker: str, seq: FrameSequence, init, cfg, disturbances,
-           reset: ResetConfig | None = None, gated: bool = False
-           ) -> TrackResult:
-    """Drive the named tracker over ``seq``, bare or gated by ``reset``."""
-    result, = _lockstep(seq.frames, _resolve_init(seq.landmarks, init),
-                        [_arms(tracker, cfg, (gated,))], reset,
-                        seq.reference_frame, disturbances)
-    return result
+def track(tracker: str, seq: FrameSequence, init=None, cfg=None,
+          reset: ResetConfig | None = None,
+          disturbances: Mapping[int, tuple[float, float]] | None = None
+          ) -> TrackResult:
+    """Run the named tracker over ``seq``, bare or gated by ``reset``.
 
-
-def ncc_track(seq: FrameSequence, init=None, cfg: NccConfig | None = None,
-              disturbances: Mapping[int, tuple[float, float]] | None = None
-              ) -> TrackResult:
-    """Track landmarks by correlating fixed first-frame templates.
-
-    Each frame searches integer offsets within ``search_half`` of the previous
-    estimate, picks the correlation peak (ties resolve to the smallest
-    displacement), and refines it by per-axis parabolic interpolation unless
-    it is an exact match. ``init`` defaults to the sequence's first-frame
+    ``"ncc"`` correlates fixed first-frame templates: each frame searches
+    integer offsets within ``search_half`` of the previous estimate, picks
+    the correlation peak (ties resolve to the smallest displacement), and
+    refines it by per-axis parabolic interpolation unless it is an exact
+    match. ``"meanshift"`` builds an intensity model at the first-frame
+    annotation; every frame iterates the Bhattacharyya-weighted centroid
+    from the previous estimate for each bandwidth candidate and keeps the
+    best match. ``cfg`` (``NccConfig`` or ``MeanShiftConfig``) defaults to
+    the tracker's defaults, and ``init`` to the sequence's first-frame
     landmarks. ``disturbances`` maps frame index to an (dx, dy) corruption
     added to every estimate of that frame, for drift-injection experiments.
-    """
-    return _track("ncc", seq, init, cfg, disturbances)
 
-
-def mean_shift_track(seq: FrameSequence, init=None,
-                     cfg: MeanShiftConfig | None = None,
-                     disturbances: Mapping[int, tuple[float, float]] | None = None
-                     ) -> TrackResult:
-    """Track landmarks by histogram mean-shift with scale re-estimation.
-
-    The intensity model is built at the first-frame annotation; every frame
-    iterates the Bhattacharyya-weighted centroid from the previous estimate
-    for each bandwidth candidate and keeps the best match. See ``ncc_track``
-    for the ``init`` and ``disturbances`` conventions.
-    """
-    return _track("meanshift", seq, init, cfg, disturbances)
-
-
-# The one table of tracker names: each maps to its stepper, its config type
-# and its public bare tracker.
-TRACKERS = {
-    "ncc": _Tracker(_NccStepper, NccConfig, ncc_track),
-    "meanshift": _Tracker(_MeanShiftStepper, MeanShiftConfig, mean_shift_track),
-}
-
-
-def track_with_reset(tracker: str, seq: FrameSequence, init=None,
-                     cfg=None, reset: ResetConfig | None = None,
-                     disturbances: Mapping[int, tuple[float, float]] | None = None
-                     ) -> TrackResult:
-    """Run a tracker with similarity-gated re-anchoring.
-
-    Every frame is scored against the sequence's reference frame on the
-    configured ROI. Then, before each tracker step, a similarity strictly
+    With ``reset=None`` the tracker runs bare. Given a ``ResetConfig``,
+    every frame is scored against the sequence's reference frame on the
+    configured ROI, and before each tracker step a similarity strictly
     above the threshold resets every estimate to its first-frame annotation
     (and the mean-shift scale to 1) instead of stepping. The result records
     the full similarity trace and, as ``reset_threshold``, the threshold
     used: the fixed one, or the one calibrated from the frames after the
     reference. With a threshold no frame can exceed, the output matches the
-    bare tracker bit for bit. The tracker name, ``init`` and ``cfg`` are
-    checked first, then the reset policy, and both before any frame is
-    tracked.
+    bare run bit for bit. The tracker name, ``init``, ``cfg`` and
+    ``disturbances`` (each key a frame index of ``seq``) are checked first,
+    then the reset policy, and all before any frame is tracked.
     """
     if tracker not in TRACKERS:
         raise InvalidParamsError(f"unknown tracker '{tracker}'")
-    return _track(tracker, seq, init, cfg, disturbances, reset, gated=True)
+    result, = _lockstep(seq.frames, _resolve_init(seq.landmarks, init),
+                        [_arms(tracker, cfg, (reset is not None,))], reset,
+                        seq.reference_frame, disturbances)
+    return result
 
 
 def tracking_error(result: TrackResult, truth, pixel_spacing_mm: float

@@ -275,7 +275,7 @@ def test_study_tracking_scores_the_reset_trace_once(tmp_path, monkeypatch):
             tests = list(tests)
             scored.extend(name for _ in tests)
             return scorer.values(tests)
-        return SimpleNamespace(values=values)
+        return SimpleNamespace(values=values, stack_size=scorer.stack_size)
 
     monkeypatch.setattr(tracking, "prepare", counting)
     summary = tmp_path / "summary.csv"
@@ -561,6 +561,17 @@ def test_study_tracking_rejects_duplicate_or_empty_tracker_list(
     summary = tmp_path / "summary.csv"
     assert cli.main(["study", "tracking", "--trackers", trackers,
                      "--out", str(summary)]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize("hit", ["8", "15", "-1"])
+def test_study_tracking_rejects_a_hit_frame_outside_the_sequence(
+        hit, tmp_path, capsys):
+    # such a jump was once dropped without a word
+    summary = tmp_path / "summary.csv"
+    assert cli.main(["study", "tracking", "--frames", "8", "--calibrate", "3",
+                     "--hit-frame", hit, "--out", str(summary)]) == 2
     assert capsys.readouterr().err.startswith("invalid-params:")
     assert not summary.exists()
 

@@ -49,7 +49,7 @@ from usiq.synth import (
     make_phantom,
     periodic_sequence,
 )
-from usiq.tracking import ResetConfig, TrackResult, track_with_reset
+from usiq.tracking import ResetConfig, TrackResult, track
 
 from builders import (
     bench_sequence,
@@ -472,14 +472,11 @@ def test_noise_sweep_monotone_and_normalized():
 
 
 def test_noise_sweep_mean_matches_per_seed_oracle():
-    from usiq.metrics import compute_metric
-
     phantom = small_phantom()
     sweep = run_noise_sweep(phantom, [0.5], ["mse"], seeds=3, seed=9)
     base = make_phantom(phantom, seed=9)
-    vals = [compute_metric("mse", base,
-                           apply_speckle(base, SpeckleSpec(alpha=0.5,
-                                                           seed=9 + i))).value
+    vals = [metrics.prepare("mse", base)(
+                apply_speckle(base, SpeckleSpec(alpha=0.5, seed=9 + i))).value
             for i in range(3)]
     assert sweep.rows[0].mean_value == math.fsum(vals) / 3.0
 
@@ -580,7 +577,7 @@ def test_tracking_study_matches_one_experiment_per_tracker():
         assert cmp == run_tracking_study(seq, (cmp.tracker,), reset,
                                          init=init, truth=truth,
                                          disturbances=hit)[0]
-        assert cmp.reset.result == track_with_reset(
+        assert cmp.reset.result == track(
             cmp.tracker, seq, init=init, reset=reset, disturbances=hit)
     with pytest.raises(errors.InvalidParamsError):
         run_tracking_study(seq, ["ncc", "kalman"], reset, init=init,
@@ -597,6 +594,14 @@ def test_tracking_experiment_validation():
         run_tracking_study(seq, ("kalman",), cfg,
                            init=(Landmark(48.0, 48.0),),
                            truth=((Landmark(48.0, 48.0),),) * 2)
+    for frame in (2, -1):
+        # an out-of-range jump was once dropped without a word
+        with pytest.raises(errors.InvalidParamsError,
+                           match="disturbance frames"):
+            run_tracking_study(seq, ("ncc", "meanshift"), cfg,
+                               init=(Landmark(48.0, 48.0),),
+                               truth=((Landmark(48.0, 48.0),),) * 2,
+                               disturbances={frame: (1.0, 0.0)})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from usiq.metrics import (
     SimilarityScore,
     SsimParams,
     VifParams,
-    compute_metric,
     cw_ssim,
     mse,
     ms_ssim,
@@ -455,11 +454,11 @@ def test_compute_metric_dispatch():
     a = noise_image(13, shape=(256, 256))
     b = GrayImage(np.clip(a.pixels + 10.0, 0, 255))
     for name in METRICS:
-        score = compute_metric(name, a, b)
+        score = prepare(name, a)(b)
         assert isinstance(score, SimilarityScore)
         assert score.metric == name
     with pytest.raises(errors.InvalidParamsError):
-        compute_metric("nope", a, b)
+        prepare("nope", a)(b)
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -473,18 +472,18 @@ def test_compute_metric_dispatch():
 def test_compute_metric_rejects_params_of_another_metric(name, wrong):
     a = noise_image(16)
     with pytest.raises(errors.InvalidParamsError):
-        compute_metric(name, a, a, wrong)
+        prepare(name, a, wrong)(a)
 
 
 def test_score_map_only_for_ssim_and_cwssim():
     a = noise_image(14, shape=(256, 256))
     b = noise_image(15, shape=(256, 256))
-    assert compute_metric("mse", a, b).map is None
-    assert compute_metric("psnr", a, b).map is None
-    assert compute_metric("msssim", a, b).map is None
-    assert compute_metric("vif", a, b).map is None
-    assert compute_metric("ssim", a, b).map is not None
-    assert compute_metric("cwssim", a, b).map is not None
+    assert prepare("mse", a)(b).map is None
+    assert prepare("psnr", a)(b).map is None
+    assert prepare("msssim", a)(b).map is None
+    assert prepare("vif", a)(b).map is None
+    assert prepare("ssim", a)(b).map is not None
+    assert prepare("cwssim", a)(b).map is not None
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +534,7 @@ def pinned_pair(seed):
 def test_values_match_the_unprepared_implementation(seed):
     ref, test = pinned_pair(seed)
     params = PINNED_PARAMS[seed]
-    got = {name: compute_metric(name, ref, test, params.get(name)).value.hex()
+    got = {name: prepare(name, ref, params.get(name))(test).value.hex()
            for name in METRICS}
     assert got == PINNED_HEX[seed]
     for name, function in PUBLIC_FUNCTIONS.items():
@@ -573,7 +572,7 @@ def test_shape_mismatch_error_kind(name):
     ref, wrong = noise_image(22), noise_image(23, shape=(64, 72))
     params = SMALL_PARAMS.get(name)
     with pytest.raises(errors.DimensionMismatchError):
-        compute_metric(name, ref, wrong, params)
+        prepare(name, ref, params)(wrong)
     # the batch entry point, wherever in a stack the odd image sits
     scorer = prepare(name, ref, params)
     for position in (0, 3, 4, 8):
@@ -892,13 +891,13 @@ def test_stacked_value_ignores_neighbours_and_splits(picks, cuts):
 def test_too_small_reference_error_kind(name, size, params):
     img = noise_image(24, shape=(size, size))
     with pytest.raises(errors.ImageTooSmallError):
-        compute_metric(name, img, img, params)
+        prepare(name, img, params)(img)
 
 
 def test_flat_vif_reference_error_kind():
     flat = GrayImage(np.full((64, 64), 128.0))
     with pytest.raises(errors.DegenerateReferenceError):
-        compute_metric("vif", flat, noise_image(25), VifParams(scales=3))
+        prepare("vif", flat, VifParams(scales=3))(noise_image(25))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ PUBLIC_NAMES = [
     "TrackingComparison", "VifParams", "__version__", "apply_speckle",
     "band_energy", "band_stack", "benchmark_motion_spec",
     "benchmark_phantom_spec",
-    "compute_metric", "crop", "cw_ssim", "decompose",
+    "crop", "cw_ssim", "decompose",
     "displacement", "format_number",
-    "load_pgm", "load_sequence", "make_phantom", "mean_shift_track",
-    "min_dimension", "ms_ssim", "mse", "ncc_track", "normalize_series",
+    "load_pgm", "load_sequence", "make_phantom",
+    "min_dimension", "ms_ssim", "mse", "normalize_series",
     "pearson", "periodic_sequence", "prepare", "psnr",
     "run_correlation_study", "run_noise_sweep", "run_trace",
     "run_tracking_study",
     "save_pgm", "shift_magnitude_stability", "ssim",
-    "track_with_reset", "tracking_error", "vif", "write_correlation_json",
+    "track", "tracking_error", "vif", "write_correlation_json",
     "write_sequence", "write_sweep_csv", "write_trace_csv",
     "write_track_csv", "write_tracking_frames_csv",
     "write_tracking_summary_csv",

@@ -23,7 +23,7 @@ from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
                         periodic_sequence)
 from usiq.tracking import (TRACKERS, MeanShiftConfig, NccConfig, ResetConfig,
-                           ncc_track, track_with_reset)
+                           track)
 
 # Image-layer properties write to a fresh temporary directory per example.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -253,8 +253,8 @@ def test_unreachable_threshold_gives_the_bare_tracker(drawn, tracker):
     seq, hit = drawn
     # SSIM is at most 1, and resets fire only strictly above the threshold
     reset = ResetConfig(RESET_ROI, metric="ssim", threshold=1.0)
-    wrapped = track_with_reset(tracker, seq, reset=reset, disturbances=hit)
-    bare = TRACKERS[tracker].track(seq, disturbances=hit)
+    wrapped = track(tracker, seq, reset=reset, disturbances=hit)
+    bare = track(tracker, seq, disturbances=hit)
     assert wrapped.reset_events == ()
     assert wrapped.reset_threshold == 1.0
     assert len(wrapped.similarity_trace) == len(seq)
@@ -275,9 +275,9 @@ def test_calibrated_threshold_is_max_minus_std_of_the_window(drawn, tracker,
     want = max(window) - np.std(window)
     if not 0.0 < want <= 1.0:
         with pytest.raises(InvalidParamsError):
-            track_with_reset(tracker, seq, reset=reset, disturbances=hit)
+            track(tracker, seq, reset=reset, disturbances=hit)
         return
-    res = track_with_reset(tracker, seq, reset=reset, disturbances=hit)
+    res = track(tracker, seq, reset=reset, disturbances=hit)
     assert res.reset_threshold == want
     assert res.similarity_trace[ref + 1:ref + frames + 1] == tuple(window)
     assert res.reset_events == tuple(
@@ -285,7 +285,7 @@ def test_calibrated_threshold_is_max_minus_std_of_the_window(drawn, tracker,
 
 
 @given(gated_sequences(), st.none() | st.floats(0.5, 1.0), st.data())
-def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
+def test_study_arms_equal_track(drawn, threshold, data):
     seq, hit = drawn
     ref = seq.reference_frame
     frames = (data.draw(st.integers(1, len(seq) - 1 - ref))
@@ -295,9 +295,8 @@ def test_study_reset_arms_equal_track_with_reset(drawn, threshold, data):
     study = run_tracking_study(seq, sorted(TRACKERS), reset,
                                disturbances=hit)
     for cmp in study:
-        assert cmp.bare.result == TRACKERS[cmp.tracker].track(
-            seq, disturbances=hit)
-        assert cmp.reset.result == track_with_reset(
+        assert cmp.bare.result == track(cmp.tracker, seq, disturbances=hit)
+        assert cmp.reset.result == track(
             cmp.tracker, seq, reset=reset, disturbances=hit)
 
 
@@ -455,8 +454,8 @@ def test_ncc_recovers_integer_shifts_exactly(seed, cx, cy, dx, dy):
     texture = np.random.default_rng(seed).uniform(0.0, 255.0, (68, 68))
     frames = (GrayImage(texture[10:58, 10:58]),
               GrayImage(texture[10 - dy:58 - dy, 10 - dx:58 - dx]))
-    res = ncc_track(FrameSequence(frames), init=(Landmark(cx, cy),),
-                    cfg=NccConfig(roi_half=6, search_half=10))
+    res = track("ncc", FrameSequence(frames), init=(Landmark(cx, cy),),
+                cfg=NccConfig(roi_half=6, search_half=10))
     assert res.estimates[1] == (Landmark(cx + dx, cy + dy),)
 
 

@@ -14,7 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from usiq import errors, metrics, tracking
-from usiq.image import FrameSequence, GrayImage, Landmark, Roi, crop
+from usiq.image import (FrameSequence, GrayImage, Landmark, Roi,
+                        _RenderedFrames, crop)
 from usiq.metrics import prepare
 from usiq.synth import (
     Disc,
@@ -31,9 +32,7 @@ from usiq.tracking import (
     NccConfig,
     ResetConfig,
     TrackResult,
-    mean_shift_track,
-    ncc_track,
-    track_with_reset,
+    track,
     tracking_error,
 )
 
@@ -144,7 +143,7 @@ def test_tracking_error_count_mismatch():
 def test_ncc_static_sequence_is_fixed_point():
     img = textured_phantom()
     init = (Landmark(48.0, 48.0),)
-    res = ncc_track(static_sequence(img, 5, init))
+    res = track("ncc", static_sequence(img, 5, init))
     for marks in res.estimates:
         assert marks == init
     for scores in res.match_scores:
@@ -157,7 +156,7 @@ def test_ncc_recovers_integer_shift_exactly():
     img = textured_phantom()
     frames = (img, rolled_frame(img, 3), rolled_frame(img, 3, 2))
     seq = FrameSequence(frames=frames)
-    res = ncc_track(seq, init=(Landmark(48.0, 48.0),))
+    res = track("ncc", seq, init=(Landmark(48.0, 48.0),))
     assert res.estimates[1][0] == Landmark(51.0, 48.0)
     assert res.estimates[2][0] == Landmark(51.0, 50.0)
 
@@ -169,7 +168,7 @@ def test_ncc_twenty_random_translations_exact():
     for _ in range(20):
         dx, dy = (int(v) for v in rng.integers(-20, 21, size=2))
         seq = FrameSequence(frames=(img, rolled_frame(img, dx, dy)))
-        res = ncc_track(seq, init=init)
+        res = track("ncc", seq, init=init)
         assert res.estimates[1][0] == Landmark(64.0 + dx, 64.0 + dy)
 
 
@@ -177,7 +176,7 @@ def test_ncc_zero_variance_template():
     flat = GrayImage(np.full((64, 64), 50.0))
     seq = static_sequence(flat, 3, (Landmark(32.0, 32.0),))
     with pytest.raises(errors.ZeroVarianceTemplateError) as exc:
-        ncc_track(seq)
+        track("ncc", seq)
     assert exc.value.kind == "zero-variance-template"
 
 
@@ -185,13 +184,13 @@ def test_ncc_init_must_leave_roi_margin():
     img = textured_phantom()
     seq = static_sequence(img, 2, (Landmark(5.0, 48.0),))
     with pytest.raises(errors.OutOfFrameError):
-        ncc_track(seq)
+        track("ncc", seq)
 
 
 def test_ncc_clamps_search_near_border_and_flags_it():
     img = textured_phantom(size=64, disc=(20.0, 20.0, 6.0))
     init = (Landmark(15.0, 15.0),)
-    res = ncc_track(static_sequence(img, 3, init))
+    res = track("ncc", static_sequence(img, 3, init))
     assert res.estimates[1] == init
     assert 1 in res.clamped_frames and 2 in res.clamped_frames
 
@@ -199,7 +198,7 @@ def test_ncc_clamps_search_near_border_and_flags_it():
 def test_ncc_periodic_speckled_error_under_two_px():
     seq = periodic_sequence(benchmark_phantom_spec(), benchmark_motion_spec(),
                             speckle=SpeckleSpec(alpha=0.3, seed=21), seed=21)
-    res = ncc_track(seq)
+    res = track("ncc", seq)
     err = tracking_error(res, seq.landmarks, seq.pixel_spacing_mm)
     assert err.mean_mm < 2.0
 
@@ -208,8 +207,8 @@ def test_ncc_determinism():
     seq = periodic_sequence(benchmark_phantom_spec(),
                             benchmark_motion_spec(n_frames=12),
                             speckle=SpeckleSpec(alpha=0.3, seed=4), seed=4)
-    a = ncc_track(seq)
-    b = ncc_track(seq)
+    a = track("ncc", seq)
+    b = track("ncc", seq)
     assert a.estimates == b.estimates
     assert a.match_scores == b.match_scores
 
@@ -325,7 +324,7 @@ def test_fft_length_is_the_smallest_235_smooth_length():
 def test_meanshift_static_sequence_is_fixed_point():
     img = textured_phantom()
     init = (Landmark(48.0, 48.0),)
-    res = mean_shift_track(static_sequence(img, 4, init))
+    res = track("meanshift", static_sequence(img, 4, init))
     for marks in res.estimates:
         assert marks == init
     for scores in res.match_scores:
@@ -338,8 +337,8 @@ def test_meanshift_follows_two_px_shift():
     # bandwidth chosen to match the disc; an oversized kernel has no gradient
     img = textured_phantom(size=64, disc=(32.0, 32.0, 8.0), sigma=0.0)
     seq = FrameSequence(frames=(img, rolled_frame(img, 2)))
-    res = mean_shift_track(seq, init=(Landmark(32.0, 32.0),),
-                           cfg=MeanShiftConfig(roi_half=8))
+    res = track("meanshift", seq, init=(Landmark(32.0, 32.0),),
+                cfg=MeanShiftConfig(roi_half=8))
     got = res.estimates[1][0]
     assert math.hypot(got.x - 34.0, got.y - 32.0) <= 1.0
 
@@ -354,7 +353,7 @@ def test_meanshift_empty_histogram():
     seq = FrameSequence(frames=(f0, dark))
     cfg = MeanShiftConfig(roi_half=10)
     with pytest.raises(errors.EmptyHistogramError) as exc:
-        mean_shift_track(seq, init=(Landmark(32.0, 32.0),), cfg=cfg)
+        track("meanshift", seq, init=(Landmark(32.0, 32.0),), cfg=cfg)
     assert exc.value.kind == "empty-histogram"
 
 
@@ -367,7 +366,7 @@ def test_meanshift_scale_tracks_growing_disc():
                                            intensity=220.0),))
         frames.append(make_phantom(spec, seed=0))
     seq = FrameSequence(frames=tuple(frames))
-    res = mean_shift_track(seq, init=(Landmark(48.0, 48.0),))
+    res = track("meanshift", seq, init=(Landmark(48.0, 48.0),))
     picked = [scales[0] for scales in res.scales]
     assert picked[0] == 1.0
     assert all(b >= a for a, b in zip(picked, picked[1:]))
@@ -452,8 +451,7 @@ def test_meanshift_track_equals_the_meshgrid_window_track(monkeypatch):
     cfg = MeanShiftConfig(bins=7, roi_half=9)
 
     def tracks():
-        return (mean_shift_track(seq, cfg=cfg),
-                per_window_track(seq, cfg))
+        return (track("meanshift", seq, cfg=cfg), per_window_track(seq, cfg))
 
     broadcast = tracks()
     monkeypatch.setattr(tracking, "_kernel_window", meshgrid_kernel_window)
@@ -464,14 +462,14 @@ def test_meanshift_determinism():
     seq = periodic_sequence(benchmark_phantom_spec(),
                             benchmark_motion_spec(n_frames=10),
                             speckle=SpeckleSpec(alpha=0.3, seed=5), seed=5)
-    a = mean_shift_track(seq)
-    b = mean_shift_track(seq)
+    a = track("meanshift", seq)
+    b = track("meanshift", seq)
     assert a.estimates == b.estimates
     assert a.scales == b.scales
     # binning each frame once picks the same integer bins as binning every
     # window, so the whole result is bit-identical
     for cfg in (MeanShiftConfig(), MeanShiftConfig(bins=7, roi_half=9)):
-        assert mean_shift_track(seq, cfg=cfg) == per_window_track(seq, cfg)
+        assert track("meanshift", seq, cfg=cfg) == per_window_track(seq, cfg)
 
 
 @pytest.mark.parametrize("bins, dtype", [(2, np.uint8), (32, np.uint8),
@@ -496,9 +494,9 @@ def test_bin_indices_equal_the_int64_formula(bins, dtype):
 
 def test_wrapper_transparency_with_unreachable_threshold():
     seq = bench_sequence(seed=2, n_frames=20)
-    for tracker, bare in (("ncc", ncc_track), ("meanshift", mean_shift_track)):
-        wrapped = track_with_reset(tracker, seq, reset=reset_cfg(threshold=1.0))
-        plain = bare(seq)
+    for tracker in ("ncc", "meanshift"):
+        wrapped = track(tracker, seq, reset=reset_cfg(threshold=1.0))
+        plain = track(tracker, seq)
         assert wrapped.estimates == plain.estimates
         assert wrapped.match_scores == plain.match_scores
         assert wrapped.scales == plain.scales
@@ -512,7 +510,7 @@ def test_reset_fires_every_frame_on_static_sequence():
     img = textured_phantom(size=256, disc=(108.0, 128.0, 10.0))
     init = (Landmark(108.0, 128.0),)
     seq = static_sequence(img, 6, init)
-    res = track_with_reset("ncc", seq, reset=reset_cfg(threshold=0.5))
+    res = track("ncc", seq, reset=reset_cfg(threshold=0.5))
     assert res.reset_events == (0, 1, 2, 3, 4, 5)
     for marks in res.estimates:
         assert marks == init
@@ -523,8 +521,7 @@ def test_reset_fires_every_frame_on_static_sequence():
 def test_reset_estimates_equal_init_exactly_at_events():
     seq = bench_sequence(seed=3)
     init = seq.landmarks[0]
-    res = track_with_reset("ncc", seq,
-                           reset=reset_cfg(calibration_frames=28))
+    res = track("ncc", seq, reset=reset_cfg(calibration_frames=28))
     assert res.reset_events, "expected at least one reset on pose recurrence"
     for t in res.reset_events:
         assert res.estimates[t] == init
@@ -537,15 +534,14 @@ def test_reset_estimates_equal_init_exactly_at_events():
 def test_calibrate_threshold_formula():
     seq = bench_sequence(seed=6, n_frames=12)
     cfg = reset_cfg(calibration_frames=8)
-    from usiq.metrics import compute_metric
+    from usiq.metrics import prepare
     from usiq.image import crop
     ref = crop(seq.frames[0], cfg.similarity_roi)
-    vals = [compute_metric(cfg.metric, ref,
-                           crop(seq.frames[t], cfg.similarity_roi),
-                           cfg.metric_params).value
+    vals = [prepare(cfg.metric, ref, cfg.metric_params)(
+                crop(seq.frames[t], cfg.similarity_roi)).value
             for t in range(1, 9)]
     want = max(vals) - float(np.std(vals))
-    got = track_with_reset("ncc", seq, reset=cfg).reset_threshold
+    got = track("ncc", seq, reset=cfg).reset_threshold
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -563,10 +559,10 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
             tests = list(tests)
             scored.extend(name for _ in tests)
             return scorer.values(tests)
-        return SimpleNamespace(values=values)
+        return SimpleNamespace(values=values, stack_size=scorer.stack_size)
 
     monkeypatch.setattr(tracking, "prepare", counting)
-    res = track_with_reset("ncc", seq, reset=cfg)
+    res = track("ncc", seq, reset=cfg)
     assert prepared == ["cwssim"]
     assert scored == ["cwssim"] * 90
     monkeypatch.undo()
@@ -575,8 +571,7 @@ def test_calibrated_reset_scores_each_frame_once(monkeypatch):
     assert res.reset_events
     assert res.reset_events == tuple(
         t for t, v in enumerate(res.similarity_trace) if v > threshold)
-    fixed = track_with_reset("ncc", seq,
-                             reset=reset_cfg(threshold=threshold))
+    fixed = track("ncc", seq, reset=reset_cfg(threshold=threshold))
     assert fixed.estimates == res.estimates
     assert fixed.similarity_trace == res.similarity_trace
     assert fixed.reset_threshold == threshold
@@ -594,7 +589,7 @@ def test_calibrated_reset_crops_each_frame_once(monkeypatch):
         return crop(image, roi)
 
     monkeypatch.setattr(tracking, "crop", counting)
-    res = track_with_reset("ncc", seq, reset=cfg)
+    res = track("ncc", seq, reset=cfg)
     assert len(cropped) == len(seq.frames)
     assert {id(image) for image in cropped} == {id(f) for f in seq.frames}
     monkeypatch.undo()
@@ -620,7 +615,7 @@ def test_calibrated_cwssim_reset_decomposes_reference_once(monkeypatch):
 
     monkeypatch.setattr(metrics, "decompose", counting)
     monkeypatch.setattr(metrics, "band_stack", counting_stack)
-    track_with_reset("meanshift", seq, reset=reset_cfg(calibration_frames=10))
+    track("meanshift", seq, reset=reset_cfg(calibration_frames=10))
     # the reference crop once, and every frame once in some stack
     assert calls == [(65, 65)]
     assert all(shape[1:] == (65, 65) for shape in stacks)
@@ -633,12 +628,12 @@ def test_drift_injection_reset_beats_bare_tracker():
     init = (seq.landmarks[0][0],)
     truth = tuple((marks[0],) for marks in seq.landmarks)
     hit = {15: (100.0, 0.0)}
-    bare = ncc_track(seq, init=init, disturbances=hit)
+    bare = track("ncc", seq, init=init, disturbances=hit)
     bare_err = tracking_error(bare, truth, 1.0)
     # the corruption lands on the decoy and the bare tracker stays there
     locked = bare.estimates[20][0]
     assert abs(locked.x - truth[20][0].x - 100.0) < 3.0
-    wrapped = track_with_reset("ncc", seq, init=init, reset=reset_cfg(
+    wrapped = track("ncc", seq, init=init, reset=reset_cfg(
         calibration_frames=28), disturbances=hit)
     wrapped_err = tracking_error(wrapped, truth, 1.0)
     assert wrapped_err.mean_mm < bare_err.mean_mm
@@ -663,12 +658,12 @@ def test_track_result_digest_is_pinned(tracker, wrapped):
     seq = bench_sequence(seed=7, n_frames=30, decoy=True)
     hit = {12: (6.0, -4.0)}
     if wrapped:
-        res = track_with_reset(tracker, seq, reset=reset_cfg(
+        res = track(tracker, seq, reset=reset_cfg(
             calibration_frames=28), disturbances=hit)
         # frame 0 and both ends of the period re-anchor
         assert res.reset_events[0] == 0 and res.reset_events[-1] == 29
     else:
-        res = TRACKERS[tracker].track(seq, disturbances=hit)
+        res = track(tracker, seq, disturbances=hit)
     fields = (res.estimates, res.match_scores, res.scales, res.reset_events,
               res.clamped_frames, res.reset_threshold)
     digest = hashlib.sha256(json.dumps(hexed(fields)).encode()).hexdigest()
@@ -678,4 +673,34 @@ def test_track_result_digest_is_pinned(tracker, wrapped):
 def test_unknown_tracker_id():
     seq = bench_sequence(seed=1, n_frames=3)
     with pytest.raises(errors.InvalidParamsError):
-        track_with_reset("kalman", seq, reset=reset_cfg(threshold=0.9))
+        track("kalman", seq, reset=reset_cfg(threshold=0.9))
+
+
+def counted_static_sequence(n, reads):
+    """``static_sequence`` of ``textured_phantom``, appending each frame
+    index to ``reads`` as the frame is read."""
+    img = textured_phantom()
+    return FrameSequence(
+        frames=_RenderedFrames(lambda t: reads.append(t) or img, n),
+        landmarks=((Landmark(48.0, 48.0),),) * n)
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("frame", [5, -1, 2.0, True])
+def test_disturbance_outside_the_sequence_is_rejected_before_any_read(
+        frame, gated):
+    # such a disturbance was once dropped without a word
+    reads = []
+    seq = counted_static_sequence(5, reads)
+    reset = (ResetConfig(Roi(Landmark(48.0, 48.0), 16, 16), threshold=0.9)
+             if gated else None)
+    with pytest.raises(errors.InvalidParamsError):
+        track("ncc", seq, reset=reset, disturbances={frame: (1.0, 0.0)})
+    assert reads == []
+
+
+def test_disturbance_frames_may_be_numpy_integers():
+    seq = counted_static_sequence(5, [])
+    got = track("ncc", seq, disturbances={np.int64(4): (1.0, 0.0)})
+    assert got == track("ncc", seq, disturbances={4: (1.0, 0.0)})
+    assert got.estimates[4] == (Landmark(49.0, 48.0),)
