@@ -133,7 +133,8 @@ def _split_param(text: str):
 
 
 def _collect_params(items, metrics, default_metric=None):
-    """Group repeated --param flags into a metric -> params-object map."""
+    """Group repeated --param flags into a metric -> params-object map; a
+    param for a metric outside ``metrics`` is an error."""
     per_metric: dict[str, dict] = {}
     for item in items or []:
         metric, key, value = _split_param(item)
@@ -147,11 +148,10 @@ def _collect_params(items, metrics, default_metric=None):
         per_metric.setdefault(metric, {})[key] = value
     built = {metric: build_metric_params(metric, kv)
              for metric, kv in per_metric.items()}
-    if metrics is not None:
-        stray = set(built) - set(metrics)
-        if stray:
-            raise InvalidParamsError(
-                f"params given for metrics not in the run: {sorted(stray)}")
+    stray = set(built) - set(metrics)
+    if stray:
+        raise InvalidParamsError(
+            f"params given for metrics not in the run: {sorted(stray)}")
     return built
 
 
@@ -174,7 +174,7 @@ def _reset_config_from(args) -> ResetConfig:
     if args.tau is None and args.calibrate is None:
         raise InvalidParamsError("--reset needs --tau or --calibrate")
     metric = args.reset_metric or "cwssim"
-    params = _collect_params(args.reset_param, None, default_metric=metric)
+    params = _collect_params(args.reset_param, [metric], default_metric=metric)
     return ResetConfig(
         similarity_roi=_parse_roi(args.reset_roi),
         metric=metric,
@@ -302,7 +302,15 @@ def _cmd_study_noise_sweep(args) -> int:
 
 
 def _cmd_study_tracking(args) -> int:
+    if not 0 <= args.hit_frame < args.frames:
+        raise InvalidParamsError(
+            f"--hit-frame {args.hit_frame} is not a frame of --frames "
+            f"{args.frames}: it must lie in [0, {args.frames})")
     seq = _benchmark_sequence(args.seed, args.frames, args.alpha, decoy=True)
+    if args.reset_metric in (None, "cwssim"):
+        # the study's CW-SSIM pyramid depth; a --reset-param levels=N comes
+        # after it and so overrides it
+        args.reset_param = ["cwssim:levels=3", *(args.reset_param or [])]
     reset = _reset_config_from(args)
     # the decoy disc is scenery for the injected jump, so only the true disc
     # is tracked
@@ -324,21 +332,16 @@ def _cmd_study_tracking(args) -> int:
 # Parser wiring
 
 
-def _add_reset_options(parser, calibrate_default=None, roi_default=None,
-                       levels_default=None):
-    parser.add_argument("--reset-roi", default=roi_default,
+def _add_reset_options(parser):
+    parser.add_argument("--reset-roi",
                         help="similarity window as x,y,half_w,half_h")
     parser.add_argument("--reset-metric", choices=sorted(METRICS),
                         help="reset metric (default cwssim)")
-    default_param = ([f"levels={levels_default}"]
-                     if levels_default is not None else None)
-    parser.add_argument("--reset-param", action="append",
-                        default=default_param, metavar="KEY=VALUE",
+    parser.add_argument("--reset-param", action="append", metavar="KEY=VALUE",
                         help="reset-metric parameter (repeatable)")
     parser.add_argument("--tau", type=float,
                         help="fixed reset threshold in (0, 1]")
-    parser.add_argument("--calibrate", type=int, default=calibrate_default,
-                        metavar="C",
+    parser.add_argument("--calibrate", type=int, metavar="C",
                         help="derive the threshold from the first C frames")
 
 
@@ -432,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     tracking.add_argument("--alpha", type=float, default=0.3)
     tracking.add_argument("--hit-frame", type=int, default=15)
     tracking.add_argument("--hit-dx", type=float, default=100.0)
-    _add_reset_options(tracking, calibrate_default=28,
-                       roi_default="108,128,32,32", levels_default=3)
+    _add_reset_options(tracking)
     tracking.add_argument("--out", required=True)
     tracking.add_argument("--frames-out")
-    tracking.set_defaults(fn=_cmd_study_tracking)
+    tracking.set_defaults(fn=_cmd_study_tracking, calibrate=28,
+                          reset_roi="108,128,32,32")
 
     return parser
 

@@ -27,9 +27,7 @@ from .tracking import (
     ErrorStats,
     ResetConfig,
     TrackResult,
-    _arms,
     _lockstep,
-    _resolve_init,
     tracking_error,
 )
 
@@ -387,10 +385,9 @@ def run_tracking_study(seq: FrameSequence, trackers, reset: ResetConfig,
             raise InvalidParamsError(
                 "tracking experiment needs ground-truth landmarks")
         truth = seq.landmarks
-    results = _lockstep(
-        seq.frames, _resolve_init(seq.landmarks, init),
-        [_arms(tracker, None, (False, True)) for tracker in trackers],
-        reset, seq.reference_frame, disturbances)
+    results = _lockstep(seq, init, [(TRACKERS[name], None, (False, True))
+                                    for name in trackers],
+                        reset, disturbances)
     arms = [TrackingArm(result,
                         tracking_error(result, truth, seq.pixel_spacing_mm))
             for result in results]

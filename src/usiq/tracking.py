@@ -257,6 +257,8 @@ def _box_sums(values: np.ndarray, side: int) -> np.ndarray:
 class _NccStepper:
     """Correlation search with templates fixed at the first frame."""
 
+    config = NccConfig
+
     def __init__(self, first_frame: GrayImage, init: tuple[Landmark, ...],
                  cfg: NccConfig):
         self.cfg = cfg
@@ -398,6 +400,8 @@ class _MeanShiftStepper:
     """Bhattacharyya mean-shift over kernel-weighted intensity histograms;
     a frame's view is its bins, and every window reads its slice of them."""
 
+    config = MeanShiftConfig
+
     def __init__(self, first_frame: GrayImage, init: tuple[Landmark, ...],
                  cfg: MeanShiftConfig):
         self.cfg = cfg
@@ -487,40 +491,12 @@ class _MeanShiftStepper:
 
 
 # ---------------------------------------------------------------------------
-# Driving loop shared by bare and gated ``track`` runs and the study
+# Tracker runs: ``_lockstep`` puts together and drives every run, bare or
+# gated, of ``track`` and of the tracking study
 
 
-# The one table of tracker names: name -> (stepper type, config type).
-TRACKERS = {
-    "ncc": (_NccStepper, NccConfig),
-    "meanshift": (_MeanShiftStepper, MeanShiftConfig),
-}
-
-
-def _resolve_init(landmarks, init) -> tuple[Landmark, ...]:
-    """``init`` as a tuple, by default ``landmarks[0]``."""
-    if init is None:
-        if landmarks is None:
-            raise InvalidParamsError(
-                "sequence carries no landmarks; pass init explicitly")
-        init = landmarks[0]
-    init = tuple(init)
-    if not init:
-        raise InvalidParamsError("at least one landmark is required")
-    return init
-
-
-def _arms(tracker: str, cfg, gates) -> tuple[type, object, tuple[bool, ...]]:
-    """The ``_lockstep`` entry of the named tracker: its stepper type, ``cfg``
-    defaulted and checked, and one flag per arm, true where the reset gate
-    drives the arm."""
-    stepper_type, config_type = TRACKERS[tracker]
-    if cfg is None:
-        cfg = config_type()
-    elif not isinstance(cfg, config_type):
-        raise InvalidParamsError(
-            f"config for '{tracker}' must be {config_type.__name__}")
-    return stepper_type, cfg, gates
+# The one table of tracker names: name -> stepper type.
+TRACKERS = {"ncc": _NccStepper, "meanshift": _MeanShiftStepper}
 
 
 def _gate(frames: Sequence[GrayImage], reset: ResetConfig | None,
@@ -620,58 +596,72 @@ class _Run:
             reset_threshold=threshold if self.gated else None)
 
 
-def _feed(runs: list[_Run], steps: list) -> None:
-    """Give every frame of ``steps``, as ``(t, frame, fired, shift)``, to
-    each of ``runs``, which share one stepper: each frame is viewed once."""
-    stepper = runs[0].stepper
-    for t, frame, fired, shift in steps:
-        view = stepper.view(frame)
-        for run in runs:
-            run.feed(t, view, fired and run.gated, shift)
-
-
-def _lockstep(frames: Sequence[GrayImage],
-              init: tuple[Landmark, ...], trackers,
-              reset: ResetConfig | None = None, reference_frame: int = 0,
+def _lockstep(seq: FrameSequence, init, trackers,
+              reset: ResetConfig | None = None,
               disturbances: Mapping[int, tuple[float, float]] | None = None
               ) -> list[TrackResult]:
-    """Drive every arm of every tracker over one pass of ``frames``; their
-    results, tracker by tracker and arm by arm.
+    """Drive every arm of every tracker over one pass of ``seq``'s frames;
+    their results, tracker by tracker and arm by arm.
 
-    Each pass over ``frames`` calls ``iter(frames)`` once. ``trackers``
-    lists ``(stepper type, config, gates)`` (see ``_arms``): one stepper per
-    tracker, built from the first frame, drives one arm per flag of
-    ``gates``, and a gated arm re-anchors wherever the reset gate on
-    ``reset`` fires. The ``disturbances`` keys are checked first, then, with
-    any gated arm, the gate's checks and first pass run. Then the frames come
-    in stacks: each tracker's arms take every frame of a stack before the
-    next tracker steps, and the stack is dropped before the next is read.
+    This is where every tracker run is put together. ``trackers`` lists one
+    ``(stepper type, cfg, gates)`` per tracker: one stepper, built from the
+    first frame with ``cfg`` (None for the defaults of the type's
+    ``config``), drives one arm per flag of ``gates``, and a gated arm
+    re-anchors at ``init`` (by default the sequence's first-frame landmarks)
+    wherever the reset gate on ``reset`` fires. ``init`` is checked first,
+    then each ``cfg``, then the ``disturbances`` keys; then, with any gated
+    arm, the gate's checks and first pass run. Each pass over the frames
+    calls ``iter(seq.frames)`` once. Then the frames come in stacks: each
+    tracker's arms take every frame of a stack before the next tracker
+    steps, and the stack is dropped before the next is read.
     """
-    shifts = disturbances or {}
+    if init is None:
+        if seq.landmarks is None:
+            raise InvalidParamsError(
+                "sequence carries no landmarks; pass init explicitly")
+        init = seq.landmarks[0]
+    init = tuple(init)
+    if not init:
+        raise InvalidParamsError("at least one landmark is required")
+    checked = []
+    for stepper_type, cfg, gates in trackers:
+        if cfg is None:
+            cfg = stepper_type.config()
+        elif not isinstance(cfg, stepper_type.config):
+            raise InvalidParamsError(
+                f"tracker config must be {stepper_type.config.__name__}")
+        checked.append((stepper_type, cfg, gates))
+    frames, shifts = seq.frames, disturbances or {}
     bad = [t for t in shifts if not (_is_int(t) and 0 <= t < len(frames))]
     if bad:
         raise InvalidParamsError(f"disturbance frames {bad} are not integers "
                                  f"in [0, {len(frames)})")
-    if any(any(gates) for *_, gates in trackers):
-        threshold, stacks = _gate(frames, reset, reference_frame)
+    if any(any(gates) for *_, gates in checked):
+        threshold, stacks = _gate(frames, reset, seq.reference_frame)
     else:
         threshold, stacks = None, ([(None, frame)] for frame in frames)
-    # one list of runs per tracker, each list sharing the tracker's stepper
+    # one (stepper, runs) pair per tracker, its runs sharing the stepper
     trace, arms, t = [], [], 0
     for stack in stacks:
         if t == 0:
-            for stepper_type, cfg, gates in trackers:
+            for stepper_type, cfg, gates in checked:
                 stepper = stepper_type(stack[0][1], init, cfg)
-                arms.append([_Run(stepper, init, gated) for gated in gates])
+                arms.append((stepper, [_Run(stepper, init, gated)
+                                       for gated in gates]))
         trace.extend(value for value, _ in stack if value is not None)
-        steps = [(t + i, frame, value is not None and value > threshold,
-                  shifts.get(t + i)) for i, (value, frame) in enumerate(stack)]
+        for stepper, runs in arms:
+            for i, (value, frame) in enumerate(stack):
+                fired = value is not None and value > threshold
+                # each frame is viewed once for every arm of its tracker
+                view = stepper.view(frame)
+                for run in runs:
+                    run.feed(t + i, view, fired and run.gated,
+                             shifts.get(t + i))
         t += len(stack)
-        for runs in arms:
-            _feed(runs, steps)
-        del stack, steps
+        # the loop names still hold the stack's last frame and its view
+        del stack, frame, view
     trace = tuple(trace)
-    return [run.result(trace, threshold) for runs in arms for run in runs]
+    return [run.result(trace, threshold) for _, runs in arms for run in runs]
 
 
 def track(tracker: str, seq: FrameSequence, init=None, cfg=None,
@@ -706,9 +696,9 @@ def track(tracker: str, seq: FrameSequence, init=None, cfg=None,
     """
     if tracker not in TRACKERS:
         raise InvalidParamsError(f"unknown tracker '{tracker}'")
-    result, = _lockstep(seq.frames, _resolve_init(seq.landmarks, init),
-                        [_arms(tracker, cfg, (reset is not None,))], reset,
-                        seq.reference_frame, disturbances)
+    result, = _lockstep(seq, init,
+                        [(TRACKERS[tracker], cfg, (reset is not None,))],
+                        reset, disturbances)
     return result
 
 

@@ -19,7 +19,7 @@ from usiq.harness import (
     write_tracking_summary_csv,
 )
 from usiq.image import Landmark, Roi
-from usiq.metrics import CwSsimParams, prepare
+from usiq.metrics import CwSsimParams, VifParams, prepare
 from usiq.pyramid import PyramidParams
 from usiq.tracking import ResetConfig
 
@@ -565,15 +565,91 @@ def test_study_tracking_rejects_duplicate_or_empty_tracker_list(
     assert not summary.exists()
 
 
-@pytest.mark.parametrize("hit", ["8", "15", "-1"])
+@pytest.mark.parametrize("hit", ["8", "15", "-1", None])
 def test_study_tracking_rejects_a_hit_frame_outside_the_sequence(
-        hit, tmp_path, capsys):
-    # such a jump was once dropped without a word
+        hit, tmp_path, monkeypatch, capsys):
+    # such a jump was once dropped without a word, and then rejected with an
+    # error that named neither option (None runs the default, 15)
+    built = []
+    monkeypatch.setattr(cli, "_benchmark_sequence",
+                        lambda *args, **kw: built.append(args))
+    summary = tmp_path / "summary.csv"
+    hit_option = [] if hit is None else ["--hit-frame", hit]
+    assert cli.main(["study", "tracking", "--frames", "8", "--calibrate", "3",
+                     *hit_option, "--out", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid-params:")
+    assert f"--hit-frame {hit or 15}" in err and "--frames 8" in err
+    assert built == []
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize("options, metric, params", [
+    ([], "cwssim", CwSsimParams(pyramid=PyramidParams(levels=3))),
+    (["--reset-param", "levels=2"], "cwssim",
+     CwSsimParams(pyramid=PyramidParams(levels=2))),
+    (["--reset-metric", "cwssim", "--reset-param", "cwssim:levels=4"],
+     "cwssim", CwSsimParams(pyramid=PyramidParams(levels=4))),
+    (["--reset-metric", "ssim"], "ssim", None),
+    (["--reset-metric", "vif", "--reset-param", "scales=2"], "vif",
+     VifParams(scales=2)),
+], ids=["default", "levels", "prefixed-levels", "ssim", "vif"])
+def test_study_tracking_levels_default_is_for_cwssim_only(
+        options, metric, params, tmp_path, monkeypatch):
+    # the study's levels=3 once went to every reset metric, so each metric
+    # but cwssim failed on a 'levels' parameter it does not take
+    gates = []
+    monkeypatch.setattr(cli, "run_tracking_study",
+                        lambda seq, trackers, reset, **kw: gates.append(reset)
+                        or ())
+    assert cli.main(["study", "tracking", "--frames", "20", "--calibrate", "3",
+                     "--hit-frame", "4", *options,
+                     "--out", str(tmp_path / "summary.csv")]) == 0
+    assert gates == [ResetConfig(Roi(Landmark(108.0, 128.0), 32, 32),
+                                 metric=metric, metric_params=params,
+                                 calibration_frames=3)]
+
+
+def test_study_tracking_gates_on_ssim(tmp_path):
+    summary = tmp_path / "summary.csv"
+    assert cli.main(["study", "tracking", "--frames", "20", "--calibrate", "3",
+                     "--hit-frame", "4", "--reset-metric", "ssim",
+                     "--out", str(summary)]) == 0
+    rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["ncc", "0"], ["ncc", "1"],
+                                         ["meanshift", "0"],
+                                         ["meanshift", "1"]]
+
+
+@pytest.mark.parametrize("options", [
+    ["--reset-param", "vif:scales=2"],
+    ["--reset-metric", "ssim", "--reset-param", "cwssim:levels=2"],
+], ids=["vif-on-cwssim", "cwssim-on-ssim"])
+def test_study_tracking_rejects_a_reset_param_for_another_metric(
+        options, tmp_path, capsys):
+    # such a param was once dropped without a word
     summary = tmp_path / "summary.csv"
     assert cli.main(["study", "tracking", "--frames", "8", "--calibrate", "3",
-                     "--hit-frame", hit, "--out", str(summary)]) == 2
-    assert capsys.readouterr().err.startswith("invalid-params:")
+                     "--hit-frame", "4", *options,
+                     "--out", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid-params: params given for metrics not in "
+                          "the run")
     assert not summary.exists()
+
+
+def test_track_rejects_a_reset_param_for_another_metric_before_the_manifest(
+        tmp_path, capsys):
+    # such a param was once dropped without a word; a missing manifest would
+    # be an io-error, so the param is checked first
+    out = tmp_path / "x.csv"
+    assert cli.main(["track", "--manifest", str(tmp_path / "missing.json"),
+                     "--tracker", "ncc", "--reset",
+                     "--reset-roi", "108,128,32,32", "--calibrate", "3",
+                     "--reset-param", "ssim:k1=0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "invalid-params: params given for metrics not in the run")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["-0.5", "nan"])

@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from usiq import errors, metrics, tracking
+from usiq.harness import run_tracking_study
 from usiq.image import (FrameSequence, GrayImage, Landmark, Roi,
                         _RenderedFrames, crop)
 from usiq.metrics import prepare
@@ -402,7 +403,7 @@ class PerWindowBinning(tracking._MeanShiftStepper):
 
 def per_window_track(seq, cfg):
     """Oracle: the bare mean-shift track of ``seq`` by ``PerWindowBinning``."""
-    result, = tracking._lockstep(seq.frames, seq.landmarks[0],
+    result, = tracking._lockstep(seq, None,
                                  [(PerWindowBinning, cfg, (False,))])
     return result
 
@@ -704,3 +705,17 @@ def test_disturbance_frames_may_be_numpy_integers():
     got = track("ncc", seq, disturbances={np.int64(4): (1.0, 0.0)})
     assert got == track("ncc", seq, disturbances={4: (1.0, 0.0)})
     assert got.estimates[4] == (Landmark(49.0, 48.0),)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seq: track("ncc", seq, cfg=MeanShiftConfig()),
+    lambda seq: track("ncc", seq, init=()),
+    lambda seq: track("ncc", dataclasses.replace(seq, landmarks=None)),
+    lambda seq: run_tracking_study(seq, ["ncc"], None),
+], ids=["config-of-another-tracker", "empty-init", "no-landmarks-no-init",
+        "study-without-reset"])
+def test_tracker_arguments_are_checked_before_any_read(run):
+    reads = []
+    with pytest.raises(errors.InvalidParamsError):
+        run(counted_static_sequence(5, reads))
+    assert reads == []
