@@ -46,7 +46,7 @@ from .synth import (
     make_phantom,
     periodic_sequence,
 )
-from .tracking import TRACKERS, ResetConfig, track
+from .tracking import _GATE_METRICS, TRACKERS, ResetConfig, track
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def _cmd_study_tracking(args) -> int:
 def _add_reset_options(parser):
     parser.add_argument("--reset-roi",
                         help="similarity window as x,y,half_w,half_h")
-    parser.add_argument("--reset-metric", choices=sorted(METRICS),
+    parser.add_argument("--reset-metric", choices=_GATE_METRICS,
                         help="reset metric (default cwssim)")
     parser.add_argument("--reset-param", action="append", metavar="KEY=VALUE",
                         help="reset-metric parameter (repeatable)")

@@ -19,7 +19,7 @@ from .errors import (
     CountMismatchError,
     InvalidParamsError,
 )
-from .image import FrameSequence, Roi, crop
+from .image import FrameSequence, Roi, _is_int, _is_real, crop
 from .metrics import METRICS, normalize_series, prepare
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
@@ -316,13 +316,18 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
     """
     names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
-    alpha_list = tuple(float(a) for a in alphas)
+    alpha_list = tuple(alphas)
+    if not all(map(_is_real, alpha_list)):
+        raise InvalidParamsError(
+            f"alphas must be real numbers, got {alpha_list!r}")
+    alpha_list = tuple(map(float, alpha_list))
     if not alpha_list:
         raise InvalidParamsError("at least one alpha required")
     if len(set(alpha_list)) != len(alpha_list):
         raise InvalidParamsError("alpha list contains duplicates")
-    if seeds < 1:
-        raise InvalidParamsError("seeds must be >= 1")
+    if not _is_int(seeds) or seeds < 1:
+        raise InvalidParamsError(
+            f"seeds must be an integer >= 1, got {seeds!r}")
     base = make_phantom(phantom, seed=seed)
     scorers = {name: prepare(name, base, params.get(name)) for name in names}
     means = {name: [] for name in names}

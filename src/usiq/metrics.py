@@ -2,10 +2,11 @@
 
 Six metrics share one calling convention: ``metric(ref, test, params)`` returns
 a SimilarityScore. Each is ``prepare(id, ref, params)(test)``: ``prepare`` does
-the reference-only work once and returns a scorer, so a fixed reference
-compared with many tests is analysed once; ``scorer.values(tests)`` scores
-many tests in one call. Intensities are nominally [0, 255]; the stabilizing
-constants scale with the declared dynamic range, not with the data.
+the reference-only work once and returns a :class:`Scorer`, which checks and
+stacks the tests, so a fixed reference compared with many tests is analysed
+once; ``scorer.values(tests)`` scores many tests in one call. Intensities are
+nominally [0, 255]; the stabilizing constants scale with the declared dynamic
+range, not with the data.
 """
 
 from __future__ import annotations
@@ -206,38 +207,47 @@ _STACK_PIXELS = 4 * 65 * 65
 
 class Scorer:
     """What ``prepare`` returns: scores test images against one prepared
-    reference.
+    reference with the metric ``name``.
 
     ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
     ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
     errors. It reads ``tests`` lazily, ``stack_size`` at a time (as many as
-    fit ``_STACK_PIXELS``, and at least one), and scores each stack in one
-    call of ``scores(stack, maps)``, which returns one SimilarityScore per
-    test, with its map only if ``maps``; ``scorer(test)`` is the one-test
-    stack.
+    fit ``_STACK_PIXELS``, and at least one), checks each test's shape and
+    scores the stack's ``(n, h, w)`` pixels in one call of
+    ``scores(pixels, maps)``, which returns the n values and, only if
+    ``maps``, one map per test (else None); ``scorer(test)`` is the one-test
+    stack. Each value becomes a SimilarityScore under ``name`` here alone.
     """
 
-    __slots__ = ("_scores", "_stack_size")
+    __slots__ = ("_name", "_ref", "_scores", "_stack_size")
 
-    def __init__(self, scores: Callable[[list[GrayImage], bool],
-                                        list[SimilarityScore]],
-                 ref_pixels: int):
+    def __init__(self, name: str, ref: GrayImage,
+                 scores: Callable[[np.ndarray, bool], tuple]):
+        self._name = name
+        self._ref = ref
         self._scores = scores
-        self._stack_size = max(1, _STACK_PIXELS // ref_pixels)
+        self._stack_size = max(1, _STACK_PIXELS // ref.pixels.size)
 
     @property
     def stack_size(self) -> int:
         return self._stack_size
 
+    def _scored(self, tests: list[GrayImage],
+                maps: bool) -> list[SimilarityScore]:
+        values, smaps = self._scores(_test_stack(self._ref, tests), maps)
+        return [SimilarityScore(self._name, float(value),
+                                None if smaps is None else smaps[i])
+                for i, value in enumerate(values)]
+
     def __call__(self, test: GrayImage) -> SimilarityScore:
-        (score,) = self._scores([test], True)
+        (score,) = self._scored([test], True)
         return score
 
     def values(self, tests: Iterable[GrayImage]) -> tuple[float, ...]:
         tests = iter(tests)
         out = []
         while stack := list(itertools.islice(tests, self._stack_size)):
-            out.extend(score.value for score in self._scores(stack, False))
+            out.extend(score.value for score in self._scored(stack, False))
         return tuple(out)
 
 
@@ -361,55 +371,45 @@ def _require_window_fits(image: GrayImage, need: int, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Metrics, one preparer each: ``_prepare_<id>(ref[, params])`` does the
-# reference-only work and returns ``score(test) -> SimilarityScore``.
+# reference-only work and returns the metric's ``scores(pixels, maps)``,
+# which ``prepare`` wraps in a Scorer.
 
 
-def _one_by_one(score: Callable[[GrayImage], SimilarityScore],
-                ref: GrayImage) -> Scorer:
-    """A scorer that scores each test of a stack on its own."""
-    return Scorer(lambda tests, maps: [score(test) for test in tests],
-                  ref.pixels.size)
+def _prepare_mse(ref: GrayImage):
+    def scores(y: np.ndarray, maps: bool):
+        diff = ref.pixels - y
+        diff *= diff
+        return diff.mean(axis=(-2, -1)), None
+    return scores
 
 
-def _prepare_mse(ref: GrayImage) -> Scorer:
-    def score(test: GrayImage) -> SimilarityScore:
-        require_same_shape(ref, test)
-        diff = ref.pixels - test.pixels
-        return SimilarityScore("mse", float(np.mean(diff * diff)))
-    return _one_by_one(score, ref)
-
-
-def _prepare_psnr(ref: GrayImage, peakval: float = 255.0) -> Scorer:
+def _prepare_psnr(ref: GrayImage, peakval: float = 255.0):
     if not (_is_real(peakval) and math.isfinite(peakval) and peakval > 0):
         raise InvalidParamsError("peakval must be positive and finite")
     squared_error = _prepare_mse(ref)
 
-    def score(test: GrayImage) -> SimilarityScore:
-        err = squared_error(test).value
-        if err == 0.0:
-            return SimilarityScore("psnr", math.inf)
-        return SimilarityScore("psnr", 10.0 * math.log10(peakval ** 2 / err))
-    return _one_by_one(score, ref)
+    def scores(y: np.ndarray, maps: bool):
+        errs, _ = squared_error(y, False)
+        return [10.0 * math.log10(peakval ** 2 / err) if err else math.inf
+                for err in errs.tolist()], None
+    return scores
 
 
-def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None) -> Scorer:
+def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None):
     params = params if params is not None else SsimParams()
     _require_window_fits(ref, params.window_size, "the similarity window")
     kernel = _gauss1d(params.window_size, params.window_sigma)
     x = _ssim_side(ref.pixels, kernel)
 
-    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
-        lterm, cterm, sterm = _ssim_terms(x, _test_stack(ref, tests), kernel,
-                                          params)
+    def scores(y: np.ndarray, maps: bool):
+        lterm, cterm, sterm = _ssim_terms(x, y, kernel, params)
         smaps = _powered(lterm, params.alpha) * (
             _powered(cterm, params.beta) * _powered(sterm, params.gamma))
-        return [SimilarityScore("ssim", float(smap.mean()),
-                                smap if maps else None) for smap in smaps]
-    return Scorer(scores, ref.pixels.size)
+        return [smap.mean() for smap in smaps], smaps if maps else None
+    return scores
 
 
-def _prepare_ms_ssim(ref: GrayImage,
-                     params: MsSsimParams | None = None) -> Scorer:
+def _prepare_ms_ssim(ref: GrayImage, params: MsSsimParams | None = None):
     params = params if params is not None else MsSsimParams()
     need = params.base.window_size * 2 ** (params.scales - 1)
     _require_window_fits(ref, need, f"{params.scales} scales")
@@ -422,9 +422,8 @@ def _prepare_ms_ssim(ref: GrayImage,
         if m < last:
             x = _decimate2(x, _BINOMIAL5)
 
-    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
-        values = [1.0] * len(tests)
-        y = _test_stack(ref, tests)
+    def scores(y: np.ndarray, maps: bool):
+        values = [1.0] * len(y)
         for m, (side, weight) in enumerate(zip(scales, params.weights)):
             lterm, cterm, sterm = _ssim_terms(side, y, kernel, params.base)
             cs = cterm * sterm
@@ -433,8 +432,8 @@ def _prepare_ms_ssim(ref: GrayImage,
                 values[i] *= max(float(scale_map.mean()), 0.0) ** weight
             if m < last:
                 y = _decimate2(y, _BINOMIAL5)
-        return [SimilarityScore("msssim", value) for value in values]
-    return Scorer(scores, ref.pixels.size)
+        return values, None
+    return scores
 
 
 def _window_sums(arr: np.ndarray, size: int) -> np.ndarray:
@@ -468,8 +467,7 @@ def _cw_ssim_map(wx: np.ndarray, sums_x: np.ndarray, wy: np.ndarray,
     return np.divide(num, den, out=num)
 
 
-def _prepare_cw_ssim(ref: GrayImage,
-                     params: CwSsimParams | None = None) -> Scorer:
+def _prepare_cw_ssim(ref: GrayImage, params: CwSsimParams | None = None):
     params = params if params is not None else CwSsimParams()
     size = params.window_size
     k = params.k_stab
@@ -484,9 +482,9 @@ def _prepare_cw_ssim(ref: GrayImage,
         bands.append((band.level, wx, _window_sums(power_x, size)))
     count = sum(sums_x.size for _, _, sums_x in bands)  # windows per test
 
-    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
-        wys = band_stack(_test_stack(ref, tests), params.pyramid)
-        totals = [0.0] * len(tests)
+    def scores(y: np.ndarray, maps: bool):
+        wys = band_stack(y, params.pyramid)
+        totals = [0.0] * len(y)
         finest = []
         for level, wx, sums_x in bands:
             smap = _cw_ssim_map(wx, sums_x, next(wys), size, k)
@@ -495,18 +493,17 @@ def _prepare_cw_ssim(ref: GrayImage,
             if level == 0 and maps:
                 finest.append(smap.copy())
             del smap  # a view of the band's box sums, freed before the next band
-        return [SimilarityScore(
-            "cwssim", total / count,
-            np.mean([smap[i] for smap in finest], axis=0) if maps else None)
-            for i, total in enumerate(totals)]
-    return Scorer(scores, ref.pixels.size)
+        return [total / count for total in totals], [
+            np.mean([smap[i] for smap in finest], axis=0)
+            for i in range(len(y))] if maps else None
+    return scores
 
 
 _VIF_EPS = 1e-10
 _VIF_DEGENERATE = 1e-4
 
 
-def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
+def _prepare_vif(ref: GrayImage, params: VifParams | None = None):
     params = params if params is not None else VifParams()
     need = params.block_size * 2 ** (params.scales - 1)
     _require_window_fits(ref, need, f"{params.scales} channels")
@@ -525,9 +522,8 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
         raise DegenerateReferenceError(
             "reference image has no usable local variance")
 
-    def scores(tests: list[GrayImage], maps: bool) -> list[SimilarityScore]:
-        numerators = [0.0] * len(tests)
-        y = _test_stack(ref, tests)
+    def scores(y: np.ndarray, maps: bool):
+        numerators = [0.0] * len(y)
         for scale, (m, sxx) in enumerate(channels):
             if scale > 0:
                 y = _decimate2(y, kernel)
@@ -538,9 +534,8 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None) -> Scorer:
             info = np.log2(1.0 + gain * gain * sxx / (resid + params.sigma_n2))
             for i, frame_info in enumerate(info):
                 numerators[i] += float(np.sum(frame_info))
-        return [SimilarityScore("vif", numerator / denominator)
-                for numerator in numerators]
-    return Scorer(scores, ref.pixels.size)
+        return [numerator / denominator for numerator in numerators], None
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -631,25 +626,29 @@ def normalize_series(values) -> list[float]:
 
 
 class _Metric(NamedTuple):
-    """One metric: its preparer and the type of the params it takes (None:
-    it takes none; psnr's params is its peak value)."""
+    """One metric: its preparer, which returns the metric's ``scores`` (see
+    :class:`Scorer`); the type of the params it takes (None: it takes none;
+    psnr's params is its peak value); and ``identity``, the value an image
+    scores against itself."""
 
-    prepare: Callable[..., Scorer]
+    prepare: Callable
     params: type | None
+    identity: float
 
 
 METRICS = {
-    "mse": _Metric(_prepare_mse, None),
-    "psnr": _Metric(_prepare_psnr, Real),
-    "ssim": _Metric(_prepare_ssim, SsimParams),
-    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams),
-    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams),
-    "vif": _Metric(_prepare_vif, VifParams),
+    "mse": _Metric(_prepare_mse, None, 0.0),
+    "psnr": _Metric(_prepare_psnr, Real, math.inf),
+    "ssim": _Metric(_prepare_ssim, SsimParams, 1.0),
+    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams, 1.0),
+    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams, 1.0),
+    "vif": _Metric(_prepare_vif, VifParams, 1.0),
 }
 
 
 def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
-    """Do a metric's reference-only work once and return ``scorer(test)``.
+    """Do a metric's reference-only work once and return its
+    :class:`Scorer`, ``scorer(test) -> SimilarityScore``.
 
     ``params`` must be of the metric's ``METRICS[name].params`` type; None
     selects its defaults. Errors that depend only on the reference and the
@@ -659,15 +658,15 @@ def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
     each.
     """
     try:
-        preparer, expected = METRICS[name]
+        preparer, expected, _ = METRICS[name]
     except KeyError:
         raise InvalidParamsError(
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")
     if params is None:
-        return preparer(ref)
+        return Scorer(name, ref, preparer(ref))
     if expected is None or not isinstance(params, expected):
         wanted = "no params" if expected is None else expected.__name__
         raise InvalidParamsError(
             f"{name} takes {wanted}, got {type(params).__name__}")
-    return preparer(ref, params)
+    return Scorer(name, ref, preparer(ref, params))
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, OutOfFrameError
-from .image import (FrameSequence, GrayImage, Landmark, _RenderedFrames,
-                    require_integers, require_reals)
+from .image import (FrameSequence, GrayImage, Landmark, _is_int,
+                    _RenderedFrames, require_integers, require_reals)
 
 __all__ = [
     "Disc",
@@ -152,6 +152,8 @@ def make_phantom(spec: PhantomSpec, seed: int = 0) -> GrayImage:
 def _background(spec: PhantomSpec, seed: int) -> np.ndarray:
     """The spec's background: Gaussian texture from ``seed`` clipped to
     [0, 255], or flat when the texture sigma is 0."""
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParamsError(f"seed must be an integer >= 0, got {seed!r}")
     if spec.background_texture_sigma > 0:
         rng = np.random.default_rng(seed)
         bg = spec.background_mean + spec.background_texture_sigma * \

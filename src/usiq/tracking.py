@@ -121,12 +121,19 @@ class MeanShiftConfig:
                 raise InvalidParamsError("scale steps must be positive")
 
 
+# The gate fires on a similarity above a threshold in (0, 1], so only a
+# metric that scores 1 on the reference itself can gate a reset.
+_GATE_METRICS = tuple(sorted(name for name, entry in METRICS.items()
+                             if entry.identity == 1.0))
+
+
 @dataclass(frozen=True)
 class ResetConfig:
     """Similarity-gated reset policy.
 
     Each frame is compared to the sequence's reference frame on
-    ``similarity_roi`` crops with the named metric; a value strictly above the
+    ``similarity_roi`` crops with the named metric, one that scores 1 on the
+    reference itself (ssim, msssim, cwssim or vif); a value strictly above the
     threshold snaps every estimate back to its first-frame annotation. Leave
     ``threshold`` unset to derive it from the first ``calibration_frames``
     frames after the reference: the maximum observed similarity minus one
@@ -140,8 +147,10 @@ class ResetConfig:
     calibration_frames: int = 0
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidParamsError(f"unknown metric '{self.metric}'")
+        if self.metric not in _GATE_METRICS:
+            raise InvalidParamsError(
+                f"reset metric must be one of {', '.join(_GATE_METRICS)}, "
+                f"got {self.metric!r}")
         require_integers(self, "calibration_frames")
         if self.threshold is None:
             if self.calibration_frames < 1:

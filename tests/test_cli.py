@@ -652,6 +652,35 @@ def test_track_rejects_a_reset_param_for_another_metric_before_the_manifest(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("metric", ["mse", "psnr"])
+@pytest.mark.parametrize("argv", [
+    ["track", "--manifest", "missing.json", "--tracker", "ncc", "--reset",
+     "--reset-roi", "108,128,32,32", "--calibrate", "3"],
+    ["study", "tracking", "--frames", "20", "--calibrate", "3",
+     "--hit-frame", "4"],
+], ids=["track", "study-tracking"])
+def test_a_reset_metric_that_cannot_gate_is_rejected_before_any_input(
+        argv, metric, tmp_path, monkeypatch, capsys):
+    # a gate on mse (a calibrated threshold of 526.129) or psnr once ran; the
+    # track argv's missing manifest would be an io-error, so it is not read
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--reset-metric", metric, "--out", "out.csv"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_sweep_rejects_a_negative_seed_before_any_output(tmp_path,
+                                                              capsys):
+    # it once exited 1 with a ValueError traceback
+    out = tmp_path / "n.csv"
+    assert cli.main(["study", "noise-sweep", "--seed", "-1", "--alphas", "0.5",
+                     "--seeds", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("invalid-params:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["-0.5", "nan"])
 @pytest.mark.parametrize("argv", [
     ["synth", "phantom", "--out"],

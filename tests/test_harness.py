@@ -531,6 +531,18 @@ def test_noise_sweep_deterministic_and_validated():
         run_noise_sweep(small_phantom(), [0.3], ["ssim"], seeds=0)
 
 
+@pytest.mark.parametrize("alphas, seeds", [
+    ([0.5], 2.5), ([0.5], True), (["a"], 1),
+], ids=["seeds-float", "seeds-bool", "alpha-string"])
+def test_noise_sweep_checks_seeds_and_alphas_before_drawing(alphas, seeds,
+                                                            monkeypatch):
+    # these once raised a bare TypeError or ValueError, or ran one draw
+    monkeypatch.setattr(harness, "make_phantom",
+                        lambda *args, **kwargs: pytest.fail("phantom drawn"))
+    with pytest.raises(errors.InvalidParamsError):
+        run_noise_sweep(small_phantom(), alphas, ["mse"], seeds=seeds)
+
+
 # ---------------------------------------------------------------------------
 # Tracking experiments
 

@@ -799,7 +799,7 @@ def test_cw_ssim_stacks_hold_a_fixed_pixel_budget(monkeypatch, side, params,
     assert stacks == depths
 
 
-@pytest.mark.parametrize("name", sorted(IMAGE_LOOP))
+@pytest.mark.parametrize("name", sorted([*IMAGE_LOOP, "mse", "psnr"]))
 @pytest.mark.parametrize("side, n_tests, depths", [
     (65, 9, [4, 4, 1]),
     (256, 3, [1, 1, 1]),

@@ -17,8 +17,8 @@ from usiq.harness import format_number, run_tracking_study
 from usiq.image import (_BINOMIAL5, FrameSequence, GrayImage, Landmark, Roi,
                         _decimate2, crop, load_pgm, load_sequence,
                         round_half_away, save_pgm, write_sequence)
-from usiq.metrics import (CwSsimParams, MsSsimParams, SsimParams, VifParams,
-                          prepare, psnr)
+from usiq.metrics import (METRICS, CwSsimParams, MsSsimParams, SsimParams,
+                          VifParams, prepare, psnr)
 from usiq.pyramid import PyramidParams, band_energy, decompose, min_dimension
 from usiq.synth import (Disc, MotionSpec, PhantomSpec, SpeckleSpec,
                         periodic_sequence)
@@ -148,11 +148,12 @@ def test_downsample2_halves_rounding_up(height, width):
 
 
 # small enough for every metric below: CW-SSIM needs 32 pixels a side,
-# two-scale MS-SSIM 22
+# two-scale MS-SSIM 22, two-channel VIF 18
 SIDES = st.integers(32, 56)
 PARAMS = {
     "msssim": MsSsimParams(scales=2, weights=(0.5, 0.5)),
     "cwssim": CwSsimParams(pyramid=PyramidParams(levels=2, orientations=4)),
+    "vif": VifParams(scales=2),
 }
 
 
@@ -175,9 +176,12 @@ def score(name, ref, test):
 @given(image_pairs())
 def test_identity(pair):
     x, _ = pair
-    assert score("ssim", x, x) == 1.0
-    assert score("cwssim", x, x) == 1.0
-    assert score("mse", x, x) == 0.0
+    for name, entry in METRICS.items():
+        if name == "vif":
+            # its gain sxy / (sxx + eps) falls short of 1 by about eps / sxx
+            assert abs(score(name, x, x) - entry.identity) <= 1e-9
+        else:
+            assert score(name, x, x) == entry.identity
 
 
 @given(image_pairs())

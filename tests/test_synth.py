@@ -139,6 +139,19 @@ def test_disc_outside_frame_rejected():
     assert exc.value.kind == "out-of-frame"
 
 
+@pytest.mark.parametrize("sigma", [10.0, 0.0], ids=["textured", "flat"])
+@pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
+def test_phantom_seed_is_a_non_negative_integer(seed, sigma):
+    # a float or string seed once raised a bare TypeError and -1 a
+    # ValueError, while True, or any seed of a flat background, was taken
+    spec = PhantomSpec(width=16, height=16, background_texture_sigma=sigma)
+    with pytest.raises(errors.InvalidParamsError):
+        make_phantom(spec, seed=seed)
+    with pytest.raises(errors.InvalidParamsError):
+        periodic_sequence(spec, MotionSpec(amplitude=0.0, period=30,
+                                           n_frames=2), seed=seed)
+
+
 @pytest.mark.parametrize("radius,center", [(4.0, (20.3, 17.6)),
                                            (5.0, (23.5, 24.25)),
                                            (9.0, (24.0, 21.7))])

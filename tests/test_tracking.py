@@ -79,6 +79,17 @@ def test_config_validation():
         ResetConfig(similarity_roi=roi)  # neither threshold nor calibration
 
 
+@pytest.mark.parametrize("metric", ["mse", "psnr"])
+def test_reset_config_admits_only_metrics_that_score_1_on_the_reference(
+        metric):
+    # the gate fires above a threshold in (0, 1]; MSE scores 0 and PSNR +inf
+    # on the reference, so a gate on either was once built and never worked
+    with pytest.raises(errors.InvalidParamsError,
+                       match="one of cwssim, msssim, ssim, vif"):
+        ResetConfig(similarity_roi=Roi(Landmark(48, 48), 20, 20),
+                    metric=metric, calibration_frames=3)
+
+
 @pytest.mark.parametrize("fields", [
     {"calibration_frames": 2.5},
 ], ids=["calibration-frames-float"])
