@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import os
 import sys
 
@@ -345,6 +346,9 @@ def _add_reset_options(parser):
                         help="derive the threshold from the first C frames")
 
 
+# Built once per process: parsing leaves the parser as it was, and every
+# parse makes its own namespace and lists.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="usiq",

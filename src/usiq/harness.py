@@ -20,7 +20,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import FrameSequence, Roi, _is_int, _is_real, crop
-from .metrics import METRICS, normalize_series, prepare
+from .metrics import METRICS, _score_columns, normalize_series
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
     TRACKERS,
@@ -171,27 +171,21 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     One pass reads each frame once, in order, and crops it once when there
     is a ROI. The views through the reference's are read first, and every
     metric is prepared from the reference's view, which is also the test of
-    its own row. Then each scorer stack of views goes to every metric in
-    turn and is dropped before the next stack is read. So the metric list
-    and params are checked first, then every reference (a degenerate VIF
-    reference raises before any frame is scored), and errors about frames,
-    such as a frame of another shape, come in frame order.
+    its own row. Then each scorer stack of views is stacked once, scored by
+    every metric and dropped before the next stack is read. So the metric
+    list and params are checked first, then every reference (a degenerate
+    VIF reference raises before any frame is scored), and errors about
+    frames, such as a frame of another shape, come in frame order.
     """
     names = _checked_names(metrics, METRICS, "metric")
     params = _checked_params(metric_params, names)
     frames = iter(seq.frames)
     views = frames if roi is None else (crop(frame, roi) for frame in frames)
     head = list(itertools.islice(views, seq.reference_frame + 1))
-    scorers = [prepare(name, head[-1], params.get(name)) for name in names]
-    size = scorers[0].stack_size
+    columns = _score_columns(names, head[-1], params)
     views = itertools.chain(head, views)
     del head  # only the chain holds the head views, until it passes them
-    columns = {name: [] for name in names}
-    while stack := list(itertools.islice(views, size)):
-        for name, scorer in zip(names, scorers):
-            columns[name].extend(scorer.values(stack))
-        del stack
-    raw = {name: tuple(column) for name, column in columns.items()}
+    raw = dict(zip(names, columns(views)))
     normalized, notes = _normalized_or_noted(raw)
     return TraceReport(metrics=names, raw=raw, normalized=normalized,
                        notes=notes, reference_frame=seq.reference_frame)
@@ -329,14 +323,13 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
         raise InvalidParamsError(
             f"seeds must be an integer >= 1, got {seeds!r}")
     base = make_phantom(phantom, seed=seed)
-    scorers = {name: prepare(name, base, params.get(name)) for name in names}
+    columns = _score_columns(names, base, params)
     means = {name: [] for name in names}
     for alpha in alpha_list:
         speckled = [apply_speckle(base, SpeckleSpec(alpha=alpha, seed=seed + i))
                     for i in range(seeds)]
-        for name in names:
-            means[name].append(math.fsum(scorers[name].values(speckled))
-                               / len(speckled))
+        for name, column in zip(names, columns(speckled)):
+            means[name].append(math.fsum(column) / len(speckled))
     normalized, notes = _normalized_or_noted(means)
     rows = tuple(
         SweepRow(alpha=alpha, metric=name, mean_value=means[name][i],

@@ -183,14 +183,14 @@ class SimilarityScore:
         if self.metric not in METRICS:
             raise InvalidParamsError(f"unknown metric id {self.metric!r}")
         v = self.value
-        if math.isnan(v) or (math.isinf(v) and self.metric != "psnr"):
+        entry = METRICS[self.metric]
+        if not (math.isfinite(v) or v == entry.identity):
             raise InvalidParamsError(f"{self.metric} produced {v!r}")
-        if self.metric in ("mse", "vif") and v < 0:
-            raise InvalidParamsError(f"{self.metric} must be >= 0, got {v}")
-        if self.metric in ("ssim", "msssim", "cwssim") and not (
-                -1.0 - 1e-6 <= v <= 1.0 + 1e-6):
+        low, high = entry.value_range
+        # a bound is met up to a relative rounding of 1e-6
+        if not low - 1e-6 * abs(low) <= v <= high + 1e-6 * abs(high):
             raise InvalidParamsError(
-                f"{self.metric} must lie in [-1, 1], got {v}")
+                f"{self.metric} must lie in [{low}, {high}], got {v}")
         if self.map is not None:
             self.map.setflags(write=False)
 
@@ -362,6 +362,14 @@ def _ssim_terms(ref: _SsimSide, tests: np.ndarray, kernel,
     return lterm, cterm, sterm
 
 
+def _ssim_maps(terms, params: SsimParams) -> np.ndarray:
+    """SSIM's maps from its (luminance, contrast, structure) terms, each
+    raised to its exponent in ``params``."""
+    lterm, cterm, sterm = terms
+    return _powered(lterm, params.alpha) * (
+        _powered(cterm, params.beta) * _powered(sterm, params.gamma))
+
+
 def _require_window_fits(image: GrayImage, need: int, what: str) -> None:
     if min(image.height, image.width) < need:
         raise ImageTooSmallError(
@@ -402,9 +410,7 @@ def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None):
     x = _ssim_side(ref.pixels, kernel)
 
     def scores(y: np.ndarray, maps: bool):
-        lterm, cterm, sterm = _ssim_terms(x, y, kernel, params)
-        smaps = _powered(lterm, params.alpha) * (
-            _powered(cterm, params.beta) * _powered(sterm, params.gamma))
+        smaps = _ssim_maps(_ssim_terms(x, y, kernel, params), params)
         return [smap.mean() for smap in smaps], smaps if maps else None
     return scores
 
@@ -422,10 +428,14 @@ def _prepare_ms_ssim(ref: GrayImage, params: MsSsimParams | None = None):
         if m < last:
             x = _decimate2(x, _BINOMIAL5)
 
-    def scores(y: np.ndarray, maps: bool):
+    def scores(y: np.ndarray, maps: bool, finest=None):
+        # ``finest``, if given, is called with the finest scale's terms
         values = [1.0] * len(y)
         for m, (side, weight) in enumerate(zip(scales, params.weights)):
-            lterm, cterm, sterm = _ssim_terms(side, y, kernel, params.base)
+            terms = _ssim_terms(side, y, kernel, params.base)
+            if m == 0 and finest is not None:
+                finest(terms)
+            lterm, cterm, sterm = terms
             cs = cterm * sterm
             scale_maps = lterm * cs if m == last else cs
             for i, scale_map in enumerate(scale_maps):
@@ -538,6 +548,53 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None):
     return scores
 
 
+# The SsimParams fields that set the (luminance, contrast, structure) terms;
+# the exponents only weight them.
+_TERM_FIELDS = ("k1", "k2", "dynamic_range", "window_size", "window_sigma")
+
+
+def _score_columns(names, ref: GrayImage, params: dict):
+    """``columns(tests)``: one tuple of values per metric of ``names``, each
+    equal bit for bit to ``prepare(name, ref, params.get(name)).values(tests)``.
+
+    Every metric is prepared here, in name order, so reference errors are
+    raised as ``prepare`` raises them. ``columns`` reads ``tests`` lazily, a
+    scorer stack at a time, checks and stacks each stack once for every
+    metric, and raises the errors the scorers raise, in name order within a
+    stack. When both SSIM and MS-SSIM are asked for and SSIM's window and
+    stabilizers are MS-SSIM's base ones, SSIM's maps are formed from the
+    terms of MS-SSIM's finest scale, which are the same, not afresh.
+    """
+    scorers = {name: prepare(name, ref, params.get(name)) for name in names}
+    ssim = params.get("ssim") or SsimParams()
+    base = (params.get("msssim") or MsSsimParams()).base
+    shared = "ssim" in scorers and "msssim" in scorers and all(
+        getattr(ssim, f) == getattr(base, f) for f in _TERM_FIELDS)
+
+    def stack_values(y: np.ndarray) -> dict:
+        got = {}
+        if shared:
+            got["ssim"] = []
+            got["msssim"], _ = scorers["msssim"]._scores(
+                y, False, lambda terms: got["ssim"].extend(
+                    smap.mean() for smap in _ssim_maps(terms, ssim)))
+        return {name: got[name] if name in got else scorer._scores(y, False)[0]
+                for name, scorer in scorers.items()}
+
+    def columns(tests: Iterable[GrayImage]) -> list[tuple[float, ...]]:
+        tests = iter(tests)
+        out = {name: [] for name in names}
+        size = scorers[names[0]].stack_size
+        while stack := list(itertools.islice(tests, size)):
+            values = stack_values(_test_stack(ref, stack))
+            del stack  # the views are dropped before the next stack is read
+            for name, column in out.items():
+                column.extend(SimilarityScore(name, float(value)).value
+                              for value in values[name])
+        return [tuple(column) for column in out.values()]
+    return columns
+
+
 # ---------------------------------------------------------------------------
 # Public entry points: each is ``prepare(...)(test)``
 
@@ -628,21 +685,23 @@ def normalize_series(values) -> list[float]:
 class _Metric(NamedTuple):
     """One metric: its preparer, which returns the metric's ``scores`` (see
     :class:`Scorer`); the type of the params it takes (None: it takes none;
-    psnr's params is its peak value); and ``identity``, the value an image
-    scores against itself."""
+    psnr's params is its peak value); ``identity``, the value an image
+    scores against itself; and ``value_range``, the closed interval its
+    values lie in. A value is finite unless it is the identity."""
 
     prepare: Callable
     params: type | None
     identity: float
+    value_range: tuple[float, float]
 
 
 METRICS = {
-    "mse": _Metric(_prepare_mse, None, 0.0),
-    "psnr": _Metric(_prepare_psnr, Real, math.inf),
-    "ssim": _Metric(_prepare_ssim, SsimParams, 1.0),
-    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams, 1.0),
-    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams, 1.0),
-    "vif": _Metric(_prepare_vif, VifParams, 1.0),
+    "mse": _Metric(_prepare_mse, None, 0.0, (0.0, math.inf)),
+    "psnr": _Metric(_prepare_psnr, Real, math.inf, (-math.inf, math.inf)),
+    "ssim": _Metric(_prepare_ssim, SsimParams, 1.0, (-1.0, 1.0)),
+    "msssim": _Metric(_prepare_ms_ssim, MsSsimParams, 1.0, (-1.0, 1.0)),
+    "cwssim": _Metric(_prepare_cw_ssim, CwSsimParams, 1.0, (-1.0, 1.0)),
+    "vif": _Metric(_prepare_vif, VifParams, 1.0, (0.0, math.inf)),
 }
 
 
@@ -658,7 +717,7 @@ def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
     each.
     """
     try:
-        preparer, expected, _ = METRICS[name]
+        preparer, expected, *_ = METRICS[name]
     except KeyError:
         raise InvalidParamsError(
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")

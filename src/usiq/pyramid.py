@@ -31,7 +31,6 @@ __all__ = [
     "band_stack",
     "decompose",
     "min_dimension",
-    "shift_magnitude_stability",
 ]
 
 MIN_PIXELS_PER_SIDE = 8
@@ -278,47 +277,3 @@ def band_energy(pyramid: Pyramid) -> float:
     for band in pyramid.subbands:
         e += 2.0 * float(np.sum(np.abs(band.coeffs) ** 2))
     return e
-
-
-def _fourier_shift(pixels: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    h, w = pixels.shape
-    wx = 2.0 * np.pi * np.fft.fftfreq(w)
-    wy = 2.0 * np.pi * np.fft.fftfreq(h)
-    ramp = np.exp(-1j * (wy[:, None] * dy + wx[None, :] * dx))
-    return np.fft.ifft2(np.fft.fft2(pixels) * ramp).real
-
-
-def shift_magnitude_stability(image: GrayImage,
-                              params: PyramidParams | None = None,
-                              dx: float = 1.0, dy: float = 0.0,
-                              margin: int = 2,
-                              eps_frac: float = 0.5) -> list[float]:
-    """Per-band max relative magnitude deviation under a (dx, dy) pixel shift.
-
-    The shift is applied periodically (Fourier) and the deviation is
-    ``||w_shifted| - |w|| / (|w| + eps)``, maxed over interior coefficients
-    (``margin`` rows/cols excluded per side where the grid allows). ``eps``
-    is ``eps_frac`` times the peak magnitude across all unshifted bands:
-    normalizing against the decomposition's signal scale keeps near-nodal
-    coefficients from flooding the ratio, so the statistic isolates what it
-    is meant to show, that small shifts live almost entirely in the phase
-    while magnitudes barely move.
-    """
-    base = decompose(image, params)
-    if dx == 0.0 and dy == 0.0:
-        shifted = base
-    else:
-        shifted = decompose(GrayImage(_fourier_shift(image.pixels, dx, dy)),
-                            params)
-    mags = [np.abs(b.coeffs) for b in base.subbands]
-    peak = max(float(m.max()) for m in mags)
-    eps = eps_frac * peak if peak > 0 else 1.0
-    devs = []
-    for m0, b1 in zip(mags, shifted.subbands):
-        m1 = np.abs(b1.coeffs)
-        dev = np.abs(m1 - m0) / (m0 + eps)
-        h, w = dev.shape
-        m = margin if (h > 2 * margin and w > 2 * margin) else 0
-        view = dev[m:h - m, m:w - m]
-        devs.append(float(view.max()))
-    return devs

@@ -7,8 +7,9 @@ import tracemalloc
 
 import numpy as np
 
+from usiq import metrics
 from usiq.image import FrameSequence, GrayImage, Landmark, Roi
-from usiq.metrics import CwSsimParams
+from usiq.metrics import CwSsimParams, MsSsimParams, SsimParams
 from usiq.pyramid import PyramidParams
 from usiq.synth import (
     Disc,
@@ -64,6 +65,41 @@ def reset_cfg(**kw):
                 similarity_roi=Roi(Landmark(108.0, 128.0), 32, 32))
     args.update(kw)
     return ResetConfig(**args)
+
+
+# SSIM and MS-SSIM settings over the defaults (over the manifest trace's
+# three MS-SSIM scales on 65x65 crops): each but the 7-pixel SSIM window lets
+# SSIM share MS-SSIM's finest terms
+SHARED_TERMS_CASES = {
+    "defaults": {},
+    "ssim-exponents": {"ssim": SsimParams(alpha=2.0, beta=0.5, gamma=3.0)},
+    "msssim-one-scale": {"msssim": MsSsimParams(scales=1, weights=(1.0,))},
+    "msssim-three-scales": {"msssim": MsSsimParams(
+        scales=3, weights=(0.0448, 0.2856, 0.3001))},
+    "ssim-window-7": {"ssim": SsimParams(window_size=7)},
+}
+
+
+def shared_terms_params(case, side):
+    """The params of a SHARED_TERMS_CASES case for ``side`` x ``side``
+    images, 65 (crops) or 256 (frames)."""
+    crop = SHARED_TERMS_CASES["msssim-three-scales"] if side == 65 else {}
+    return {**crop, **SHARED_TERMS_CASES[case]}
+
+
+def full_size_terms(monkeypatch, shape):
+    """Record the depth of every stack of ``shape`` images whose SSIM terms
+    ``metrics._ssim_terms`` forms, for the rest of the test."""
+    depths = []
+    ssim_terms = metrics._ssim_terms
+
+    def counting(side, tests, kernel, params):
+        if tests.shape[1:] == shape:
+            depths.append(len(tests))
+        return ssim_terms(side, tests, kernel, params)
+
+    monkeypatch.setattr(metrics, "_ssim_terms", counting)
+    return depths
 
 
 def peak_traced_bytes(fn):

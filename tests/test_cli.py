@@ -103,6 +103,44 @@ def test_study_metrics_default_is_every_metric(study):
     assert args.metrics == "mse,psnr,ssim,msssim,cwssim,vif"
 
 
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    builds = counted(monkeypatch, cli, "_add_reset_options")
+    argv = ["compare", "a.pgm", "b.pgm", "--metric", "mse", "--param", "x"]
+    assert cli.main(argv) == 2
+    assert cli.main(argv) == 2
+    assert cli.build_parser() is cli.build_parser()
+    # track and study tracking each add the reset options once per build
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("argv, option, lead", [
+    (["trace", "--manifest", "missing.json", "--metrics", "cwssim",
+      "--out", "x.csv"], "--param", []),
+    (["track", "--manifest", "missing.json", "--tracker", "ncc", "--reset",
+      "--reset-roi", "108,128,32,32", "--calibrate", "3", "--out", "x.csv"],
+     "--reset-param", []),
+    # the study puts its pyramid depth before the user's reset params
+    (["study", "tracking", "--frames", "20", "--calibrate", "3",
+      "--hit-frame", "4", "--out", "x.csv"], "--reset-param",
+     ["cwssim:levels=3"]),
+])
+def test_main_calls_share_no_list_of_the_parser(argv, option, lead, capsys,
+                                                monkeypatch):
+    seen = []
+
+    def recording(items, metrics, default_metric=None):
+        seen.append(items)
+        raise cli.InvalidParamsError("stop")
+
+    monkeypatch.setattr(cli, "_collect_params", recording)
+    for value in ("k_stab=0.02", "k_stab=0.04"):
+        assert cli.main([*argv, option, f"cwssim:{value}"]) == 2
+    assert seen == [[*lead, "cwssim:k_stab=0.02"],
+                    [*lead, "cwssim:k_stab=0.04"]]
+    assert seen[0] is not seen[1]
+
+
 def test_trace_and_track_over_manifest(workdir, run_cli):
     proc = run_cli("synth", "sequence", "--out-dir", "seq", "--seed", "0",
                    "--frames", "10", "--alpha", "0.3", cwd=workdir)

@@ -52,11 +52,14 @@ from usiq.synth import (
 from usiq.tracking import ResetConfig, TrackResult, track
 
 from builders import (
+    SHARED_TERMS_CASES,
     bench_sequence,
     counted,
+    full_size_terms,
     held,
     noise_image,
     reset_cfg,
+    shared_terms_params,
     static_sequence,
     textured_phantom,
     write_pgm_sequence,
@@ -236,6 +239,27 @@ def test_trace_equals_the_per_metric_generator_oracle(roi):
                 == [v.hex() for v in want[name]]), name
 
 
+@pytest.mark.parametrize("case", sorted(SHARED_TERMS_CASES))
+@pytest.mark.parametrize("roi, side, depths", [(SMALL_ROI, 65, [4, 1]),
+                                               (None, 256, [1] * 5)],
+                         ids=["crop", "frame"])
+def test_ssim_and_msssim_trace_forms_the_finest_terms_once(monkeypatch, case,
+                                                          roi, side, depths):
+    seq = FrameSequence(frames=bench_sequence(seed=8, n_frames=5).frames,
+                        reference_frame=1)
+    names = ("ssim", "mse", "msssim")
+    params = shared_terms_params(case, side)
+    want = per_metric_generator_trace(seq, names, roi, params)
+    formed = full_size_terms(monkeypatch, (side, side))
+    report = run_trace(seq, names, roi=roi, metric_params=params)
+    for name in names:
+        assert ([v.hex() for v in report.raw[name]]
+                == [v.hex() for v in want[name]]), name
+    # once per scorer stack, or once per metric when the SSIM window differs
+    per_stack = 2 if case == "ssim-window-7" else 1
+    assert formed == [depth for depth in depths for _ in range(per_stack)]
+
+
 @functools.lru_cache(maxsize=None)
 def bench_rasters(maxval):
     """Four 256x256 benchmark frames quantized to integer samples."""
@@ -325,6 +349,22 @@ def test_trace_error_kinds(frames, names, kind):
     with pytest.raises(errors.UsiqError) as exc:
         run_trace(FrameSequence(frames), names)
     assert exc.value.kind == kind
+
+
+@pytest.mark.parametrize("names", [("ssim", "msssim"), ("msssim", "ssim")])
+def test_ssim_and_msssim_trace_errors_keep_their_kinds_and_order(names):
+    params = {"msssim": SHARED_TERMS_CASES["msssim-three-scales"]["msssim"]}
+    with pytest.raises(errors.DimensionMismatchError):
+        run_trace(FrameSequence(_RenderedFrames(shape_break, 4)), names,
+                  metric_params=params)
+    # a reference too small for both metrics, then a frame of another
+    # shape: the first metric named rejects the reference
+    tiny = _RenderedFrames(
+        lambda t: noise_image(t, shape=(8, 9 if t == 2 else 8)), 4)
+    with pytest.raises(errors.ImageTooSmallError) as exc:
+        run_trace(FrameSequence(tiny), names, metric_params=params)
+    assert ("similarity window" if names[0] == "ssim" else "3 scales") in str(
+        exc.value)
 
 
 def test_trace_respects_roi_and_metric_order():
@@ -515,6 +555,21 @@ def test_noise_sweep_equals_the_per_image_oracle(monkeypatch, seeds, depths):
     assert stacks == depths * len(alphas)
     oracle = per_image_sweep_means(small_phantom(), alphas, names, seeds, 4,
                                    TRACE_PARAMS)
+    assert [row.mean_value.hex() for row in sweep.rows] == [
+        value.hex() for value in oracle]
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_TERMS_CASES))
+def test_ssim_and_msssim_sweep_equals_the_per_image_oracle(monkeypatch, case):
+    phantom = benchmark_phantom_spec()
+    names = ("msssim", "ssim")
+    params = shared_terms_params(case, 256)
+    formed = full_size_terms(monkeypatch, (256, 256))
+    sweep = run_noise_sweep(phantom, (0.2, 0.6), names, seeds=2, seed=3,
+                            metric_params=params)
+    assert len(formed) == 4 * (2 if case == "ssim-window-7" else 1)
+    monkeypatch.undo()
+    oracle = per_image_sweep_means(phantom, (0.2, 0.6), names, 2, 3, params)
     assert [row.mean_value.hex() for row in sweep.rows] == [
         value.hex() for value in oracle]
 

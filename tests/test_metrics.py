@@ -35,7 +35,13 @@ from usiq.synth import (
     periodic_sequence,
 )
 
-from builders import noise_image, peak_traced_bytes
+from builders import (
+    SHARED_TERMS_CASES,
+    full_size_terms,
+    noise_image,
+    peak_traced_bytes,
+    shared_terms_params,
+)
 
 
 def smooth_scene(size=128):
@@ -603,6 +609,24 @@ def hexes(values):
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
+def test_score_values_are_checked_against_the_metrics_range(name):
+    entry = METRICS[name]
+    accepted = [entry.identity]
+    rejected = [math.nan, *(v for v in (-math.inf, math.inf)
+                            if v != entry.identity)]
+    for bound, outward in zip(entry.value_range, (-1.0, 1.0)):
+        if math.isfinite(bound):
+            # a bound holds up to a rounding of 1e-6 of its magnitude
+            accepted.append(bound + outward * 1e-6 * abs(bound))
+            rejected.append(bound + outward * (2e-6 * abs(bound) + 1e-300))
+    for value in accepted:
+        assert SimilarityScore(name, value).value == value
+    for value in rejected:
+        with pytest.raises(errors.InvalidParamsError):
+            SimilarityScore(name, value)
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
 def test_values_equal_the_per_image_loop(name):
     ref = noise_image(20)
     tests = [ref, noise_image(21), rolled(ref, dx=2), rolled(ref, dy=3),
@@ -819,6 +843,28 @@ def test_windowed_stacks_hold_the_same_pixel_budget(monkeypatch, name, side,
     monkeypatch.setattr(metrics, "_test_stack", counting_stack)
     assert hexes(scorer.values(tests)) == hexes(want)
     assert stacks == depths
+
+
+@pytest.mark.parametrize("names", [("ssim", "msssim"),
+                                   ("msssim", "mse", "ssim")])
+@pytest.mark.parametrize("case", sorted(SHARED_TERMS_CASES))
+@pytest.mark.parametrize("side, n_tests", [(65, 1), (65, 4), (256, 1),
+                                           (256, 4)])
+def test_score_columns_equal_each_metrics_own_scorer(monkeypatch, names, case,
+                                                     side, n_tests):
+    ref, tests = speckled_frames(side)
+    tests = tests[:n_tests]
+    params = shared_terms_params(case, side)
+    want = [prepare(name, ref, params.get(name)).values(tests)
+            for name in names]
+    depths = full_size_terms(monkeypatch, ref.shape)
+    columns = metrics._score_columns(names, ref, params)
+    for name, column, own in zip(names, columns(iter(tests)), want):
+        assert hexes(column) == hexes(own), name
+    # each test's finest terms are formed once, or once per metric when the
+    # SSIM window differs
+    assert sum(depths) == n_tests * (2 if case == "ssim-window-7" else 1)
+    assert columns([]) == [()] * len(names)
 
 
 CROP_BYTES = 65 * 65 * 8

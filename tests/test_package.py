@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "pearson", "periodic_sequence", "prepare", "psnr",
     "run_correlation_study", "run_noise_sweep", "run_trace",
     "run_tracking_study",
-    "save_pgm", "shift_magnitude_stability", "ssim",
+    "save_pgm", "ssim",
     "track", "tracking_error", "vif", "write_correlation_json",
     "write_sequence", "write_sweep_csv", "write_trace_csv",
     "write_track_csv", "write_tracking_frames_csv",

@@ -185,10 +185,11 @@ def test_identity(pair):
 
 
 @given(image_pairs())
-def test_ssim_family_lies_in_unit_interval(pair):
+def test_every_metric_lies_in_its_value_range(pair):
     x, y = pair
-    for name in ("ssim", "msssim", "cwssim"):
-        assert -1.0 <= score(name, x, y) <= 1.0
+    for name, entry in METRICS.items():
+        low, high = entry.value_range
+        assert low <= score(name, x, y) <= high
 
 
 @given(image_pairs())
