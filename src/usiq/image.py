@@ -338,10 +338,12 @@ def _correlate_separable(arr: np.ndarray, kernel: np.ndarray,
     # The chunks are as even as the budget allows: 6 + 6 images, not 7 + 5
     most = max(1, _CHUNK_PIXELS // (arr.shape[-2] * arr.shape[-1]))
     parts = max(1, math.ceil(len(images) / most))
-    for chunk, dest in zip(np.array_split(images, parts),
-                           np.array_split(out, parts)):
-        _correlate_axis(_correlate_axis(chunk, weights, -2, step),
-                        weights, -1, step, dest)
+    size, extra = divmod(len(images), parts)
+    stop = 0
+    for part in range(parts):
+        start, stop = stop, stop + size + (part < extra)
+        _correlate_axis(_correlate_axis(images[start:stop], weights, -2, step),
+                        weights, -1, step, out[start:stop])
     return out.reshape(*arr.shape[:-2], rows, cols)
 
 
@@ -373,8 +375,14 @@ def _decimate2(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Smooth the last two axes of ``arr`` with ``kernel``, replicating the
     edges, and keep the even rows and columns; only those are computed."""
     r = kernel.size // 2
-    edges = [(0, 0)] * (arr.ndim - 2) + [(r, r), (r, r)]
-    return _correlate_separable(np.pad(arr, edges, mode="edge"), kernel, 2)
+    height, width = arr.shape[-2:]
+    padded = np.empty((*arr.shape[:-2], height + 2 * r, width + 2 * r))
+    padded[..., r:r + height, r:r + width] = arr
+    padded[..., :r, r:r + width] = arr[..., :1, :]
+    padded[..., r + height:, r:r + width] = arr[..., -1:, :]
+    padded[..., :, :r] = padded[..., :, r:r + 1]
+    padded[..., :, r + width:] = padded[..., :, r + width - 1:r + width]
+    return _correlate_separable(padded, kernel, 2)
 
 
 # ---------------------------------------------------------------------------

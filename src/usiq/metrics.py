@@ -305,7 +305,7 @@ def _powered(term: np.ndarray, exponent: float):
         return term
     if float(exponent).is_integer():
         return term ** int(exponent)
-    return np.clip(term, 0.0, None) ** exponent
+    return np.maximum(term, 0.0) ** exponent
 
 
 class _SsimSide(NamedTuple):
@@ -322,7 +322,7 @@ class _SsimSide(NamedTuple):
 def _ssim_side(x: np.ndarray, kernel: np.ndarray) -> _SsimSide:
     """One image's SSIM statistics: local moments and standard deviation."""
     m = _moments(x, kernel)
-    sd = np.sqrt(np.clip(m.var, 0.0, None))
+    sd = np.sqrt(np.maximum(m.var, 0.0))
     return _SsimSide(m, sd, 2.0 * m.mean, m.mean * m.mean, 2.0 * sd)
 
 
@@ -347,7 +347,7 @@ def _ssim_terms(ref: _SsimSide, tests: np.ndarray, kernel,
     lterm = np.multiply(ref.two_mean, y.mean, out=y.mean)
     lterm += c1
     lterm /= den
-    sy = np.clip(y.var, 0.0, None, out=den)
+    sy = np.maximum(y.var, 0.0, out=den)
     np.sqrt(sy, out=sy)
     cterm = np.multiply(ref.two_sd, sy)
     cterm += c2
@@ -396,8 +396,10 @@ def _prepare_psnr(ref: GrayImage, peakval: float = 255.0):
         raise InvalidParamsError("peakval must be positive and finite")
     squared_error = _prepare_mse(ref)
 
-    def scores(y: np.ndarray, maps: bool):
-        errs, _ = squared_error(y, False)
+    def scores(y: np.ndarray, maps: bool, errs=None):
+        # ``errs``, if given, are the stack's MSE values
+        if errs is None:
+            errs, _ = squared_error(y, False)
         return [10.0 * math.log10(peakval ** 2 / err) if err else math.inf
                 for err in errs.tolist()], None
     return scores
@@ -411,7 +413,7 @@ def _prepare_ssim(ref: GrayImage, params: SsimParams | None = None):
 
     def scores(y: np.ndarray, maps: bool):
         smaps = _ssim_maps(_ssim_terms(x, y, kernel, params), params)
-        return [smap.mean() for smap in smaps], smaps if maps else None
+        return smaps.mean(axis=(-2, -1)), smaps if maps else None
     return scores
 
 
@@ -438,8 +440,8 @@ def _prepare_ms_ssim(ref: GrayImage, params: MsSsimParams | None = None):
             lterm, cterm, sterm = terms
             cs = cterm * sterm
             scale_maps = lterm * cs if m == last else cs
-            for i, scale_map in enumerate(scale_maps):
-                values[i] *= max(float(scale_map.mean()), 0.0) ** weight
+            for i, mean in enumerate(scale_maps.mean(axis=(-2, -1)).tolist()):
+                values[i] *= max(mean, 0.0) ** weight
             if m < last:
                 y = _decimate2(y, _BINOMIAL5)
         return values, None
@@ -498,8 +500,8 @@ def _prepare_cw_ssim(ref: GrayImage, params: CwSsimParams | None = None):
         finest = []
         for level, wx, sums_x in bands:
             smap = _cw_ssim_map(wx, sums_x, next(wys), size, k)
-            totals = [total + float(frame_map.sum())
-                      for total, frame_map in zip(totals, smap)]
+            totals = [total + frame_total for total, frame_total
+                      in zip(totals, smap.sum(axis=(-2, -1)).tolist())]
             if level == 0 and maps:
                 finest.append(smap.copy())
             del smap  # a view of the band's box sums, freed before the next band
@@ -525,7 +527,7 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None):
         if scale > 0:
             x = _decimate2(x, kernel)
         m = _moments(x, kernel)
-        sxx = np.clip(m.var, 0.0, None)
+        sxx = np.maximum(m.var, 0.0)
         channels.append((m, sxx))
         denominator += float(np.sum(np.log2(1.0 + sxx / params.sigma_n2)))
     if denominator < _VIF_DEGENERATE:
@@ -538,12 +540,12 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None):
             if scale > 0:
                 y = _decimate2(y, kernel)
             t, sxy = _test_moments(m, y, kernel)
-            syy = np.clip(t.var, 0.0, None)
-            gain = np.clip(sxy / (sxx + _VIF_EPS), 0.0, None)
-            resid = np.clip(syy - gain * sxy, _VIF_EPS, None)
+            syy = np.maximum(t.var, 0.0)
+            gain = np.maximum(sxy / (sxx + _VIF_EPS), 0.0)
+            resid = np.maximum(syy - gain * sxy, _VIF_EPS)
             info = np.log2(1.0 + gain * gain * sxx / (resid + params.sigma_n2))
-            for i, frame_info in enumerate(info):
-                numerators[i] += float(np.sum(frame_info))
+            for i, frame_info in enumerate(info.sum(axis=(-2, -1)).tolist()):
+                numerators[i] += frame_info
         return [numerator / denominator for numerator in numerators], None
     return scores
 
@@ -561,7 +563,8 @@ def _score_columns(names, ref: GrayImage, params: dict):
     raised as ``prepare`` raises them. ``columns`` reads ``tests`` lazily, a
     scorer stack at a time, checks and stacks each stack once for every
     metric, and raises the errors the scorers raise, in name order within a
-    stack. When both SSIM and MS-SSIM are asked for and SSIM's window and
+    stack. When both MSE and PSNR are asked for, PSNR maps MSE's values.
+    When both SSIM and MS-SSIM are asked for and SSIM's window and
     stabilizers are MS-SSIM's base ones, SSIM's maps are formed from the
     terms of MS-SSIM's finest scale, which are the same, not afresh.
     """
@@ -573,11 +576,14 @@ def _score_columns(names, ref: GrayImage, params: dict):
 
     def stack_values(y: np.ndarray) -> dict:
         got = {}
+        if "mse" in scorers and "psnr" in scorers:
+            got["mse"], _ = scorers["mse"]._scores(y, False)
+            got["psnr"], _ = scorers["psnr"]._scores(y, False, got["mse"])
         if shared:
             got["ssim"] = []
             got["msssim"], _ = scorers["msssim"]._scores(
                 y, False, lambda terms: got["ssim"].extend(
-                    smap.mean() for smap in _ssim_maps(terms, ssim)))
+                    _ssim_maps(terms, ssim).mean(axis=(-2, -1))))
         return {name: got[name] if name in got else scorer._scores(y, False)[0]
                 for name, scorer in scorers.items()}
 

@@ -136,9 +136,15 @@ class _Level(NamedTuple):
     """Masks of one pyramid level, on that level's spectrum grid."""
 
     himask: np.ndarray
-    angle_masks: tuple[np.ndarray, ...]
+    shifted_masks: tuple[np.ndarray, ...]  # angle masks, ifftshifted
     keep: tuple[slice, slice]  # dyadic crop down to the next level's grid
     lomask: np.ndarray  # applied on the cropped grid
+
+    @property
+    def angle_masks(self) -> tuple[np.ndarray, ...]:
+        """The angle masks on the centred grid; the plan holds them once,
+        shifted (both layouts took 4 MB more for a 256x256 plan)."""
+        return tuple(_freeze(np.fft.fftshift(m)) for m in self.shifted_masks)
 
 
 class _Plan(NamedTuple):
@@ -161,13 +167,13 @@ def _plan(shape: tuple[int, int], levels: int, orientations: int) -> _Plan:
     for _ in range(levels):
         cutoff -= 1.0
         himask, _ = _radial_pair(log_rad, cutoff)
-        angle_masks = tuple(_freeze(m)
-                            for m in _angle_masks(angle, orientations))
+        shifted = tuple(_freeze(_ifftshift(m))
+                        for m in _angle_masks(angle, orientations))
         keep = _crop_slices(log_rad.shape)
         log_rad = log_rad[keep]
         angle = angle[keep]
         _, lomask = _radial_pair(log_rad, cutoff)
-        out.append(_Level(_freeze(himask), angle_masks, keep, _freeze(lomask)))
+        out.append(_Level(_freeze(himask), shifted, keep, _freeze(lomask)))
     return _Plan(_freeze(hi0), _freeze(lo0), tuple(out))
 
 
@@ -185,8 +191,8 @@ def _bands(lodft: np.ndarray, plan: _Plan, orientations: int):
     last level.
 
     One band is made at a time. Each level's ``radial`` spectrum is shifted
-    once, so only the level's one-image masks are shifted per band, and it
-    is dropped before the level's last band is handed out.
+    once and multiplied by the plan's shifted masks, and it is dropped
+    before the level's last band is handed out.
     """
     size = lodft.shape[-2] * lodft.shape[-1]
     phase = (-1j) ** (orientations - 1)
@@ -196,10 +202,10 @@ def _bands(lodft: np.ndarray, plan: _Plan, orientations: int):
         radial *= masks.himask
         lodft = lodft[(..., *masks.keep)] * masks.lomask
         radial = _ifftshift(radial)
-        *rest, last = masks.angle_masks
+        *rest, last = masks.shifted_masks
         for amask in rest:
-            yield _band(radial * _ifftshift(amask), factor)
-        spectrum = radial * _ifftshift(last)
+            yield _band(radial * amask, factor)
+        spectrum = radial * last
         del radial
         yield _band(spectrum, factor)
     return lodft

@@ -239,18 +239,32 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _correlate_valid(values: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Cross-correlation of ``values`` with ``template`` at every position
-    where the template fits, by FFT.
+class _Template(NamedTuple):
+    """A first-frame template centred on its mean, its norm, and its
+    conjugate spectrum at each FFT shape it has been correlated at."""
+
+    centered: np.ndarray
+    norm: float
+    spectra: dict
+
+    def spectrum(self, shape: tuple[int, int]) -> np.ndarray:
+        if shape not in self.spectra:
+            self.spectra[shape] = np.conj(np.fft.rfft2(self.centered, shape))
+        return self.spectra[shape]
+
+
+def _correlate_valid(values: np.ndarray, template: _Template) -> np.ndarray:
+    """Cross-correlation of ``values`` with ``template.centered`` at every
+    position where the template fits, by FFT.
 
     The transforms span ``values``, padded to a length the FFT splits into
     small factors, so the circular correlation they give wraps only at
     positions outside the valid ones.
     """
     shape = tuple(_fast_len(n) for n in values.shape)
-    spectrum = (np.fft.rfft2(values, shape)
-                * np.conj(np.fft.rfft2(template, shape)))
-    rows, cols = (n - t + 1 for n, t in zip(values.shape, template.shape))
+    spectrum = np.fft.rfft2(values, shape) * template.spectrum(shape)
+    rows, cols = (n - t + 1
+                  for n, t in zip(values.shape, template.centered.shape))
     return np.fft.irfft2(spectrum, shape)[:rows, :cols]
 
 
@@ -287,7 +301,7 @@ class _NccStepper:
             if norm == 0.0:
                 raise ZeroVarianceTemplateError(
                     f"template at ({mark.x}, {mark.y}) has zero variance")
-            self.templates.append((centered, norm))
+            self.templates.append(_Template(centered, norm, {}))
 
     def initial_state(self):
         return None
@@ -295,8 +309,9 @@ class _NccStepper:
     def view(self, frame):
         return frame.pixels
 
-    def _corr_grid(self, pixels, centered, norm, ylo, yhi, xlo, xhi):
-        """Correlation for every window center in [ylo,yhi] x [xlo,xhi].
+    def _corr_grid(self, pixels, template, ylo, yhi, xlo, xhi):
+        """Correlation with a ``_Template`` for every window center in
+        [ylo,yhi] x [xlo,xhi].
 
         The cross term is an FFT correlation of the search region with the
         template; window sums and sums of squares are box sums over the
@@ -307,7 +322,7 @@ class _NccStepper:
         region = pixels[ylo - r:yhi + r + 1, xlo - r:xhi + r + 1]
         # the template sums to ~zero, so the plain correlation is already the
         # centered cross term
-        cross = _correlate_valid(region, centered)
+        cross = _correlate_valid(region, template)
         squares = region * region
         wsum = _box_sums(region, side)
         var = _box_sums(squares, side) - wsum * wsum / (side * side)
@@ -315,7 +330,7 @@ class _NccStepper:
         # region's total square sum, so a variance within that of zero is a
         # flat window's
         flat = var <= sum(region.shape) * np.finfo(float).eps * squares.sum()
-        corr = cross / (norm * np.sqrt(np.where(flat, 1.0, var)))
+        corr = cross / (template.norm * np.sqrt(np.where(flat, 1.0, var)))
         corr[flat] = -1.0
         return corr
 
@@ -329,9 +344,9 @@ class _NccStepper:
     def score_at(self, pixels, marks, state):
         height, width = pixels.shape
         out = []
-        for (centered, norm), mark in zip(self.templates, marks):
+        for template, mark in zip(self.templates, marks):
             cx, cy, _ = self._clamped_center(mark, width, height)
-            corr = self._corr_grid(pixels, centered, norm, cy, cy, cx, cx)
+            corr = self._corr_grid(pixels, template, cy, cy, cx, cx)
             out.append(float(corr[0, 0]))
         return tuple(out)
 
@@ -340,14 +355,14 @@ class _NccStepper:
         r, s = self.cfg.roi_half, self.cfg.search_half
         marks, scores = [], []
         clamped = False
-        for (centered, norm), mark in zip(self.templates, prev):
+        for template, mark in zip(self.templates, prev):
             cx, cy, moved = self._clamped_center(mark, width, height)
             clamped |= moved
             xlo, xhi = max(r, cx - s), min(width - 1 - r, cx + s)
             ylo, yhi = max(r, cy - s), min(height - 1 - r, cy + s)
             if (xlo, xhi, ylo, yhi) != (cx - s, cx + s, cy - s, cy + s):
                 clamped = True
-            corr = self._corr_grid(pixels, centered, norm, ylo, yhi, xlo, xhi)
+            corr = self._corr_grid(pixels, template, ylo, yhi, xlo, xhi)
             top = float(corr.max())
             ties_y, ties_x = np.nonzero(corr == top)
             # prefer the smallest displacement, then row-major order
@@ -455,7 +470,8 @@ class _MeanShiftStepper:
                 binned, cx, cy, radius)
             weights = np.zeros_like(kernel)
             inside = kernel > 0.0
-            weights[inside] = np.sqrt(model[idx[inside]] / target[idx[inside]])
+            bins = idx[inside]
+            weights[inside] = np.sqrt(model[bins] / target[bins])
             wsum = float(weights.sum())
             if wsum <= 0.0:
                 raise EmptyHistogramError(
@@ -570,19 +586,22 @@ class _Run:
         self.scales = None if stepper.initial_state() is None else []
         self.prev = self.state = None
 
-    def feed(self, t, view, fired, shift):
+    def feed(self, t, view, fired, shift, steps):
         """Frame ``t``, as the stepper's ``view``: re-anchor at the
         first-frame annotations on frame 0 or when the gate ``fired``, else
         step from the previous estimates; then move every estimate by
-        ``shift``, if one is given."""
+        ``shift``, if one is given. Arms share ``steps``, the frame's step
+        results by (estimates, state)."""
         if fired or t == 0:
             marks, self.state = self.init, self.stepper.initial_state()
             scores = self.stepper.score_at(view, marks, self.state)
             if fired:
                 self.events.append(t)
         else:
-            marks, scores, self.state, hit_border = self.stepper.step(
-                view, self.prev, self.state)
+            key = (self.prev, self.state)
+            if key not in steps:
+                steps[key] = self.stepper.step(view, *key)
+            marks, scores, self.state, hit_border = steps[key]
             if hit_border:
                 self.clamped.append(t)
         if shift is not None:
@@ -662,10 +681,10 @@ def _lockstep(seq: FrameSequence, init, trackers,
             for i, (value, frame) in enumerate(stack):
                 fired = value is not None and value > threshold
                 # each frame is viewed once for every arm of its tracker
-                view = stepper.view(frame)
+                view, steps = stepper.view(frame), {}
                 for run in runs:
                     run.feed(t + i, view, fired and run.gated,
-                             shifts.get(t + i))
+                             shifts.get(t + i), steps)
         t += len(stack)
         # the loop names still hold the stack's last frame and its view
         del stack, frame, view

@@ -1,18 +1,20 @@
 """Image-core tests: PGM I/O, crop, 2x decimation, sequences on disk."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from usiq import errors
+from usiq import errors, image, metrics
 from usiq.image import (
     _BINOMIAL5,
     FrameSequence,
     GrayImage,
     Landmark,
     Roi,
+    _correlate_separable,
     _decimate2,
     _read_pgm,
     crop,
@@ -304,6 +306,59 @@ def test_downsample2_too_small():
                           base=SsimParams(window_size=3))
     with pytest.raises(errors.ImageTooSmallError):
         prepare("msssim", GrayImage(np.zeros((1, 5))), params)
+
+
+# ---------------------------------------------------------------------------
+# The smoothing engine against the numpy calls it replaced
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def array_split_correlate(stack, kernel, step, correlate_axis):
+    """Oracle: the separable correlation of a stack, cut into chunks by
+    ``np.array_split``; returns the chunks and their outputs."""
+    weights = kernel.tolist()
+    most = max(1, image._CHUNK_PIXELS // (stack.shape[-2] * stack.shape[-1]))
+    chunks = np.array_split(stack, math.ceil(len(stack) / most))
+    return chunks, [correlate_axis(correlate_axis(chunk, weights, -2, step),
+                                   weights, -1, step) for chunk in chunks]
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("side", [17, 65, 256])
+def test_correlate_separable_chunks_as_array_split_does(monkeypatch, side,
+                                                        step):
+    kernel = metrics._gauss1d(11, 1.5)
+    correlate_axis, chunk_sizes = image._correlate_axis, []
+
+    def counting(arr, weights, axis, step, out=None):
+        if axis == -2:
+            chunk_sizes.append(len(arr))
+        return correlate_axis(arr, weights, axis, step, out)
+
+    monkeypatch.setattr(image, "_correlate_axis", counting)
+    rng = np.random.default_rng(side + step)
+    for n in range(1, 16):
+        stack = rng.uniform(0.0, 255.0, (n, side, side))
+        chunk_sizes.clear()
+        got = _correlate_separable(stack, kernel, step)
+        chunks, want = array_split_correlate(stack, kernel, step,
+                                             correlate_axis)
+        assert chunk_sizes == [len(chunk) for chunk in chunks]
+        assert np.array_equal(bits(got), bits(np.concatenate(want)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [(2, 16, 16), (2, 17, 16), (16, 17),
+                                   (65, 65)])
+def test_decimate2_equals_edge_padding_then_correlation(shape, r):
+    kernel = metrics._gauss1d(2 * r + 1, r / 2.0)
+    arr = np.random.default_rng(r).uniform(0.0, 255.0, shape)
+    edges = [(0, 0)] * (arr.ndim - 2) + [(r, r), (r, r)]
+    want = _correlate_separable(np.pad(arr, edges, mode="edge"), kernel, 2)
+    assert np.array_equal(bits(_decimate2(arr, kernel)), bits(want))
 
 
 # ---------------------------------------------------------------------------

@@ -867,6 +867,33 @@ def test_score_columns_equal_each_metrics_own_scorer(monkeypatch, names, case,
     assert columns([]) == [()] * len(names)
 
 
+@pytest.mark.parametrize("names", [("mse", "psnr"), ("psnr", "ssim", "mse"),
+                                   ("psnr",)])
+@pytest.mark.parametrize("peakval", [None, 100.0])
+def test_score_columns_map_the_mse_column_to_psnr(monkeypatch, names,
+                                                  peakval):
+    ref, tests = speckled_frames(65)
+    params = {} if peakval is None else {"psnr": peakval}
+    want = [prepare(name, ref, params.get(name)).values(tests)
+            for name in names]
+    # PSNR's own squared errors: each stack's depth, once formed
+    formed, prepare_mse = [], metrics._prepare_mse
+
+    def counting(ref):
+        squared_error = prepare_mse(ref)
+
+        def scores(y, maps):
+            formed.append(len(y))
+            return squared_error(y, maps)
+        return scores
+
+    monkeypatch.setattr(metrics, "_prepare_mse", counting)
+    columns = metrics._score_columns(names, ref, params)
+    for name, column, own in zip(names, columns(iter(tests)), want):
+        assert hexes(column) == hexes(own), name
+    assert sum(formed) == (0 if "mse" in names else len(tests))
+
+
 CROP_BYTES = 65 * 65 * 8
 FRAME_BYTES = 256 * 256 * 8
 

@@ -214,6 +214,16 @@ def test_plan_arrays_are_read_only():
             arr[0, 0] = 1.0
 
 
+def test_plan_shifted_masks_are_the_shifted_angle_masks():
+    plan = pyramid._plan((65, 70), 3, 4)
+    for level in plan.levels:
+        assert len(level.shifted_masks) == len(level.angle_masks) == 4
+        for shifted, centred in zip(level.shifted_masks, level.angle_masks):
+            assert np.array_equal(shifted, np.fft.ifftshift(centred))
+            with pytest.raises(ValueError):
+                shifted[0, 0] = 1.0
+
+
 def test_plan_is_shared_by_same_shaped_images():
     pyramid._plan.cache_clear()
     params = PyramidParams(levels=2, orientations=5)

@@ -39,6 +39,7 @@ from usiq.tracking import (
 
 from builders import (
     bench_sequence,
+    counted,
     held,
     hexed,
     reset_cfg,
@@ -265,9 +266,9 @@ def test_ncc_grid_matches_sliding_window_oracle(size, r, s, seed):
     frame, centered, norm, grids = ncc_grids(size, r, s, seed)
     stepper = tracking._NccStepper(frame, (Landmark(size // 2, size // 2),),
                                    NccConfig(roi_half=r, search_half=s))
+    template = tracking._Template(centered, norm, {})
     for ylo, yhi, xlo, xhi in grids:
-        got = stepper._corr_grid(frame.pixels, centered, norm,
-                                 ylo, yhi, xlo, xhi)
+        got = stepper._corr_grid(frame.pixels, template, ylo, yhi, xlo, xhi)
         want = sliding_window_corr_grid(frame.pixels, centered, norm, r,
                                         ylo, yhi, xlo, xhi)
         assert got.shape == want.shape == (yhi - ylo + 1, xhi - xlo + 1)
@@ -278,12 +279,13 @@ def test_ncc_grid_matches_oracle_on_benchmark_frames():
     seq = bench_sequence(seed=9, n_frames=12, decoy=True)
     init = (seq.landmarks[0][0],)
     stepper = tracking._NccStepper(seq.frames[0], init, NccConfig())
-    (centered, norm), = stepper.templates
+    template, = stepper.templates
+    centered, norm, _ = template
     for frame in seq.frames:
         # the full 49x49 search grid around the disc, and the one it clamps
         # to at the frame's left edge
         for grid in ((104, 152, 76, 124), (104, 152, 12, 40)):
-            got = stepper._corr_grid(frame.pixels, centered, norm, *grid)
+            got = stepper._corr_grid(frame.pixels, template, *grid)
             want = sliding_window_corr_grid(frame.pixels, centered, norm, 12,
                                             *grid)
             assert np.max(np.abs(got - want)) <= 1e-9
@@ -297,13 +299,14 @@ def test_ncc_flat_region_scores_minus_one():
     init = (Landmark(15.0, 15.0),)
     stepper = tracking._NccStepper(frame, init, NccConfig(roi_half=6,
                                                           search_half=12))
-    (centered, norm), = stepper.templates
-    got = stepper._corr_grid(pixels, centered, norm, 36, 63, 36, 63)
+    template, = stepper.templates
+    centered, norm, _ = template
+    got = stepper._corr_grid(pixels, template, 36, 63, 36, 63)
     want = sliding_window_corr_grid(pixels, centered, norm, 6, 36, 63, 36, 63)
     assert np.all(want == -1.0)
     assert np.all(got == -1.0)
     # windows that overlap the flat patch only in part are not flat
-    got = stepper._corr_grid(pixels, centered, norm, 20, 40, 20, 40)
+    got = stepper._corr_grid(pixels, template, 20, 40, 20, 40)
     want = sliding_window_corr_grid(pixels, centered, norm, 6, 20, 40, 20, 40)
     assert np.array_equal(got == -1.0, want == -1.0)
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -327,6 +330,34 @@ def test_fft_length_is_the_smallest_235_smooth_length():
     # the NCC correlation pads each axis to scipy's real-FFT fast length
     assert all(tracking._fast_len(n) == next_fast_len(n, real=True)
                == smooth_235_len(n) for n in range(1, 4097))
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+def test_template_spectrum_is_made_once_per_fft_shape(monkeypatch, clamped):
+    frame = textured_phantom()
+    stepper = tracking._NccStepper(frame, (Landmark(48.0, 48.0),),
+                                   NccConfig())
+    template, = stepper.templates
+    made, rfft2 = [], np.fft.rfft2
+
+    def counting(values, *args, **kwargs):
+        if values is template.centered:
+            made.append(args)
+        return rfft2(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", counting)
+    # a search window clamped at the frame's left edge is correlated at a
+    # second FFT shape
+    starts = [Landmark(48.0, 48.0), Landmark(50.0, 47.0)]
+    if clamped:
+        starts += [Landmark(20.0, 48.0), Landmark(18.0, 50.0)]
+    for start in starts * 2:
+        *_, hit_border = stepper.step(frame.pixels, (start,), None)
+        assert hit_border == (start.x < 36.0)
+    assert len(made) == len(template.spectra) == 1 + clamped
+    for shape, spectrum in template.spectra.items():
+        assert np.array_equal(spectrum,
+                              np.conj(rfft2(template.centered, shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +711,57 @@ def test_track_result_digest_is_pinned(tracker, wrapped):
               res.clamped_frames, res.reset_threshold)
     digest = hashlib.sha256(json.dumps(hexed(fields)).encode()).hexdigest()
     assert digest == TRACK_DIGESTS[tracker, wrapped]
+
+
+def test_equal_arm_steps_run_once_in_the_benchmark_study(monkeypatch):
+    seq = held(bench_sequence(seed=0, decoy=True))
+    init, hit = seq.landmarks[0][:1], {15: (100.0, 0.0)}
+    reset = reset_cfg(calibration_frames=28)
+    steps = {name: counted(monkeypatch, stepper, "step")
+             for name, stepper in TRACKERS.items()}
+    study = run_tracking_study(seq, list(TRACKERS), reset, init=init,
+                               truth=tuple(m[:1] for m in seq.landmarks),
+                               disturbances=hit)
+    alone_total = shared_total = 0
+    for cmp in study:
+        bare, gated = cmp.bare.result, cmp.reset.result
+        studied = len(steps[cmp.tracker])
+        assert bare == track(cmp.tracker, seq, init=init, disturbances=hit)
+        assert gated == track(cmp.tracker, seq, init=init, reset=reset,
+                              disturbances=hit)
+        alone = len(steps[cmp.tracker]) - studied
+        # the frames on which both arms step from equal estimates and state
+        shared = sum(
+            t not in gated.reset_events
+            and bare.estimates[t - 1] == gated.estimates[t - 1]
+            and (bare.scales is None
+                 or bare.scales[t - 1] == gated.scales[t - 1])
+            for t in range(1, len(seq.frames)))
+        assert studied == alone - shared
+        alone_total += alone
+        shared_total += shared
+    assert (alone_total, shared_total) == (306, 34)
+
+
+@pytest.mark.parametrize("gates", [(False, True), (True, False)])
+@pytest.mark.parametrize("tracker", sorted(TRACKERS))
+def test_arms_that_share_steps_equal_their_own_runs(monkeypatch, tracker,
+                                                    gates):
+    # only the gated arm fires, so the arms part and meet again
+    seq = held(bench_sequence(seed=3, n_frames=30, decoy=True))
+    init, hit = seq.landmarks[0][:1], {12: (100.0, 0.0)}
+    reset = reset_cfg(calibration_frames=10)
+    steps = counted(monkeypatch, TRACKERS[tracker], "step")
+    results = tracking._lockstep(seq, init, [(TRACKERS[tracker], None, gates)],
+                                 reset, hit)
+    studied = len(steps)
+    for gated, result in zip(gates, results):
+        assert result == track(tracker, seq, init=init,
+                               reset=reset if gated else None,
+                               disturbances=hit)
+        assert bool(result.reset_events) == gated
+    assert results[0].estimates != results[1].estimates
+    assert studied < len(steps) - studied
 
 
 def test_unknown_tracker_id():
