@@ -20,7 +20,7 @@ from .errors import (
     InvalidParamsError,
 )
 from .image import FrameSequence, Roi, _is_int, _is_real, crop
-from .metrics import METRICS, _score_columns, normalize_series
+from .metrics import METRICS, Scorer, normalize_series
 from .synth import PhantomSpec, SpeckleSpec, apply_speckle, make_phantom
 from .tracking import (
     TRACKERS,
@@ -182,7 +182,7 @@ def run_trace(seq: FrameSequence, metrics, roi: Roi | None = None,
     frames = iter(seq.frames)
     views = frames if roi is None else (crop(frame, roi) for frame in frames)
     head = list(itertools.islice(views, seq.reference_frame + 1))
-    columns = _score_columns(names, head[-1], params)
+    columns = Scorer(names, head[-1], params).columns
     views = itertools.chain(head, views)
     del head  # only the chain holds the head views, until it passes them
     raw = dict(zip(names, columns(views)))
@@ -323,7 +323,7 @@ def run_noise_sweep(phantom: PhantomSpec, alphas, metrics, seeds: int,
         raise InvalidParamsError(
             f"seeds must be an integer >= 1, got {seeds!r}")
     base = make_phantom(phantom, seed=seed)
-    columns = _score_columns(names, base, params)
+    columns = Scorer(names, base, params).columns
     means = {name: [] for name in names}
     for alpha in alpha_list:
         speckled = [apply_speckle(base, SpeckleSpec(alpha=alpha, seed=seed + i))

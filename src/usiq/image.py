@@ -275,12 +275,11 @@ def save_pgm(image: GrayImage, path) -> None:
     """Write an 8-bit binary (P5) PGM; values are rounded half-away-from-zero
     and clamped to [0, 255]."""
     quantized = np.clip(image.pixels, 0.0, 255.0)
-    quantized += 0.5
-    np.floor(quantized, out=quantized)
+    quantized += 0.5  # in [0.5, 255.5], where the cast truncates to the floor
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(quantized.astype(np.uint8).tobytes())
+        fh.write(quantized.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +288,26 @@ def save_pgm(image: GrayImage, path) -> None:
 
 def _window(arr: np.ndarray, roi: Roi) -> np.ndarray:
     """The ROI window of a 2-D array, as :func:`crop` describes it."""
-    cx = round_half_away(roi.center.x)
-    cy = round_half_away(roi.center.y)
     height, width = arr.shape
-    xs = np.clip(np.arange(cx - roi.half_width, cx + roi.half_width + 1),
-                 0, width - 1)
-    ys = np.clip(np.arange(cy - roi.half_height, cy + roi.half_height + 1),
-                 0, height - 1)
+    xs = _edge_indices(roi.center.x, roi.half_width, width)
+    ys = _edge_indices(roi.center.y, roi.half_height, height)
     return arr.take(ys, axis=0).take(xs, axis=1)
+
+
+def _edge_indices(center: float, half: int, size: int) -> np.ndarray:
+    """The ``2*half+1`` indices around the rounded ``center``, each clamped
+    to ``[0, size)``. The centre is first clamped to ``[-half, size - 1 +
+    half]``, which changes no index and keeps a far-off one within int64."""
+    c = min(max(round_half_away(center), -half), size - 1 + half)
+    return np.clip(np.arange(c - half, c + half + 1), 0, size - 1)
 
 
 def crop(image: GrayImage, roi: Roi) -> GrayImage:
     """Extract the ROI window around the rounded center.
 
     Rows/columns falling outside the image replicate the nearest edge, so the
-    output always has the full (2*half_width+1) x (2*half_height+1) shape.
+    output always has the full (2*half_width+1) x (2*half_height+1) shape,
+    for any finite center.
     """
     return GrayImage(_window(image.pixels, roi))
 

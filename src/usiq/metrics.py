@@ -4,7 +4,8 @@ Six metrics share one calling convention: ``metric(ref, test, params)`` returns
 a SimilarityScore. Each is ``prepare(id, ref, params)(test)``: ``prepare`` does
 the reference-only work once and returns a :class:`Scorer`, which checks and
 stacks the tests, so a fixed reference compared with many tests is analysed
-once; ``scorer.values(tests)`` scores many tests in one call. Intensities are
+once; ``scorer.values(tests)`` scores many tests in one call, and a Scorer of
+several metrics scores one reference with each of them. Intensities are
 nominally [0, 255]; the stabilizing constants scale with the declared dynamic
 range, not with the data.
 """
@@ -204,51 +205,88 @@ class SimilarityScore:
 # time: a stack of 256x256 frames saves no time.
 _STACK_PIXELS = 4 * 65 * 65
 
+# The SsimParams fields that set the (luminance, contrast, structure) terms;
+# the exponents only weight them.
+_TERM_FIELDS = ("k1", "k2", "dynamic_range", "window_size", "window_sigma")
+
 
 class Scorer:
-    """What ``prepare`` returns: scores test images against one prepared
-    reference with the metric ``name``.
+    """Scores test images against one reference with each metric of
+    ``names``; ``params`` maps an id to its params (absent: the defaults).
 
-    ``scorer(test)`` is one SimilarityScore. ``scorer.values(tests)`` equals
-    ``tuple(scorer(t).value for t in tests)`` bit for bit and raises the same
-    errors. It reads ``tests`` lazily, ``stack_size`` at a time (as many as
-    fit ``_STACK_PIXELS``, and at least one), checks each test's shape and
-    scores the stack's ``(n, h, w)`` pixels in one call of
+    Every metric is prepared here, in name order, before any test is scored.
+    ``columns(tests)`` reads ``tests`` lazily, ``stack_size`` at a time (as
+    many as fit ``_STACK_PIXELS``, and at least one), checks each test's
+    shape and passes the stack's ``(n, h, w)`` pixels to each metric's
     ``scores(pixels, maps)``, which returns the n values and, only if
-    ``maps``, one map per test (else None); ``scorer(test)`` is the one-test
-    stack. Each value becomes a SimilarityScore under ``name`` here alone.
+    ``maps``, one map per test (else None). Each value becomes a
+    SimilarityScore here alone. Each column equals the metric's own
+    ``values`` bit for bit: PSNR maps MSE's values when both are asked for,
+    and SSIM's maps come from MS-SSIM's finest terms when SSIM's window and
+    stabilizers are MS-SSIM's base ones. ``prepare`` returns the one-metric
+    Scorer, whose ``values(tests)`` is its column and equals
+    ``tuple(scorer(t).value for t in tests)`` bit for bit with the same
+    errors; ``scorer(test)`` is the one-test stack, with its map.
     """
 
-    __slots__ = ("_name", "_ref", "_scores", "_stack_size")
+    __slots__ = ("_scores", "_ref", "_stack_size", "_mse_psnr", "_ssim")
 
-    def __init__(self, name: str, ref: GrayImage,
-                 scores: Callable[[np.ndarray, bool], tuple]):
-        self._name = name
+    def __init__(self, names, ref: GrayImage, params: dict):
+        self._scores = {name: _prepared(name, ref, params.get(name))
+                        for name in names}
         self._ref = ref
-        self._scores = scores
         self._stack_size = max(1, _STACK_PIXELS // ref.pixels.size)
+        self._mse_psnr = {"mse", "psnr"} <= self._scores.keys()
+        # SSIM's params when its maps come from MS-SSIM's finest terms
+        self._ssim = None
+        if {"ssim", "msssim"} <= self._scores.keys():
+            ssim = params.get("ssim") or SsimParams()
+            base = (params.get("msssim") or MsSsimParams()).base
+            if all(getattr(ssim, f) == getattr(base, f) for f in _TERM_FIELDS):
+                self._ssim = ssim
 
     @property
     def stack_size(self) -> int:
         return self._stack_size
 
     def _scored(self, tests: list[GrayImage],
-                maps: bool) -> list[SimilarityScore]:
-        values, smaps = self._scores(_test_stack(self._ref, tests), maps)
-        return [SimilarityScore(self._name, float(value),
-                                None if smaps is None else smaps[i])
-                for i, value in enumerate(values)]
+                maps: bool) -> list[list[SimilarityScore]]:
+        y = _test_stack(self._ref, tests)
+        got = {}
+        if self._mse_psnr:
+            errs, _ = got["mse"] = self._scores["mse"](y, False)
+            got["psnr"] = self._scores["psnr"](y, False, errs)
+        if self._ssim is not None:
+            def finest(terms):
+                smaps = _ssim_maps(terms, self._ssim)
+                got["ssim"] = (smaps.mean(axis=(-2, -1)),
+                               smaps if maps else None)
+            got["msssim"] = self._scores["msssim"](y, maps, finest)
+        scored = []
+        for name, scores in self._scores.items():
+            values, smaps = got[name] if name in got else scores(y, maps)
+            scored.append([SimilarityScore(name, float(value),
+                                           None if smaps is None else smaps[i])
+                           for i, value in enumerate(values)])
+        return scored
 
     def __call__(self, test: GrayImage) -> SimilarityScore:
-        (score,) = self._scored([test], True)
+        ((score,),) = self._scored([test], True)
         return score
 
-    def values(self, tests: Iterable[GrayImage]) -> tuple[float, ...]:
+    def columns(self, tests: Iterable[GrayImage]) -> list[tuple[float, ...]]:
         tests = iter(tests)
-        out = []
+        out = [[] for _ in self._scores]
         while stack := list(itertools.islice(tests, self._stack_size)):
-            out.extend(score.value for score in self._scored(stack, False))
-        return tuple(out)
+            scored = self._scored(stack, False)
+            del stack  # the views are dropped before the next stack is read
+            for column, scores in zip(out, scored):
+                column.extend(score.value for score in scores)
+        return [tuple(column) for column in out]
+
+    def values(self, tests: Iterable[GrayImage]) -> tuple[float, ...]:
+        (column,) = self.columns(tests)
+        return column
 
 
 def _test_stack(ref: GrayImage, tests: list[GrayImage]) -> np.ndarray:
@@ -380,7 +418,7 @@ def _require_window_fits(image: GrayImage, need: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Metrics, one preparer each: ``_prepare_<id>(ref[, params])`` does the
 # reference-only work and returns the metric's ``scores(pixels, maps)``,
-# which ``prepare`` wraps in a Scorer.
+# which a Scorer calls.
 
 
 def _prepare_mse(ref: GrayImage):
@@ -550,57 +588,6 @@ def _prepare_vif(ref: GrayImage, params: VifParams | None = None):
     return scores
 
 
-# The SsimParams fields that set the (luminance, contrast, structure) terms;
-# the exponents only weight them.
-_TERM_FIELDS = ("k1", "k2", "dynamic_range", "window_size", "window_sigma")
-
-
-def _score_columns(names, ref: GrayImage, params: dict):
-    """``columns(tests)``: one tuple of values per metric of ``names``, each
-    equal bit for bit to ``prepare(name, ref, params.get(name)).values(tests)``.
-
-    Every metric is prepared here, in name order, so reference errors are
-    raised as ``prepare`` raises them. ``columns`` reads ``tests`` lazily, a
-    scorer stack at a time, checks and stacks each stack once for every
-    metric, and raises the errors the scorers raise, in name order within a
-    stack. When both MSE and PSNR are asked for, PSNR maps MSE's values.
-    When both SSIM and MS-SSIM are asked for and SSIM's window and
-    stabilizers are MS-SSIM's base ones, SSIM's maps are formed from the
-    terms of MS-SSIM's finest scale, which are the same, not afresh.
-    """
-    scorers = {name: prepare(name, ref, params.get(name)) for name in names}
-    ssim = params.get("ssim") or SsimParams()
-    base = (params.get("msssim") or MsSsimParams()).base
-    shared = "ssim" in scorers and "msssim" in scorers and all(
-        getattr(ssim, f) == getattr(base, f) for f in _TERM_FIELDS)
-
-    def stack_values(y: np.ndarray) -> dict:
-        got = {}
-        if "mse" in scorers and "psnr" in scorers:
-            got["mse"], _ = scorers["mse"]._scores(y, False)
-            got["psnr"], _ = scorers["psnr"]._scores(y, False, got["mse"])
-        if shared:
-            got["ssim"] = []
-            got["msssim"], _ = scorers["msssim"]._scores(
-                y, False, lambda terms: got["ssim"].extend(
-                    _ssim_maps(terms, ssim).mean(axis=(-2, -1))))
-        return {name: got[name] if name in got else scorer._scores(y, False)[0]
-                for name, scorer in scorers.items()}
-
-    def columns(tests: Iterable[GrayImage]) -> list[tuple[float, ...]]:
-        tests = iter(tests)
-        out = {name: [] for name in names}
-        size = scorers[names[0]].stack_size
-        while stack := list(itertools.islice(tests, size)):
-            values = stack_values(_test_stack(ref, stack))
-            del stack  # the views are dropped before the next stack is read
-            for name, column in out.items():
-                column.extend(SimilarityScore(name, float(value)).value
-                              for value in values[name])
-        return [tuple(column) for column in out.values()]
-    return columns
-
-
 # ---------------------------------------------------------------------------
 # Public entry points: each is ``prepare(...)(test)``
 
@@ -722,16 +709,21 @@ def prepare(name: str, ref: GrayImage, params=None) -> Scorer:
     reusing it over many tests gives the same values as preparing afresh for
     each.
     """
+    return Scorer((name,), ref, {name: params})
+
+
+def _prepared(name: str, ref: GrayImage, params):
+    """Metric ``name``'s ``scores``, prepared as :func:`prepare` says."""
     try:
         preparer, expected, *_ = METRICS[name]
     except KeyError:
         raise InvalidParamsError(
             f"unknown metric {name!r}; choose from {sorted(METRICS)}")
     if params is None:
-        return Scorer(name, ref, preparer(ref))
+        return preparer(ref)
     if expected is None or not isinstance(params, expected):
         wanted = "no params" if expected is None else expected.__name__
         raise InvalidParamsError(
             f"{name} takes {wanted}, got {type(params).__name__}")
-    return Scorer(name, ref, preparer(ref, params))
+    return preparer(ref, params)
 

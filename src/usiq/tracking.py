@@ -391,7 +391,7 @@ def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:
     """The histogram bin of each intensity, in the smallest unsigned type
     that holds ``bins - 1`` (``uint8`` for up to 256 bins)."""
     idx = values * (bins / 256.0)
-    np.floor(idx, out=idx)
+    # in [0, bins - 1] the cast truncates to the floor
     np.clip(idx, 0, bins - 1, out=idx)
     return idx.astype(np.min_scalar_type(bins - 1))
 

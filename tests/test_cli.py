@@ -812,6 +812,21 @@ def test_track_reset_gates_on_the_manifest_reference_frame(tmp_path):
     assert raw[2] == "1" and raw[0] != "1"
 
 
+def test_trace_far_off_roi_replicates_the_edge(tmp_path):
+    # a ROI centre that rounds beyond int64 scores the edge-replicated
+    # window, as a centre far off but within int64 does
+    manifest = tmp_path / "seq" / "frame_manifest.json"
+    assert cli.main(["synth", "sequence", "--seed", "3", "--frames", "4",
+                     "--out-dir", str(manifest.parent)]) == 0
+    csvs = []
+    for x in ("1e20", "1e15"):
+        csvs.append(tmp_path / f"trace_{x}.csv")
+        assert cli.main(["trace", "--manifest", str(manifest), "--metrics",
+                         "mse", "--roi", f"{x},128,32,32",
+                         "--out", str(csvs[-1])]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
 @pytest.mark.parametrize("command", [
     ["track", "--manifest", "m.json", "--tracker", "ncc", "--out", "x.csv"],
     ["study", "tracking", "--out", "x.csv"],

@@ -194,7 +194,8 @@ def test_save_pgm_bytes_equal_the_expression_oracle(tmp_path):
     pixels = rng.uniform(-40.0, 300.0, (9, 14))
     # exact .5 ties, both clamps and values that round to the edges
     pixels[0, :8] = (0.5, 1.5, 254.5, 127.5, -0.5, 255.5, 254.49, -1e9)
-    pixels[1, :3] = (1e9, 0.49999999999999994, 255.0)
+    pixels[1, :7] = (1e9, 0.49999999999999994, 255.0, 1e300, -1e300,
+                     255.49999999999997, 300.0)
     image = GrayImage(pixels)
     kept = image.pixels.copy()
     path = tmp_path / "a.pgm"
@@ -231,6 +232,35 @@ def test_crop_fractional_center_rounds_half_away():
     a = crop(img, Roi(Landmark(2.4, 2.6), 1, 1))
     b = crop(img, Roi(Landmark(2.0, 3.0), 1, 1))
     assert np.array_equal(a.pixels, b.pixels)
+
+
+@pytest.mark.parametrize("far", [1e20, -1e20])
+@pytest.mark.parametrize("half", [0, 1, 3])
+def test_crop_far_off_center_is_the_clamped_edge(far, half):
+    # a centre that rounds beyond int64 replicates the nearest edge, as the
+    # window one past the image does
+    img = GrayImage(np.arange(30, dtype=float).reshape(5, 6))
+    edge_x = 6 - 1 + half if far > 0 else -half
+    edge_y = 5 - 1 + half if far > 0 else -half
+    for center, clamped in [
+            (Landmark(far, 2), Landmark(edge_x, 2)),
+            (Landmark(3, far), Landmark(3, edge_y)),
+            (Landmark(far, far), Landmark(edge_x, edge_y))]:
+        got = crop(img, Roi(center, half, half)).pixels
+        want = crop(img, Roi(clamped, half, half)).pixels
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == (2 * half + 1, 2 * half + 1)
+
+
+@pytest.mark.parametrize("half", [0, 1, 2, 5])
+def test_crop_center_clamp_keeps_every_window(half):
+    # the windows of centres in and around the image are the unclamped ones
+    img = GrayImage(np.arange(30, dtype=float).reshape(5, 6))
+    for c in range(-20, 31):
+        idx = np.clip(np.arange(c - half, c + half + 1), 0, 5)
+        want = img.pixels[np.clip(np.arange(2 - half, 3 + half), 0, 4)][:, idx]
+        got = crop(img, Roi(Landmark(c, 2), half, half)).pixels
+        assert np.array_equal(got, want)
 
 
 def test_crop_translation_consistency():

@@ -1,7 +1,9 @@
 """Metric tests: arithmetic oracles, double-loop moment oracle, invariants."""
 
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -858,7 +860,7 @@ def test_score_columns_equal_each_metrics_own_scorer(monkeypatch, names, case,
     want = [prepare(name, ref, params.get(name)).values(tests)
             for name in names]
     depths = full_size_terms(monkeypatch, ref.shape)
-    columns = metrics._score_columns(names, ref, params)
+    columns = metrics.Scorer(names, ref, params).columns
     for name, column, own in zip(names, columns(iter(tests)), want):
         assert hexes(column) == hexes(own), name
     # each test's finest terms are formed once, or once per metric when the
@@ -888,10 +890,41 @@ def test_score_columns_map_the_mse_column_to_psnr(monkeypatch, names,
         return scores
 
     monkeypatch.setattr(metrics, "_prepare_mse", counting)
-    columns = metrics._score_columns(names, ref, params)
+    columns = metrics.Scorer(names, ref, params).columns
     for name, column, own in zip(names, columns(iter(tests)), want):
         assert hexes(column) == hexes(own), name
     assert sum(formed) == (0 if "mse" in names else len(tests))
+
+
+def calls_by_function(path, callee):
+    """The qualified names of the functions in the source file ``path``
+    that call ``callee`` by name, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and callee in (
+                    getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_one_scoring_path():
+    # tests become scores in one place: one stack loop, one wrapping
+    source = Path(metrics.__file__)
+    built = {path.stem: calls_by_function(path, "SimilarityScore")
+             for path in sorted(source.parent.glob("*.py"))}
+    assert {name: where for name, where in built.items() if where} == {
+        "metrics": ["Scorer._scored"]}
+    assert calls_by_function(source, "islice") == ["Scorer.columns"]
+    assert not hasattr(metrics, "_score_columns")
 
 
 CROP_BYTES = 65 * 65 * 8

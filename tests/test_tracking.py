@@ -531,6 +531,18 @@ def test_bin_indices_equal_the_int64_formula(bins, dtype):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("bins", [2, 32, 256, 300])
+def test_bin_indices_edge_values_equal_the_floor_formula(bins):
+    # clip and cast give the floor's bins without a floor pass, also at
+    # ±1e300, which the int64 formula above cannot cast
+    values = np.array([-1e300, -0.5, 0.49999999999999994, 0.5, 254.5,
+                       255.49999999999997, 255.5, 256.0, 300.0, 1e300])
+    want = np.clip(np.floor(values * (bins / 256.0)), 0, bins - 1)
+    got = tracking._bin_indices(values, bins)
+    assert got.dtype == (np.uint16 if bins > 256 else np.uint8)
+    assert np.array_equal(got, want.astype(got.dtype))
+
+
 # ---------------------------------------------------------------------------
 # Reset wrapper
 
